@@ -33,6 +33,7 @@ from .fields import (
 ForcingFn = Optional[Callable[[float], ScalarField]]
 
 JACOBIAN_FLOOR = 1e-12  # |v| floor inside the psi_inv derivative, caps the diagonal
+POINTWISE_MAX_ITERS = 80  # scalar Newton cap in _pointwise_exact; reaching it raises
 
 
 class NewtonDiverged(RuntimeError):
@@ -220,6 +221,13 @@ def _pointwise_exact(v: np.ndarray, rhs: np.ndarray, dt: float, m: float, h2: fl
     monotonically.  Working in s rather than v = s^m matters twice over:
     no vertical tangent at the origin, and no underflow for large m
     (s^m vanishes in double precision already at moderate s).
+
+    Newton stops at the first of: the residual test max|f| <= 1e-16 (1 +
+    max|b|); a largest step at ulp level, <= 4e-16 max(1, max s); or a
+    largest step that stops shrinking.  Monotone convergence makes every
+    cell's step shrink in exact arithmetic, so the last rule only fires on
+    a last-ulp oscillation.  Reaching POINTWISE_MAX_ITERS without a stop
+    (a NaN or inf in the data does) raises NewtonDiverged.
     """
     a = 4.0 * dt / h2
     b = rhs + (dt / h2) * neighbor_sum(v)
@@ -228,13 +236,25 @@ def _pointwise_exact(v: np.ndarray, rhs: np.ndarray, dt: float, m: float, h2: fl
     # keeps Newton monotone (f convex, f(s0) >= 0) and avoids overflow in
     # s^m for the huge right sides of the super-critical collapse regime
     s = np.minimum(babs, (babs / a) ** (1.0 / m))
-    for _ in range(80):
-        f = s + a * s ** m - babs
-        if float(np.max(np.abs(f))) <= 1e-16 * (1.0 + float(np.max(babs))):
-            break
-        s -= f / (1.0 + a * m * s ** (m - 1.0))
+    ftol = 1e-16 * (1.0 + float(np.max(babs)))
+    last_step = math.inf
+    for _ in range(POINTWISE_MAX_ITERS):
+        # one pow per iteration: s^(m-1) serves both s^m and the slope
+        sm1 = s ** (m - 1.0)
+        f = s + a * (s * sm1) - babs
+        if float(np.max(np.abs(f))) <= ftol:
+            return np.sign(b) * s
+        ds = f / (1.0 + a * m * sm1)
+        s -= ds
         np.clip(s, 0.0, None, out=s)
-    return np.sign(b) * s
+        step = float(np.max(np.abs(ds)))
+        if step <= 4e-16 * max(1.0, float(np.max(s))) or step >= last_step:
+            return np.sign(b) * s
+        last_step = step
+    raise NewtonDiverged(
+        f"pointwise Newton made no stop in {POINTWISE_MAX_ITERS} iterations "
+        f"(last step {last_step:.3e})"
+    )
 
 
 def _step_values(

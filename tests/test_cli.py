@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bean_limit
 from bean_limit.cli import run
 from bean_limit.config import ConfigError, RunConfig
 from bean_limit.fields import GridSpec, ScalarField
@@ -29,6 +34,21 @@ def test_unknown_key_exit_code(tmp_path, capsys):
     code = run(["solve-pme", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "grdi.n" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # `python -m bean_limit.cli` must reach main(), not import and exit 0
+    path = write_cfg(tmp_path, "grdi.n = 64\n")
+    src = str(Path(bean_limit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bean_limit.cli", "solve-pme", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "grdi.n" in proc.stderr
 
 
 def test_duplicate_and_malformed_keys(tmp_path):

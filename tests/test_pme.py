@@ -6,9 +6,11 @@ import pytest
 from bean_limit.datagen import BumpSpec, bump_field, constant_in_time, flat_top_field
 from bean_limit.fields import GridSpec, PowerLaw, ScalarField
 from bean_limit.pme import (
+    NewtonDiverged,
     PmeConfig,
     PmeProblem,
     StepTooSmall,
+    _pointwise_exact,
     _shape_integral,
     barenblatt_eval,
     barenblatt_field,
@@ -77,6 +79,58 @@ def test_barenblatt_profile_solves_the_equation():
     x, y = g.meshgrid()
     interior = np.sqrt(x ** 2 + y ** 2) < 0.6
     assert np.max(np.abs((ut - lap_psi)[interior])) <= 5e-3
+
+
+# -- pointwise scalar kernel ---------------------------------------------------
+
+EPS = np.finfo(float).eps
+KERNEL_MS = [1.5, 3.0, 8.0, 64.0, 96.0]
+
+
+def signed_decade(rng, exponent):
+    """8x8 right side with |b| in [10^e, 10^(e+1)), random signs, three zeros."""
+    babs = 10.0 ** exponent * rng.uniform(1.0, 10.0, (8, 8))
+    babs[0, :3] = 0.0
+    return np.where(rng.random((8, 8)) < 0.5, -babs, babs)
+
+
+@pytest.mark.parametrize("m", KERNEL_MS)
+def test_pointwise_exact_is_odd_and_zero_at_zero(m):
+    # v = 0 freezes the neighbors at zero, so b = rhs
+    rng = np.random.default_rng(1)
+    rhs = signed_decade(rng, 0)
+    rhs[1, :] = [1e-300, -1e-300, 1e-100, 1e-8, 1e2, -1e4, 1e6, -1e6]
+    z = np.zeros_like(rhs)
+    for dt in (1e-6, 0.25, 1e4):
+        u = _pointwise_exact(z, rhs, dt, m, 1.0)
+        assert np.array_equal(_pointwise_exact(z, -rhs, dt, m, 1.0), -u)
+        assert np.all(u[rhs == 0.0] == 0.0)
+        assert np.all(np.sign(u[rhs != 0.0]) == np.sign(rhs[rhs != 0.0]))
+
+
+@pytest.mark.parametrize("m", KERNEL_MS)
+def test_pointwise_exact_solves_the_cell_equation_to_rounding(m):
+    # the nearest double to the root can leave f' s eps / 2 <= m |b| eps / 2
+    # in s + a s^m - |b|, so the bound grows with m: (m + 4) ulps
+    rng = np.random.default_rng(2)
+    for dt in (1e-6, 1e-3, 0.25, 10.0, 1e4):
+        a = 4.0 * dt
+        for exponent in range(-300, 7, 6):
+            rhs = signed_decade(rng, exponent)
+            s = np.abs(_pointwise_exact(np.zeros_like(rhs), rhs, dt, m, 1.0))
+            babs = np.abs(rhs)
+            f = s + a * s ** m - babs
+            assert np.all(np.abs(f) <= (m + 4.0) * EPS * np.maximum(1.0, babs))
+
+
+@pytest.mark.parametrize("m", KERNEL_MS)
+def test_pointwise_exact_raises_on_non_finite_data(m):
+    # a NaN never satisfies a stop rule, so the iteration cap is reached
+    rhs = np.full((8, 8), 0.5)
+    for bad in (math.nan, math.inf):
+        rhs[3, 4] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NewtonDiverged):
+            _pointwise_exact(np.zeros_like(rhs), rhs, 0.25, m, 1.0)
 
 
 # -- single step ----------------------------------------------------------------
