@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,10 +29,11 @@ from .fields import (
     ScalarField,
     VectorField2,
     curl_z,
+    ddx_into,
     ddx_values,
+    ddy_into,
     ddy_values,
     divergence,
-    psi,
     psi_prime,
 )
 
@@ -77,10 +79,15 @@ class CurlProblem:
     def law(self) -> PowerLaw:
         return PowerLaw(self.p - 1.0)
 
+    @cached_property
+    def _zero_forcing(self) -> np.ndarray:
+        z = np.zeros((self.grid.n, self.grid.n))
+        z.setflags(write=False)
+        return z
+
     def forcing_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         if self.forcing is None:
-            z = np.zeros((self.grid.n, self.grid.n))
-            return z, z
+            return self._zero_forcing, self._zero_forcing
         F = self.forcing(t)
         if F.grid != self.grid:
             raise ValueError("forcing grid does not match problem grid")
@@ -122,11 +129,91 @@ class CurlSolution:
             raise ValueError("snapshot times must be strictly increasing")
 
 
-def dt_stability(omega_vals: np.ndarray, p: float, h: float) -> float:
-    """CFL bound h^2 / (8 max psi'_{p-1}(w)) for the explicit update."""
-    law = PowerLaw(p - 1.0)
+def _cfl_dt(wmax: float, law: PowerLaw, h2: float, cfl_safety: float) -> float:
+    return cfl_safety * h2 / (8.0 * psi_prime(wmax, law) + 1e-30)
+
+
+def dt_stability(omega_vals: np.ndarray, p: float, h: float, cfl_safety: float = 1.0) -> float:
+    """CFL bound cfl_safety * h^2 / (8 max psi'_{p-1}(w)) for the explicit update."""
     wmax = float(np.max(np.abs(omega_vals)))
-    return h * h / (8.0 * psi_prime(wmax, law) + 1e-30)
+    return _cfl_dt(wmax, PowerLaw(p - 1.0), h * h, cfl_safety)
+
+
+class _StepKernel:
+    """The forward-Euler step on raw arrays, with every work array allocated once.
+
+    The state is one (2, n, n) array H with H[0] = h1 and H[1] = h2.
+    `differentiate(H)` fills the x- and y-differences of both components;
+    they give the curl that drives the next step and the divergence of H.
+    `advance` evaluates one pow per step, |w|^(p-1), which serves the flux
+    and, times |w|, the dissipation sum |w|^p.  The pow skips the cells
+    with |w| <= pow_floor, where |w|^(p-1) <= 2^-1100 rounds to +0: they
+    are most of the grid early in a run, and zeros and underflows are
+    pow's slowest inputs.
+    """
+
+    def __init__(self, grid: GridSpec, p: float):
+        n = grid.n
+        self.h = grid.spacing
+        self.p = p
+        self.pow_floor = 2.0 ** (-1100.0 / (p - 1.0))
+        self.live = np.empty((n, n), dtype=bool)
+        self.dx = np.empty((2, n, n))
+        self.dy = np.empty((2, n, n))
+        self.incr = np.empty((2, n, n))
+        self.omega = np.empty((n, n))
+        self.wabs = np.empty((n, n))
+        self.flux = np.empty((n, n))
+        self.work = np.empty((n, n))
+
+    def differentiate(self, H: np.ndarray) -> float:
+        """Differences and curl of H; returns max |curl|."""
+        ddx_into(H, self.h, self.dx)
+        ddy_into(H, self.h, self.dy)
+        np.subtract(self.dx[1], self.dy[0], out=self.omega)
+        np.abs(self.omega, out=self.wabs)
+        self.wmax = float(self.wabs.max())
+        return self.wmax
+
+    def check_blowup(self, t: float) -> float:
+        """max |curl| of the last differentiated state; raises BlowUp past the guard."""
+        if self.wmax > BLOWUP_LIMIT:
+            raise BlowUp(t, self.wmax)
+        return self.wmax
+
+    def div_max(self) -> float:
+        """max |div| of the last differentiated state."""
+        np.add(self.dx[0], self.dy[1], out=self.work)
+        np.abs(self.work, out=self.work)
+        return float(self.work.max())
+
+    def sum_sq(self, H: np.ndarray) -> float:
+        """sum of h1^2 + h2^2 over the cells."""
+        np.multiply(H, H, out=self.incr)
+        self.incr[0] += self.incr[1]
+        return float(self.incr[0].sum())
+
+    def curl_power_sum(self) -> float:
+        """sum |w|^p of the last differentiated state; leaves |w|^(p-1) in flux."""
+        np.greater(self.wabs, self.pow_floor, out=self.live)
+        self.flux.fill(0.0)
+        np.power(self.wabs, self.p - 1.0, out=self.flux, where=self.live)
+        np.multiply(self.flux, self.wabs, out=self.work)
+        return float(self.work.sum())
+
+    def advance(self, H: np.ndarray, f1: np.ndarray, f2: np.ndarray, dt: float) -> float:
+        """H += dt * (F - (d(Phi)/dy, -d(Phi)/dx)) in place, Phi = psi_{p-1}(w)
+        of the last differentiated state; returns that state's sum |w|^p."""
+        lp = self.curl_power_sum()
+        phi = np.copysign(self.flux, self.omega, out=self.flux)
+        incr = self.incr
+        ddy_into(phi, self.h, incr[0])
+        ddx_into(phi, self.h, incr[1])
+        np.subtract(f1, incr[0], out=incr[0])
+        np.add(f2, incr[1], out=incr[1])
+        incr *= dt
+        H += incr
+        return lp
 
 
 def curl_step(
@@ -137,16 +224,13 @@ def curl_step(
 ) -> VectorField2:
     """One forward-Euler step; the caller is responsible for dt <= dt_stability."""
     grid = problem.grid
-    h = grid.spacing
-    omega = curl_z(state).values
-    wmax = float(np.max(np.abs(omega)))
-    if wmax > BLOWUP_LIMIT:
-        raise BlowUp(t, wmax)
-    phi = psi(omega, problem.law)
+    kernel = _StepKernel(grid, problem.p)
+    H = np.stack((state.comp1.values, state.comp2.values))
+    kernel.differentiate(H)
+    kernel.check_blowup(t)
     f1, f2 = problem.forcing_at(t)
-    h1 = state.comp1.values + dt * (f1 - ddy_values(phi, h))
-    h2 = state.comp2.values + dt * (f2 + ddx_values(phi, h))
-    return VectorField2(ScalarField(grid, h1), ScalarField(grid, h2))
+    kernel.advance(H, f1, f2, dt)
+    return VectorField2(ScalarField(grid, H[0]), ScalarField(grid, H[1]))
 
 
 def _resolve_snapshot_times(config: CurlConfig, horizon: float) -> list[float]:
@@ -163,41 +247,40 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
     grid = problem.grid
     h = grid.spacing
     h2 = h * h
-    p = problem.p
     law = problem.law
+    kernel = _StepKernel(grid, problem.p)
+    H = np.stack((problem.H0.comp1.values, problem.H0.comp2.values))
 
-    omega0 = curl_z(problem.H0).values
-    if p > 8 and float(np.max(np.abs(omega0))) > 1.0 + 1e-9:
+    if kernel.differentiate(H) > 1.0 + 1e-9 and problem.p > 8:
         raise DomainError(
             "explicit stepping with p > 8 requires max |curl H0| <= 1"
         )
 
     targets = _resolve_snapshot_times(config, problem.horizon)
-    h1 = problem.H0.comp1.values.copy()
-    h2_comp = problem.H0.comp2.values.copy()
     t = 0.0
     diag = CurlDiagnostics()
     dissipation = 0.0
     forcing_l2 = 0.0
+    # (f1, f2, h^2 sum |F|^2) of the last forcing sample; field values are
+    # read-only, so a sample that returns the same arrays has the same norm
+    forcing_sq = (None, None, 0.0)
 
-    def record(t_now, omega, dt_used):
+    def record(t_now, curl_lp, dt_used):
+        """Append the diagnostics of H, which `kernel` has just differentiated."""
         diag.times.append(t_now)
-        diag.l2_H.append(float(np.sqrt(h2 * np.sum(h1 * h1 + h2_comp * h2_comp))))
-        diag.curl_lp.append(float(h2 * np.sum(np.abs(omega) ** p)))
-        div = ddx_values(h1, h) + ddy_values(h2_comp, h)
-        diag.div_drift.append(float(np.max(np.abs(div))))
+        diag.l2_H.append(math.sqrt(h2 * kernel.sum_sq(H)))
+        diag.curl_lp.append(curl_lp)
+        diag.div_drift.append(kernel.div_max())
         diag.dt.append(dt_used)
         diag.dissipation_cum.append(dissipation)
         diag.forcing_l2_cum.append(forcing_l2)
 
     def snap(t_now) -> tuple[float, VectorField2, ScalarField, ScalarField]:
-        H = VectorField2(ScalarField(grid, h1.copy()), ScalarField(grid, h2_comp.copy()))
-        omega = curl_z(H)
-        J = ScalarField(grid, np.abs(omega.values))
-        return (t_now, H, omega, J)
+        """Copy out H, which `kernel` has just differentiated, with its curl."""
+        Hf = VectorField2(ScalarField(grid, H[0]), ScalarField(grid, H[1]))
+        return (t_now, Hf, ScalarField(grid, kernel.omega), ScalarField(grid, kernel.wabs))
 
-    omega = ddx_values(h2_comp, h) - ddy_values(h1, h)
-    record(0.0, omega, 0.0)
+    record(0.0, h2 * kernel.curl_power_sum(), 0.0)
     snapshots = [snap(0.0)]
 
     eps_t = 1e-12 * max(1.0, problem.horizon)
@@ -207,25 +290,19 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
         if float(np.max(np.abs(f_div))) > 1e-10:
             raise ValueError(f"forcing at t={target:g} is not divergence free")
         while t < target - eps_t:
-            omega = ddx_values(h2_comp, h) - ddy_values(h1, h)
-            wmax = float(np.max(np.abs(omega)))
-            if wmax > BLOWUP_LIMIT:
-                raise BlowUp(t, wmax)
-            dt = min(
-                config.cfl_safety * h2 / (8.0 * psi_prime(wmax, law) + 1e-30),
-                config.dt_max,
-                target - t,
-            )
+            wmax = kernel.check_blowup(t)
+            dt = min(_cfl_dt(wmax, law, h2, config.cfl_safety), config.dt_max, target - t)
             if dt < config.dt_min:
                 raise StepTooSmall(t, dt)
-            phi = np.sign(omega) * np.abs(omega) ** (p - 1.0)
             f1, f2 = problem.forcing_at(t)
-            h1 = h1 + dt * (f1 - ddy_values(phi, h))
-            h2_comp = h2_comp + dt * (f2 + ddx_values(phi, h))
-            dissipation += dt * float(h2 * np.sum(np.abs(omega) ** p))
-            forcing_l2 += dt * float(h2 * np.sum(f1 * f1 + f2 * f2))
+            if f1 is not forcing_sq[0] or f2 is not forcing_sq[1]:
+                forcing_sq = (f1, f2, float(h2 * np.sum(f1 * f1 + f2 * f2)))
+            curl_lp = h2 * kernel.advance(H, f1, f2, dt)
+            dissipation += dt * curl_lp
+            forcing_l2 += dt * forcing_sq[2]
             t = target if target - (t + dt) <= eps_t else t + dt
-            record(t, omega, dt)
+            kernel.differentiate(H)
+            record(t, curl_lp, dt)
         snapshots.append(snap(target))
 
     return CurlSolution(problem, snapshots, diag)

@@ -564,9 +564,17 @@ def equivalence_check(spec: ExperimentSpec, sink=None) -> Report:
         if sink is not None:
             sink(f"omega_n{n}", curl_sol.snapshots[-1][2], spec.horizon)
             sink(f"u_n{n}", pme_sol.snapshots[-1][1], spec.horizon)
+        # both solvers snapshot at the same requested times; a mismatch is a
+        # bug in a solver's snapshot logic, not a solver failure
+        if len(curl_sol.snapshots) != len(pme_sol.snapshots):
+            raise RuntimeError(
+                f"curl run has {len(curl_sol.snapshots)} snapshots, "
+                f"scalar run {len(pme_sol.snapshots)}"
+            )
         worst = 0.0
         for (tc, _, omega, _), (tp, u) in zip(curl_sol.snapshots[1:], pme_sol.snapshots[1:]):
-            assert abs(tc - tp) <= 1e-12 * max(1.0, spec.horizon)
+            if abs(tc - tp) > 1e-12 * max(1.0, spec.horizon):
+                raise RuntimeError(f"curl snapshot at t={tc!r} paired with scalar one at t={tp!r}")
             num = float(np.sqrt(np.sum((omega.values - u.values) ** 2)))
             den = float(np.sqrt(np.sum(u.values ** 2)))
             worst = max(worst, num / den)

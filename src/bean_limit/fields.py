@@ -135,20 +135,42 @@ def lap5_values(a: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def ddx_values(a: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(a)
-    out[:, :-1] += a[:, 1:]
-    out[:, 1:] -= a[:, :-1]
+def ddx_into(a: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """Central x-difference of a written into out; returns out.
+
+    x is the last axis, so a may be a stack of fields; a and out must be
+    C-contiguous.  The differences run over the flattened arrays, whose
+    shifts wrap across row ends, and the two edge columns are then
+    redone.  Adding 0.0 maps -0 to +0: a difference of equal neighbors
+    is always +0.
+    """
+    if not (a.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("ddx_into needs C-contiguous arrays")
+    af, of = a.reshape(-1), out.reshape(-1)
+    np.add(af[1:], 0.0, out=of[:-1])
+    of[1:-1] -= af[:-2]
+    np.add(a[..., 1], 0.0, out=out[..., 0])
+    np.subtract(0.0, a[..., -2], out=out[..., -1])
     out *= 1.0 / (2.0 * h)
     return out
+
+
+def ddy_into(a: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """Central y-difference of a written into out (y is the second-to-last axis)."""
+    np.add(a[..., 1:, :], 0.0, out=out[..., :-1, :])
+    out[..., -1, :] = 0.0
+    out[..., 1:, :] -= a[..., :-1, :]
+    out *= 1.0 / (2.0 * h)
+    return out
+
+
+def ddx_values(a: np.ndarray, h: float) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    return ddx_into(a, h, np.empty_like(a))
 
 
 def ddy_values(a: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(a)
-    out[:-1, :] += a[1:, :]
-    out[1:, :] -= a[:-1, :]
-    out *= 1.0 / (2.0 * h)
-    return out
+    return ddy_into(a, h, np.empty_like(a))
 
 
 # -- field-level operators ---------------------------------------------------

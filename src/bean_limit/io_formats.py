@@ -73,6 +73,11 @@ def read_field(path) -> tuple[ScalarField, float, str]:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise FieldFormatError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, line in enumerate(lines[n + 1:], start=n + 2):
+        if line.strip():
+            raise FieldFormatError(
+                f"{path}: line {lineno}: unexpected content after the {n} data rows"
+            )
     field = ScalarField(GridSpec(L, n), np.array(rows))
     return field, t, name
 

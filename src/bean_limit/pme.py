@@ -222,12 +222,14 @@ def _pointwise_exact(v: np.ndarray, rhs: np.ndarray, dt: float, m: float, h2: fl
     no vertical tangent at the origin, and no underflow for large m
     (s^m vanishes in double precision already at moderate s).
 
-    Newton stops at the first of: the residual test max|f| <= 1e-16 (1 +
-    max|b|); a largest step at ulp level, <= 4e-16 max(1, max s); or a
-    largest step that stops shrinking.  Monotone convergence makes every
-    cell's step shrink in exact arithmetic, so the last rule only fires on
-    a last-ulp oscillation.  Reaching POINTWISE_MAX_ITERS without a stop
-    (a NaN or inf in the data does) raises NewtonDiverged.
+    Newton stops at the first of: every cell passing the residual test
+    |f| <= 1e-16 (1 + |b|); every cell's step at ulp level, |ds| <= 4e-16
+    max(1, s); or a largest step that stops shrinking.  The first two are
+    scaled per cell, so a large |b| elsewhere cannot stop a small cell
+    early.  Monotone convergence makes every cell's step shrink in exact
+    arithmetic, so the last rule only fires on a last-ulp oscillation.
+    Reaching POINTWISE_MAX_ITERS without a stop (a NaN or inf in the data
+    does) raises NewtonDiverged.
     """
     a = 4.0 * dt / h2
     b = rhs + (dt / h2) * neighbor_sum(v)
@@ -236,19 +238,20 @@ def _pointwise_exact(v: np.ndarray, rhs: np.ndarray, dt: float, m: float, h2: fl
     # keeps Newton monotone (f convex, f(s0) >= 0) and avoids overflow in
     # s^m for the huge right sides of the super-critical collapse regime
     s = np.minimum(babs, (babs / a) ** (1.0 / m))
-    ftol = 1e-16 * (1.0 + float(np.max(babs)))
+    ftol = 1e-16 * (1.0 + babs)
     last_step = math.inf
     for _ in range(POINTWISE_MAX_ITERS):
         # one pow per iteration: s^(m-1) serves both s^m and the slope
         sm1 = s ** (m - 1.0)
         f = s + a * (s * sm1) - babs
-        if float(np.max(np.abs(f))) <= ftol:
+        if np.all(np.abs(f) <= ftol):
             return np.sign(b) * s
         ds = f / (1.0 + a * m * sm1)
         s -= ds
         np.clip(s, 0.0, None, out=s)
-        step = float(np.max(np.abs(ds)))
-        if step <= 4e-16 * max(1.0, float(np.max(s))) or step >= last_step:
+        np.abs(ds, out=ds)
+        step = float(np.max(ds))
+        if step >= last_step or np.all(ds <= 4e-16 * np.maximum(1.0, s)):
             return np.sign(b) * s
         last_step = step
     raise NewtonDiverged(

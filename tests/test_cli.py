@@ -103,6 +103,18 @@ def test_field_read_errors_name_the_line(tmp_path):
         read_field(path)
 
 
+def test_field_read_rejects_rows_after_the_data(tmp_path):
+    path = tmp_path / "long.csv"
+    g = GridSpec(1.0, 8)
+    write_field(path, ScalarField.zeros(g), 0.0, "u")
+    text = path.read_text()
+    path.write_text(text + "\n  \n")  # trailing blank lines are fine
+    read_field(path)
+    path.write_text(text + "\n" + ",".join(["0"] * 8) + "\n")
+    with pytest.raises(FieldFormatError, match="line 11"):
+        read_field(path)
+
+
 def test_field_name_validation(tmp_path):
     g = GridSpec(1.0, 8)
     with pytest.raises(ValueError):

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bean_limit.curl2d import (
     BlowUp,
     CurlConfig,
     CurlProblem,
+    StepTooSmall,
     curl_solve,
     curl_step,
     current_density,
@@ -191,3 +196,104 @@ def test_random_admissible_fields_are_admissible():
         V = random_admissible_field(g, rng)
         assert np.max(np.abs(curl_z(V).values)) <= 1.0 + 1e-9
         assert np.max(np.abs(divergence(V).values)) <= 1e-10
+
+
+# -- one step kernel: curl_solve against a loop of curl_step -------------------
+
+
+def stepped_reference(prob, config):
+    """curl_solve's time loop written with the public single-step API."""
+    g = prob.grid
+    h2 = g.spacing ** 2
+    eps_t = 1e-12 * max(1.0, prob.horizon)
+    targets = sorted({0.0, prob.horizon, *config.snapshot_times})
+    H, t = prob.H0, 0.0
+    series = {k: [] for k in ("times", "dt", "l2_H", "div_drift", "curl_lp",
+                              "dissipation_cum", "forcing_l2_cum")}
+    diss = fl2 = lp = 0.0
+
+    def record(t_now, dt_used):
+        series["times"].append(t_now)
+        series["dt"].append(dt_used)
+        series["l2_H"].append(float(np.sqrt(h2 * np.sum(H.comp1.values ** 2 + H.comp2.values ** 2))))
+        series["div_drift"].append(float(np.max(np.abs(divergence(H).values))))
+        series["curl_lp"].append(lp)
+        series["dissipation_cum"].append(diss)
+        series["forcing_l2_cum"].append(fl2)
+
+    lp = h2 * float(np.sum(np.abs(curl_z(H).values) ** prob.p))
+    record(0.0, 0.0)
+    snaps = [H]
+    for target in targets[1:]:
+        while t < target - eps_t:
+            omega = curl_z(H).values
+            dt = min(dt_stability(omega, prob.p, g.spacing, config.cfl_safety),
+                     config.dt_max, target - t)
+            F = prob.forcing(t)
+            H = curl_step(H, t, dt, prob)
+            lp = h2 * float(np.sum(np.abs(omega) ** prob.p))
+            diss += dt * lp
+            fl2 += dt * float(h2 * np.sum(F.comp1.values ** 2 + F.comp2.values ** 2))
+            t = target if target - (t + dt) <= eps_t else t + dt
+            record(t, dt)
+        snaps.append(H)
+    return snaps, series
+
+
+def test_curl_solve_is_a_loop_of_curl_step_bit_for_bit():
+    g = GridSpec(4.0, 24)
+    H0 = default_h0(g, curl_max=0.9)
+    F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=20.0))
+    prob = CurlProblem(grid=g, p=8.0, H0=H0, forcing=constant_in_time(F), horizon=0.05)
+    config = CurlConfig(snapshot_times=(0.02,))
+    sol = curl_solve(prob, config)
+    snaps, series = stepped_reference(prob, config)
+
+    assert len(series["times"]) > 20
+    assert [t for t, *_ in sol.snapshots] == [0.0, 0.02, 0.05]
+    for (_, H, omega, J), ref in zip(sol.snapshots, snaps, strict=True):
+        for got, want in ((H.comp1, ref.comp1), (H.comp2, ref.comp2), (omega, curl_z(ref))):
+            assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(J.values, np.abs(omega.values))
+    d = sol.diagnostics
+    for name in ("times", "dt", "l2_H", "div_drift", "forcing_l2_cum"):
+        assert getattr(d, name) == series[name], name
+    # the kernel forms |w|^p as |w|^(p-1) * |w|, one rounding away from pow
+    for name in ("curl_lp", "dissipation_cum"):
+        assert getattr(d, name) == pytest.approx(series[name], rel=1e-13, abs=0.0), name
+
+
+def test_curl_solve_raises_blowup_mid_run():
+    g = GridSpec(4.0, 24)
+    F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=400.0))
+    prob = CurlProblem(grid=g, p=3.0, H0=default_h0(g), forcing=constant_in_time(F), horizon=1.0)
+    with pytest.raises(BlowUp) as info:
+        curl_solve(prob, CurlConfig())
+    assert 0.0 < info.value.t < 1.0
+
+
+def test_curl_solve_raises_step_too_small():
+    g = GridSpec(4.0, 24)
+    prob = CurlProblem(grid=g, p=4.0, H0=default_h0(g), forcing=None, horizon=0.1)
+    with pytest.raises(StepTooSmall) as info:
+        curl_solve(prob, CurlConfig(dt_min=0.05))
+    assert info.value.t == 0.0
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    n=st.integers(16, 32),
+    p=st.sampled_from([3.0, 4.0, 8.0]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    force=st.floats(0.0, 5.0),
+)
+def test_divergence_stays_at_roundoff_on_every_step(n, p, seed, force):
+    g = GridSpec(4.0, n)
+    rng = np.random.default_rng(seed)
+    H0 = random_admissible_field(g, rng)
+    V = random_admissible_field(g, rng)
+    F = VectorField2(ScalarField(g, force * V.comp1.values), ScalarField(g, force * V.comp2.values))
+    prob = CurlProblem(grid=g, p=p, H0=H0, forcing=constant_in_time(F), horizon=0.02)
+    sol = curl_solve(prob, CurlConfig(snapshot_times=(0.01,)))
+    assert len(sol.diagnostics.div_drift) == len(sol.diagnostics.times) >= 3
+    assert all(math.isfinite(d) and d <= 1e-10 for d in sol.diagnostics.div_drift)

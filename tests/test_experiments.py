@@ -202,6 +202,42 @@ def test_equivalence_check_smoke():
     assert rep.verdict("rel_l2_decreasing")
 
 
+def _drop_last_snapshot(sol):
+    sol.snapshots.pop()
+
+
+def _shift_snapshot_time(sol):
+    t, u = sol.snapshots[1]
+    sol.snapshots[1] = (t + 0.01, u)
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last_snapshot, _shift_snapshot_time])
+def test_equivalence_check_raises_on_unpaired_snapshots(monkeypatch, corrupt):
+    # a snapshot mismatch between the two solvers is a bug, not a solver
+    # failure: RuntimeError is outside the CLI's exit-3 error set
+    import bean_limit.experiments as experiments
+
+    def corrupted_pme_solve(problem, config):
+        sol = pme_solve(problem, config)
+        corrupt(sol)
+        return sol
+
+    monkeypatch.setattr(experiments, "pme_solve", corrupted_pme_solve)
+    spec = ExperimentSpec(
+        name="tiny-equivalence",
+        grid=GridSpec(2.0, 32),
+        schedule=(4.0,),
+        horizon=0.25,
+        snapshot_times=(0.125,),
+        h0_stream=StreamSpec(kind="bump", width=1.0, curl_max=0.8),
+        grids=(32,),
+        dt_init=0.005,
+    )
+    with pytest.raises(RuntimeError, match="snapshot") as info:
+        equivalence_check(spec)
+    assert type(info.value) is RuntimeError
+
+
 def test_equivalence_rejects_large_p():
     spec = ExperimentSpec(
         name="bad",

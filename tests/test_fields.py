@@ -10,6 +10,10 @@ from bean_limit.fields import (
     VectorField2,
     boundary_ring_max,
     curl_z,
+    ddx_into,
+    ddx_values,
+    ddy_into,
+    ddy_values,
     divergence,
     from_stream,
     laplacian5,
@@ -140,6 +144,36 @@ def test_divergence_matches_bruteforce_stencil():
             s = b[j - 1, i] if j > 0 else 0.0
             expected[j, i] = (e - w) / th + (n - s) / th
     assert np.allclose(divergence(H).values, expected, atol=1e-12)
+
+
+def test_central_differences_bit_exact_on_stacks_and_signed_zeros():
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((2, 9, 9))
+    a[rng.random(a.shape) < 0.3] = 0.0
+    a[rng.random(a.shape) < 0.3] = -0.0
+    h = 0.37
+    scale = 1.0 / (2.0 * h)
+    dx = ddx_into(a, h, np.empty_like(a))
+    dy = ddy_into(a, h, np.empty_like(a))
+    for k in range(2):
+        b = a[k]
+        expected_x = np.empty_like(b)
+        expected_y = np.empty_like(b)
+        for j in range(9):
+            for i in range(9):
+                e = b[j, i + 1] if i < 8 else 0.0
+                w = b[j, i - 1] if i > 0 else 0.0
+                expected_x[j, i] = ((0.0 + e) - w) * scale
+                n = b[j + 1, i] if j < 8 else 0.0
+                s = b[j - 1, i] if j > 0 else 0.0
+                expected_y[j, i] = ((0.0 + n) - s) * scale
+        for got in (dx[k], ddx_values(b, h), ddx_values(np.asfortranarray(b), h)):
+            assert got.tobytes() == expected_x.tobytes()
+        for got in (dy[k], ddy_values(b, h)):
+            assert got.tobytes() == expected_y.tobytes()
+    assert not np.any(np.signbit(dx) & (dx == 0.0))  # equal neighbors give +0
+    with pytest.raises(ValueError):
+        ddx_into(a[:, :, ::2], h, np.empty((2, 9, 5)))
 
 
 def test_from_stream_trivial_cases():

@@ -123,6 +123,20 @@ def test_pointwise_exact_solves_the_cell_equation_to_rounding(m):
             assert np.all(np.abs(f) <= (m + 4.0) * EPS * np.maximum(1.0, babs))
 
 
+def test_pointwise_exact_stops_per_cell_on_a_wide_spread_of_data():
+    # one call with |b| over 306 decades: a stop scaled by the largest |b|
+    # would release the small cells far from their roots
+    m, dt = 1.5, 1e4
+    a = 4.0 * dt
+    babs = np.concatenate([10.0 ** np.linspace(-300, 6, 61), [3e-9, 3e-9, 1.0]])
+    rhs = np.where(np.arange(64) % 2 == 0, babs, -babs).reshape(8, 8)
+    rhs[0, 0] = -3e-9
+    babs = np.abs(rhs)
+    s = np.abs(_pointwise_exact(np.zeros_like(rhs), rhs, dt, m, 1.0))
+    f = s + a * s ** m - babs
+    assert np.all(np.abs(f) <= (m + 4.0) * EPS * np.maximum(1.0, babs))
+
+
 @pytest.mark.parametrize("m", KERNEL_MS)
 def test_pointwise_exact_raises_on_non_finite_data(m):
     # a NaN never satisfies a stop rule, so the iteration cap is reached
