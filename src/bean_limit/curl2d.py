@@ -265,11 +265,11 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
     # read-only, so a sample that returns the same arrays has the same norm
     forcing_sq = (None, None, 0.0)
 
-    def record(t_now, curl_lp, dt_used):
-        """Append the diagnostics of H, which `kernel` has just differentiated."""
+    def record(t_now, dt_used):
+        """Append the diagnostics of H, which `kernel` has just differentiated;
+        its curl_lp is appended by the next `advance`, or after the loop."""
         diag.times.append(t_now)
         diag.l2_H.append(math.sqrt(h2 * kernel.sum_sq(H)))
-        diag.curl_lp.append(curl_lp)
         diag.div_drift.append(kernel.div_max())
         diag.dt.append(dt_used)
         diag.dissipation_cum.append(dissipation)
@@ -280,7 +280,7 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
         Hf = VectorField2(ScalarField(grid, H[0]), ScalarField(grid, H[1]))
         return (t_now, Hf, ScalarField(grid, kernel.omega), ScalarField(grid, kernel.wabs))
 
-    record(0.0, h2 * kernel.curl_power_sum(), 0.0)
+    record(0.0, 0.0)
     snapshots = [snap(0.0)]
 
     eps_t = 1e-12 * max(1.0, problem.horizon)
@@ -298,12 +298,14 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
             if f1 is not forcing_sq[0] or f2 is not forcing_sq[1]:
                 forcing_sq = (f1, f2, float(h2 * np.sum(f1 * f1 + f2 * f2)))
             curl_lp = h2 * kernel.advance(H, f1, f2, dt)
+            diag.curl_lp.append(curl_lp)
             dissipation += dt * curl_lp
             forcing_l2 += dt * forcing_sq[2]
             t = target if target - (t + dt) <= eps_t else t + dt
             kernel.differentiate(H)
-            record(t, curl_lp, dt)
+            record(t, dt)
         snapshots.append(snap(target))
+    diag.curl_lp.append(h2 * kernel.curl_power_sum())
 
     return CurlSolution(problem, snapshots, diag)
 

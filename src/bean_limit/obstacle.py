@@ -5,10 +5,13 @@ The discrete complementarity system on the grid reads, per interior cell,
     w >= 0,    -lap5(w) - q >= 0,    w * (-lap5(w) - q) = 0,
 
 with w pinned to zero on the outermost cell ring.  It is solved by
-projected SOR in lexicographic order; sweeps walk anti-diagonals so the
-updates vectorize while reproducing the lexicographic result exactly
-(left and upper neighbors are always already updated, right and lower
-ones are not).
+projected SOR in red-black order: a sweep updates the red cells (i + j
+even) and then the black ones (i + j odd).  The five-point stencil only
+couples cells of opposite colour, so each colour is two strided-slice
+updates (its two row parities), reading the neighbours as shifted
+strided slices of the same array.  Sweeps stop once the largest cell
+update falls below `tol` and the complementarity residuals meet their
+targets.
 """
 
 from __future__ import annotations
@@ -62,17 +65,6 @@ def _auto_relaxation(n: int) -> float:
     return 2.0 / (1.0 + math.sin(math.pi / n))
 
 
-def _diagonal_indices(n: int):
-    """Interior anti-diagonals (i + j = const) in lexicographic sweep order."""
-    out = []
-    for s in range(2, 2 * (n - 2) + 1):
-        i_lo = max(1, s - (n - 2))
-        i_hi = min(n - 2, s - 1)
-        ii = np.arange(i_lo, i_hi + 1)
-        out.append((s - ii, ii))
-    return out
-
-
 def _vi_residuals(w: np.ndarray, q: np.ndarray, h: float, mask_tol: float) -> ViResiduals:
     interior = np.zeros(w.shape, dtype=bool)
     interior[1:-1, 1:-1] = True
@@ -112,22 +104,24 @@ def psor_solve(
         max_sweeps = 200 * n
 
     w = np.zeros((n, n))
-    diagonals = _diagonal_indices(n)
     omega = relaxation
+    # per interior parity class, red (i + j even) before black: the cell
+    # view, its left, right, upper and lower neighbour views, and h^2 q
+    classes = []
+    for r, c in ((1, 1), (2, 2), (1, 2), (2, 1)):
+        views = [w[r + dr:n - 1 + dr:2, c + dc:n - 1 + dc:2]
+                 for dr, dc in ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0))]
+        classes.append((*views, h2 * q[r:n - 1:2, c:n - 1:2]))
 
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
         max_update = 0.0
-        for jj, ii in diagonals:
-            wc = w[jj, ii]
-            nb = w[jj, ii - 1] + w[jj, ii + 1] + w[jj - 1, ii] + w[jj + 1, ii]
-            target = 0.25 * (nb + h2 * q[jj, ii])
+        for wc, left, right, up, down, hq in classes:
+            target = 0.25 * (left + right + up + down + hq)
             new = np.maximum(0.0, wc + omega * (target - wc))
-            d = np.max(np.abs(new - wc))
-            if d > max_update:
-                max_update = float(d)
-            w[jj, ii] = new
+            max_update = max(max_update, float(np.max(np.abs(new - wc))))
+            wc[...] = new
         if max_update < tol:
             mask_tol = 1e-9 * max(1.0, float(np.max(w)))
             res = _vi_residuals(w, q, h, mask_tol)

@@ -231,10 +231,10 @@ def stepped_reference(prob, config):
                      config.dt_max, target - t)
             F = prob.forcing(t)
             H = curl_step(H, t, dt, prob)
-            lp = h2 * float(np.sum(np.abs(omega) ** prob.p))
-            diss += dt * lp
+            diss += dt * (h2 * float(np.sum(np.abs(omega) ** prob.p)))
             fl2 += dt * float(h2 * np.sum(F.comp1.values ** 2 + F.comp2.values ** 2))
             t = target if target - (t + dt) <= eps_t else t + dt
+            lp = h2 * float(np.sum(np.abs(curl_z(H).values) ** prob.p))
             record(t, dt)
         snaps.append(H)
     return snaps, series
@@ -261,6 +261,20 @@ def test_curl_solve_is_a_loop_of_curl_step_bit_for_bit():
     # the kernel forms |w|^p as |w|^(p-1) * |w|, one rounding away from pow
     for name in ("curl_lp", "dissipation_cum"):
         assert getattr(d, name) == pytest.approx(series[name], rel=1e-13, abs=0.0), name
+
+
+def test_curl_lp_measures_the_state_at_its_time():
+    g = GridSpec(4.0, 24)
+    F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=20.0))
+    prob = CurlProblem(grid=g, p=8.0, H0=default_h0(g, curl_max=0.9),
+                       forcing=constant_in_time(F), horizon=0.05)
+    sol = curl_solve(prob, CurlConfig(snapshot_times=(0.02,)))
+    d = sol.diagnostics
+    assert len(d.curl_lp) == len(d.times)
+    h2 = g.spacing ** 2
+    for t, H, _, _ in sol.snapshots:
+        want = h2 * float(np.sum(np.abs(curl_z(H).values) ** prob.p))
+        assert d.curl_lp[d.times.index(t)] == pytest.approx(want, rel=1e-13, abs=0.0), t
 
 
 def test_curl_solve_raises_blowup_mid_run():

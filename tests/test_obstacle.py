@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bean_limit.datagen import BumpSpec, bump_field, disk_field
+from bean_limit.datagen import BumpSpec, bump_field, bump_values, disk_field
 from bean_limit.errors import DomainError
-from bean_limit.fields import GridSpec, ScalarField
+from bean_limit.fields import GridSpec, ScalarField, lap5_values
 from bean_limit.obstacle import (
+    COMPLEMENTARITY_TOL,
+    FEASIBILITY_TOL,
+    INACTIVE_RESIDUAL_TOL,
     NotConverged,
     ObstacleData,
     collapse_profile,
@@ -105,6 +110,61 @@ def test_lcp_solution_monotone_in_datum():
     w1 = psor_solve(ObstacleData(ScalarField(g, q1.values - 1.0)), relaxation=auto_omega(48))
     w2 = psor_solve(ObstacleData(ScalarField(g, q2.values - 1.0)), relaxation=auto_omega(48))
     assert np.max(w1.w.values - w2.w.values) <= 1e-9
+
+
+def red_black_reference(q, h, omega, sweeps):
+    """Projected SOR written per cell: the red cells (i + j even), then the black."""
+    n = q.shape[0]
+    h2 = h * h
+    w = np.zeros((n, n))
+    for _ in range(sweeps):
+        for colour in (0, 1):
+            for j in range(1, n - 1):
+                for i in range(1, n - 1):
+                    if (i + j) % 2 == colour:
+                        nb = w[j, i - 1] + w[j, i + 1] + w[j - 1, i] + w[j + 1, i]
+                        target = 0.25 * (nb + h2 * q[j, i])
+                        w[j, i] = max(0.0, w[j, i] + omega * (target - w[j, i]))
+    return w
+
+
+@pytest.mark.parametrize("n", [10, 13])
+@pytest.mark.parametrize("omega", [1.0, 1.7])
+def test_psor_is_a_per_cell_red_black_loop_bit_for_bit(n, omega):
+    g = GridSpec(1.0, n)
+    q = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+    vi = psor_solve(ObstacleData(ScalarField(g, q)), relaxation=omega)
+    assert vi.noncoincidence_mask.any() and not vi.noncoincidence_mask.all()
+    want = red_black_reference(q, g.spacing, omega, vi.iterations)
+    assert vi.w.values.tobytes() == want.tobytes()
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    n=st.integers(16, 32),
+    height=st.floats(0.2, 2.0),
+    radius=st.floats(0.5, 1.5),
+    extra=st.floats(0.0, 1.0),
+    center=st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+)
+def test_psor_properties_on_random_bump_data(n, height, radius, extra, center):
+    g = GridSpec(2.0, n)
+    q1 = bump_values(g, BumpSpec(height, radius)) - 1.0
+    q2 = q1 + bump_values(g, BumpSpec(extra, radius, center))
+    sols = [psor_solve(ObstacleData(ScalarField(g, q)), relaxation=auto_omega(n)) for q in (q1, q2)]
+    for vi, q in zip(sols, (q1, q2)):
+        w = vi.w.values
+        assert np.min(w) >= 0.0
+        r = (-lap5_values(w, g.spacing) - q)[1:-1, 1:-1]
+        wi = w[1:-1, 1:-1]
+        assert np.min(r) >= -FEASIBILITY_TOL
+        assert np.max(np.abs(wi * r)) <= COMPLEMENTARITY_TOL
+        inactive = wi > vi.mask_tol
+        assert not inactive.any() or np.max(np.abs(r[inactive])) <= INACTIVE_RESIDUAL_TOL
+        mask = vi.noncoincidence_mask
+        assert not (mask[0].any() or mask[-1].any() or mask[:, 0].any() or mask[:, -1].any())
+        assert np.array_equal(mask[1:-1, 1:-1], inactive)
+    assert np.max(sols[0].w.values - sols[1].w.values) <= 1e-9
 
 
 # -- radial oracle ---------------------------------------------------------------
