@@ -17,7 +17,7 @@ from bean_limit.pme import PmeConfig, PmeProblem, pme_solve
 def main():
     grid = GridSpec(2.0, 64)
     f = bump_field(grid, BumpSpec(height=1.5, radius=1.4))
-    v_limit, mask = collapse_profile(f)
+    v_limit, mask, _ = collapse_profile(f)
     h2 = grid.spacing ** 2
     print(f"datum peak 1.5, mass {h2 * np.sum(f.values):.4f}")
     print(f"projection plateau area {h2 * np.count_nonzero(mask):.4f}, "

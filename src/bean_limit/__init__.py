@@ -21,7 +21,6 @@ from .pme import (
     PmeConfig,
     PmeProblem,
     PmeSolution,
-    StepTooSmall,
     barenblatt_eval,
     barenblatt_field,
     mass_balance_residual,
@@ -49,6 +48,6 @@ from .curl2d import (
     resistivity_coeff,
     vi_residual,
 )
-from .errors import DomainError, PreconditionFailed
+from .errors import DomainError, PreconditionFailed, StepTooSmall
 
 __all__ = [name for name in dir() if not name.startswith("_")]

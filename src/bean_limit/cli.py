@@ -3,8 +3,9 @@
 Subcommands mirror the solver and experiment layer; every run writes
 field dumps for its snapshots, a machine-readable report.json with the
 full configuration echo, and a human-readable summary.txt.  Exit code 0
-means every verdict passed, 2 flags a configuration problem, 3 a solver
-failure.
+means every verdict passed, 1 that a verdict failed, 2 flags a
+configuration problem, 3 a solver failure or a failed data check; any
+other exception is a bug and ends with its traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .datagen import (
     disk_field,
     field_from_stream,
 )
-from .errors import DomainError, PreconditionFailed
+from .errors import DomainError, PreconditionFailed, StepTooSmall
 from .experiments import (
     ExperimentSpec,
     Report,
@@ -42,13 +43,11 @@ from .io_formats import write_field, write_report
 
 SOLVER_ERRORS = (
     pme.NewtonDiverged,
-    pme.StepTooSmall,
+    StepTooSmall,
     curl2d.BlowUp,
-    curl2d.StepTooSmall,
     obstacle.NotConverged,
     DomainError,
     PreconditionFailed,
-    ValueError,
 )
 
 SUBCOMMANDS = (
@@ -279,7 +278,7 @@ def _cmd_mesa_profile(cfg: RunConfig, out_dir: Path) -> Report:
         G = ScalarField(grid, t * bump_field(grid, g_spec).values)
     else:
         G = ScalarField.zeros(grid)
-    u_limit, mask, vi = obstacle.mesa_profile_vi(f, G, t, tol=cfg.get("psor.tol", 1e-12))
+    u_limit, mask, vi = obstacle.mesa_profile(f, G, tol=cfg.get("psor.tol", 1e-12))
     report = Report(name=cfg.get("experiment", "mesa-profile"), config=cfg.echo())
     sink = _field_writer(out_dir)
     sink("u_limit", u_limit, t)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .fields import EXPONENT_CAP
+
 
 class ConfigError(ValueError):
     pass
@@ -44,6 +46,10 @@ def _nonneg(x) -> bool:
     return x >= 0
 
 
+def _exponent_ok(x) -> bool:
+    return 1 < x <= EXPONENT_CAP
+
+
 # key -> (converter, validator or None, description)
 KEY_TABLE = {
     "experiment": (_as_str, None, "run label"),
@@ -53,11 +59,14 @@ KEY_TABLE = {
     "snapshot_times": (_as_float_list, None, "comma list of snapshot times"),
     "output_dir": (_as_str, None, "artifact directory"),
     "seed": (_as_int, _nonneg, "random seed for test fields"),
-    "exponent": (_as_float, lambda x: x > 1, "single exponent (m > 1 or p > 2)"),
+    "exponent": (
+        _as_float, _exponent_ok, f"single exponent (m > 1 or p > 2), capped at {EXPONENT_CAP}"
+    ),
     "schedule": (
         _as_float_list,
-        lambda xs: len(xs) > 0 and all(b > a for a, b in zip(xs, xs[1:])) and max(xs) <= 96,
-        "increasing exponent list, capped at 96",
+        lambda xs: len(xs) > 0 and all(b > a for a, b in zip(xs, xs[1:]))
+        and all(map(_exponent_ok, xs)),
+        f"increasing exponent list, capped at {EXPONENT_CAP}",
     ),
     "grids": (_as_int_list, lambda xs: all(n >= 8 for n in xs), "grid sizes for refinement studies"),
     "n_test_fields": (_as_int, _positive, "number of random admissible test fields"),

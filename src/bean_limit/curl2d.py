@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, StepTooSmall
 from .fields import (
     GridSpec,
     PowerLaw,
@@ -35,6 +35,7 @@ from .fields import (
     ddy_values,
     divergence,
     psi_prime,
+    snapshot_targets,
 )
 
 ForcingFn = Optional[Callable[[float], VectorField2]]
@@ -50,12 +51,6 @@ class BlowUp(RuntimeError):
         self.t = t
 
 
-class StepTooSmall(RuntimeError):
-    def __init__(self, t: float, dt: float):
-        super().__init__(f"stable step {dt:.3e} below minimum at t={t:.6g}")
-        self.t = t
-
-
 @dataclass(frozen=True)
 class CurlProblem:
     grid: GridSpec
@@ -66,7 +61,7 @@ class CurlProblem:
 
     def __post_init__(self):
         if not (self.p > 2):
-            raise ValueError(f"exponent p must exceed 2, got {self.p}")
+            raise DomainError(f"exponent p must exceed 2, got {self.p}")
         if not (self.horizon > 0):
             raise ValueError("horizon must be positive")
         if self.H0.grid != self.grid:
@@ -233,15 +228,6 @@ def curl_step(
     return VectorField2(ScalarField(grid, H[0]), ScalarField(grid, H[1]))
 
 
-def _resolve_snapshot_times(config: CurlConfig, horizon: float) -> list[float]:
-    times = {0.0, horizon}
-    for t in config.snapshot_times:
-        if t < 0 or t > horizon + 1e-12 * horizon:
-            raise ValueError(f"snapshot time {t!r} outside [0, horizon]")
-        times.add(min(t, horizon))
-    return sorted(times)
-
-
 def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
     """Adaptive explicit integration with snapshots and energy diagnostics."""
     grid = problem.grid
@@ -256,13 +242,14 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
             "explicit stepping with p > 8 requires max |curl H0| <= 1"
         )
 
-    targets = _resolve_snapshot_times(config, problem.horizon)
+    targets, eps_t = snapshot_targets(config.snapshot_times, problem.horizon)
     t = 0.0
     diag = CurlDiagnostics()
     dissipation = 0.0
     forcing_l2 = 0.0
     # (f1, f2, h^2 sum |F|^2) of the last forcing sample; field values are
     # read-only, so a sample that returns the same arrays has the same norm
+    # and divergence: each new pair of arrays is checked once
     forcing_sq = (None, None, 0.0)
 
     def record(t_now, dt_used):
@@ -283,12 +270,7 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
     record(0.0, 0.0)
     snapshots = [snap(0.0)]
 
-    eps_t = 1e-12 * max(1.0, problem.horizon)
-    for target in targets[1:]:
-        f_sample = problem.forcing_at(target)
-        f_div = ddx_values(f_sample[0], h) + ddy_values(f_sample[1], h)
-        if float(np.max(np.abs(f_div))) > 1e-10:
-            raise ValueError(f"forcing at t={target:g} is not divergence free")
+    for target in targets:
         while t < target - eps_t:
             wmax = kernel.check_blowup(t)
             dt = min(_cfl_dt(wmax, law, h2, config.cfl_safety), config.dt_max, target - t)
@@ -296,6 +278,9 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
                 raise StepTooSmall(t, dt)
             f1, f2 = problem.forcing_at(t)
             if f1 is not forcing_sq[0] or f2 is not forcing_sq[1]:
+                f_div = ddx_values(f1, h) + ddy_values(f2, h)
+                if float(np.max(np.abs(f_div))) > 1e-10:
+                    raise DomainError(f"forcing at t={t:g} is not divergence free")
                 forcing_sq = (f1, f2, float(h2 * np.sum(f1 * f1 + f2 * f2)))
             curl_lp = h2 * kernel.advance(H, f1, f2, dt)
             diag.curl_lp.append(curl_lp)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .fields import GridSpec, ScalarField, VectorField2, curl_z, from_stream
 
 
@@ -75,7 +76,7 @@ def stream_field(grid: GridSpec, spec: StreamSpec) -> ScalarField:
     if spec.curl_max is not None:
         peak = float(np.max(np.abs(curl_z(from_stream(phi)).values)))
         if peak == 0.0:
-            raise ValueError("cannot normalize a stream with zero curl")
+            raise DomainError("cannot normalize a stream with zero curl")
         phi = ScalarField(grid, vals * (spec.curl_max / peak))
     return phi
 

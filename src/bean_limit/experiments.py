@@ -27,6 +27,7 @@ from .datagen import (
 )
 from .errors import PreconditionFailed
 from .fields import (
+    EXPONENT_CAP,
     GridSpec,
     PowerLaw,
     ScalarField,
@@ -35,7 +36,7 @@ from .fields import (
     lap5_values,
     psi,
 )
-from .obstacle import collapse_profile_vi, mesa_profile_vi
+from .obstacle import collapse_profile, mesa_profile
 from .pme import (
     PmeConfig,
     PmeProblem,
@@ -44,9 +45,6 @@ from .pme import (
     mass_balance_residual,
     pme_solve,
 )
-
-EXPONENT_CAP = 96  # double precision loses psi accuracy near |u| = 1 beyond this
-
 
 # -- report plumbing ---------------------------------------------------------
 
@@ -120,18 +118,7 @@ class ExperimentSpec:
             raise ValueError("horizon must be positive")
 
     def config_echo(self) -> dict:
-        raw = dataclasses.asdict(self)
-        return _jsonable(raw)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+        return dataclasses.asdict(self)
 
 
 def _l1_distance(a: ScalarField, b: ScalarField) -> float:
@@ -353,7 +340,7 @@ def sweep_m_vs_mesa(spec: ExperimentSpec, sink=None) -> Report:
     require_radial_monotone_data(f, g_field, min(spec.schedule))
 
     G_T = accumulated_source(forcing, spec.horizon, grid)
-    mesa, mask, vi = mesa_profile_vi(f, G_T, spec.horizon, tol=spec.psor_tol)
+    mesa, mask, vi = mesa_profile(f, G_T, tol=spec.psor_tol)
     if sink is not None:
         sink("mesa", mesa, spec.horizon)
     report.add_metric("mesa_min", float(np.min(mesa.values)))
@@ -410,7 +397,7 @@ def collapse_experiment(spec: ExperimentSpec, sink=None) -> Report:
     g_field = bump_field(grid, spec.g) if spec.g is not None else None
     forcing = constant_in_time(g_field) if g_field is not None else None
 
-    v_limit, mask, vi = collapse_profile_vi(f, tol=spec.psor_tol)
+    v_limit, mask, vi = collapse_profile(f, tol=spec.psor_tol)
     if sink is not None:
         sink("v_limit", v_limit, 0.0)
     h2 = grid.spacing ** 2
@@ -426,7 +413,7 @@ def collapse_experiment(spec: ExperimentSpec, sink=None) -> Report:
     if mass_n != grid.n:
         fine_grid = GridSpec(grid.half_width, mass_n)
         f_fine = bump_field(fine_grid, spec.f)
-        v_fine, _, _ = collapse_profile_vi(f_fine, tol=spec.psor_tol)
+        v_fine, _, _ = collapse_profile(f_fine, tol=spec.psor_tol)
         hf2 = fine_grid.spacing ** 2
         mass_defect_fine = abs(
             float(hf2 * np.sum(v_fine.values)) - float(hf2 * np.sum(f_fine.values))

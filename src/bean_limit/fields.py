@@ -86,6 +86,9 @@ class VectorField2:
         return self.comp1.grid
 
 
+EXPONENT_CAP = 96  # double precision loses psi accuracy near |u| = 1 beyond this
+
+
 @dataclass(frozen=True)
 class PowerLaw:
     """Odd power nonlinearity psi(s) = sign(s) |s|^m with m > 1."""
@@ -104,18 +107,6 @@ class Norms(NamedTuple):
 
 
 # -- raw-array stencils (zero ghost cells) ----------------------------------
-
-
-def shifted(a: np.ndarray, dj: int, di: int) -> np.ndarray:
-    """Array b with b[j, i] = a[j+dj, i+di], zero outside the domain."""
-    n, m = a.shape
-    out = np.zeros_like(a)
-    js_dst = slice(max(0, -dj), n - max(0, dj))
-    is_dst = slice(max(0, -di), m - max(0, di))
-    js_src = slice(max(0, dj), n - max(0, -dj))
-    is_src = slice(max(0, di), m - max(0, -di))
-    out[js_dst, is_dst] = a[js_src, is_src]
-    return out
 
 
 def neighbor_sum(a: np.ndarray) -> np.ndarray:
@@ -204,6 +195,25 @@ def from_stream(phi: ScalarField) -> VectorField2:
     h1 = ScalarField(phi.grid, ddy_values(phi.values, h))
     h2 = ScalarField(phi.grid, -ddx_values(phi.values, h))
     return VectorField2(h1, h2)
+
+
+# -- time marching -----------------------------------------------------------
+
+
+def snapshot_targets(times, horizon: float) -> tuple[list[float], float]:
+    """The times after 0 that a march over [0, horizon] must land on, and eps_t.
+
+    The targets are the requested times and the horizon, sorted, without
+    repeats; a time up to 1e-12 * horizon past the horizon counts as the
+    horizon.  A march has reached a target once it is within eps_t of it,
+    and a step that ends within eps_t short of a target lands on it.
+    """
+    targets = {0.0, horizon}
+    for t in times:
+        if t < 0 or t > horizon + 1e-12 * horizon:
+            raise ValueError(f"snapshot time {t!r} outside [0, horizon]")
+        targets.add(min(t, horizon))
+    return sorted(targets)[1:], 1e-12 * max(1.0, horizon)
 
 
 # -- power nonlinearity ------------------------------------------------------

@@ -100,8 +100,6 @@ def write_report(out_dir, report: Report) -> None:
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

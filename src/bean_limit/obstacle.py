@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fields import ScalarField, lap5_values
+from .fields import GridSpec, ScalarField, lap5_values
 
 FEASIBILITY_TOL = 1e-10    # allowed negativity of -lap5(w) - q
 COMPLEMENTARITY_TOL = 1e-10
@@ -240,73 +240,51 @@ def _check_nonnegative(field: ScalarField, name: str):
         raise DomainError(f"{name} must be nonnegative")
 
 
-def mesa_profile_vi(
-    f: ScalarField,
-    G: ScalarField,
-    t: float,
-    relaxation: float | None = None,
-    tol: float = 1e-12,
+def _limit_profile(
+    datum: np.ndarray, grid: GridSpec, relaxation: float | None, tol: float
 ) -> tuple[ScalarField, np.ndarray, ViSolution]:
-    """mesa_profile plus the underlying obstacle solution (for residual reports)."""
-    if f.grid != G.grid:
-        raise ValueError("f and G must share one grid")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if float(np.max(np.abs(f.values))) > 1.0 + 1e-9:
-        raise DomainError("mesa profile requires max |f| <= 1")
-    _check_nonnegative(f, "f")
-    _check_nonnegative(G, "G")
-    q = ScalarField(f.grid, f.values + G.values - 1.0)
-    omega = relaxation if relaxation is not None else _auto_relaxation(f.grid.n)
+    """Obstacle solve with q = datum - 1; the limit is 1 on the
+    noncoincidence set and the datum elsewhere."""
+    q = ScalarField(grid, datum - 1.0)
+    omega = relaxation if relaxation is not None else _auto_relaxation(grid.n)
     vi = psor_solve(ObstacleData(q), relaxation=omega, tol=tol)
     mask = vi.noncoincidence_mask
-    u_limit = np.where(mask, 1.0, f.values + G.values)
-    return ScalarField(f.grid, u_limit), mask, vi
+    return ScalarField(grid, np.where(mask, 1.0, datum)), mask, vi
 
 
 def mesa_profile(
     f: ScalarField,
     G: ScalarField,
-    t: float,
-    relaxation: float | None = None,
-    tol: float = 1e-12,
-) -> tuple[ScalarField, np.ndarray]:
-    """Large-exponent limit profile at time t from datum f and accumulated source G.
-
-    Solves the obstacle problem with q = f + G - 1 and returns the limit
-    field (1 on the noncoincidence set, f + G elsewhere) along with the
-    noncoincidence mask.  Requires max f <= 1; super-critical data go
-    through collapse_profile first.
-    """
-    u_limit, mask, _ = mesa_profile_vi(f, G, t, relaxation=relaxation, tol=tol)
-    return u_limit, mask
-
-
-def collapse_profile_vi(
-    f: ScalarField,
     relaxation: float | None = None,
     tol: float = 1e-12,
 ) -> tuple[ScalarField, np.ndarray, ViSolution]:
-    """collapse_profile plus the underlying obstacle solution."""
+    """Large-exponent limit profile from datum f and accumulated source G.
+
+    Solves the obstacle problem with q = f + G - 1 and returns the limit
+    field (1 on the noncoincidence set, f + G elsewhere), the
+    noncoincidence mask and the obstacle solution.  Requires max f <= 1;
+    super-critical data go through collapse_profile first.
+    """
+    if f.grid != G.grid:
+        raise ValueError("f and G must share one grid")
+    if float(np.max(np.abs(f.values))) > 1.0 + 1e-9:
+        raise DomainError("mesa profile requires max |f| <= 1")
     _check_nonnegative(f, "f")
-    q = ScalarField(f.grid, f.values - 1.0)
-    omega = relaxation if relaxation is not None else _auto_relaxation(f.grid.n)
-    vi = psor_solve(ObstacleData(q), relaxation=omega, tol=tol)
-    mask = vi.noncoincidence_mask
-    v_limit = np.where(mask, 1.0, f.values)
-    return ScalarField(f.grid, v_limit), mask, vi
+    _check_nonnegative(G, "G")
+    return _limit_profile(f.values + G.values, f.grid, relaxation, tol)
 
 
 def collapse_profile(
     f: ScalarField,
     relaxation: float | None = None,
     tol: float = 1e-12,
-) -> tuple[ScalarField, np.ndarray]:
+) -> tuple[ScalarField, np.ndarray, ViSolution]:
     """Instantaneous-collapse projection of possibly super-critical data.
 
     Solves the t = 0 obstacle problem with q = f - 1; the result equals 1
     on the noncoincidence set and f elsewhere, which is the unique
-    profile the evolution collapses onto as the exponent grows.
+    profile the evolution collapses onto as the exponent grows.  Returns
+    it with the noncoincidence mask and the obstacle solution.
     """
-    v_limit, mask, _ = collapse_profile_vi(f, relaxation=relaxation, tol=tol)
-    return v_limit, mask
+    _check_nonnegative(f, "f")
+    return _limit_profile(f.values, f.grid, relaxation, tol)

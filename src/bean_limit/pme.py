@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import DomainError, StepTooSmall
 from .fields import (
     GridSpec,
     PowerLaw,
@@ -26,7 +27,7 @@ from .fields import (
     lap5_values,
     neighbor_sum,
     psi,
-    psi_inv,
+    snapshot_targets,
     support_margin_ok,
 )
 
@@ -38,15 +39,6 @@ POINTWISE_MAX_ITERS = 80  # scalar Newton cap in _pointwise_exact; reaching it r
 
 class NewtonDiverged(RuntimeError):
     """Newton failed to reach the residual target; the caller should halve dt."""
-
-
-class StepTooSmall(RuntimeError):
-    """Time step fell below dt_min while halving."""
-
-    def __init__(self, t: float, dt: float):
-        super().__init__(f"time step {dt:.3e} below minimum at t={t:.6g}")
-        self.t = t
-        self.dt = dt
 
 
 @dataclass(frozen=True)
@@ -63,11 +55,11 @@ class PmeProblem:
         if self.u0.grid != self.grid:
             raise ValueError("initial data grid does not match problem grid")
         if not support_margin_ok(self.u0):
-            raise ValueError("initial data must vanish within L/4 of the boundary")
+            raise DomainError("initial data must vanish within L/4 of the boundary")
         if self.forcing is not None:
             for t in (0.0, 0.5 * self.horizon, self.horizon):
                 if not support_margin_ok(self.forcing(t)):
-                    raise ValueError(
+                    raise DomainError(
                         f"forcing at t={t:g} must vanish within L/4 of the boundary"
                     )
 
@@ -95,7 +87,7 @@ class PmeConfig:
         if not (self.dt_init > 0):
             raise ValueError("dt_init must be positive")
         if self.dt_min < 0 or self.dt_min > self.dt_init:
-            raise ValueError("need 0 <= dt_min <= dt_init")
+            raise DomainError("need 0 <= dt_min <= dt_init")
         if not (self.newton_tol > 0):
             raise ValueError("newton_tol must be positive")
 
@@ -130,12 +122,6 @@ class PmeSolution:
             raise ValueError("snapshots must start at 0 and end at the horizon")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("snapshot times must be strictly increasing")
-
-    def snapshot_at(self, t: float) -> ScalarField:
-        for st, f in self.snapshots:
-            if math.isclose(st, t, rel_tol=0.0, abs_tol=1e-12 * max(1.0, self.problem.horizon)):
-                return f
-        raise KeyError(f"no snapshot at t={t!r}")
 
 
 # -- linear kernel -----------------------------------------------------------
@@ -193,17 +179,6 @@ def pcg(
         p = z + (rz_new / rz) * p
         rz = rz_new
     return best_x
-
-
-def jacobi_pcg(
-    apply_op: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
-    diag: np.ndarray,
-    rtol: float,
-    max_iters: int,
-) -> np.ndarray:
-    """pcg with diagonal preconditioning."""
-    return pcg(apply_op, b, lambda r: r / diag, rtol, max_iters)
 
 
 # -- single implicit step ----------------------------------------------------
@@ -282,14 +257,11 @@ def _step_values(
     h2 = h * h
     rhs = u_prev + dt * g_end
 
-    def psi_of(u: np.ndarray) -> np.ndarray:
-        return np.sign(u) * np.abs(u) ** m
-
     def residual_of(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return u - dt * lap5_values(v, h) - rhs
 
-    u = _pointwise_exact(psi_of(rhs), rhs, dt, m, h2)
-    v = psi_of(u)
+    u = _pointwise_exact(psi(rhs, law), rhs, dt, m, h2)
+    v = psi(u, law)
     res = residual_of(u, v)
     merit = float(np.sum(res * res))
     best_linf = math.inf
@@ -320,13 +292,10 @@ def _step_values(
         # land exactly on the kink at u = 0 (the degeneracy makes crossings
         # expensive, and nonnegative data should stay nonnegative).
         newton_ok = False
+        diag_jac = diag_phi + dt * 4.0 / h2
         try:
-            delta_v = jacobi_pcg(
-                apply_jac,
-                -res,
-                diag_phi + dt * 4.0 / h2,
-                config.cg_tol,
-                config.cg_max_iters,
+            delta_v = pcg(
+                apply_jac, -res, lambda r: r / diag_jac, config.cg_tol, config.cg_max_iters
             )
         except NewtonDiverged:
             delta_v = None
@@ -338,7 +307,7 @@ def _step_values(
                 crossed = (np.sign(u_try) != np.sign(u)) & (u != 0.0)
                 if crossed.any():
                     u_try = np.where(crossed, 0.0, u_try)
-                v_try = psi_of(u_try)
+                v_try = psi(u_try, law)
                 res_try = residual_of(u_try, v_try)
                 merit_try = float(np.sum(res_try * res_try))
                 if math.isfinite(merit_try) and merit_try <= (1.0 - 1e-4 * alpha) * merit:
@@ -352,7 +321,7 @@ def _step_values(
         # max norm exactly where the linearization cannot move, so it is
         # taken unconditionally when the Newton step found no descent.
         u_pol = _pointwise_exact(v, rhs, dt, m, h2)
-        v_pol = psi_of(u_pol)
+        v_pol = psi(u_pol, law)
         res_pol = residual_of(u_pol, v_pol)
         merit_pol = float(np.sum(res_pol * res_pol))
         if math.isfinite(merit_pol) and (not newton_ok or merit_pol < merit):
@@ -390,15 +359,6 @@ def pme_step(
 # -- adaptive driver ---------------------------------------------------------
 
 
-def _resolve_snapshot_times(config: PmeConfig, horizon: float) -> list[float]:
-    times = {0.0, horizon}
-    for t in config.snapshot_times:
-        if t < 0 or t > horizon + 1e-12 * horizon:
-            raise ValueError(f"snapshot time {t!r} outside [0, horizon]")
-        times.add(min(t, horizon))
-    return sorted(times)
-
-
 def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
     """Adaptive backward-Euler integration over [0, horizon].
 
@@ -411,7 +371,7 @@ def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
     h = grid.spacing
     h2 = h * h
     m = law.exponent
-    targets = _resolve_snapshot_times(config, problem.horizon)
+    targets, eps_t = snapshot_targets(config.snapshot_times, problem.horizon)
 
     u = problem.u0.values.copy()
     t = 0.0
@@ -435,8 +395,7 @@ def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
     record(0.0, u, 0.0, 0, 0.0)
     snapshots: list[tuple[float, ScalarField]] = [(0.0, ScalarField(grid, u.copy()))]
 
-    eps_t = 1e-12 * max(1.0, problem.horizon)
-    for target in targets[1:]:
+    for target in targets:
         while t < target - eps_t:
             dt_eff = min(dt, target - t)
             halvings = 0

@@ -14,6 +14,14 @@ from bean_limit.fields import GridSpec, ScalarField
 from bean_limit.io_formats import FieldFormatError, read_field, write_field
 
 
+def src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(bean_limit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -39,16 +47,43 @@ def test_unknown_key_exit_code(tmp_path, capsys):
 def test_module_entry_point_runs_the_cli(tmp_path):
     # `python -m bean_limit.cli` must reach main(), not import and exit 0
     path = write_cfg(tmp_path, "grdi.n = 64\n")
-    src = str(Path(bean_limit.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bean_limit.cli", "solve-pme", "--config", str(path),
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=src_env(), timeout=120,
     )
     assert proc.returncode == 2
     assert "grdi.n" in proc.stderr
+
+
+def test_exponent_above_the_cap_is_a_config_error(tmp_path, capsys):
+    path = write_cfg(tmp_path, """
+grid.L = 4.0
+grid.n = 32
+exponent = 100
+horizon = 0.1
+f.height = 0.5
+f.radius = 1.0
+f2.height = 0.6
+f2.radius = 1.0
+""")
+    code = run(["contraction", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'exponent'" in err
+
+
+def test_quick_demo_script_runs(tmp_path):
+    demo = Path(__file__).resolve().parents[1] / "scripts" / "quick_demo.py"
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True, text=True, env=src_env(), timeout=300, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    distances = [float(line.rsplit("=", 1)[1]) for line in proc.stdout.splitlines()
+                 if "distance of u(1/m)" in line]
+    assert len(distances) == 4
+    assert all(b < a for a, b in zip(distances, distances[1:]))
 
 
 def test_duplicate_and_malformed_keys(tmp_path):
@@ -231,6 +266,37 @@ h0.curl_max = 1.5
     code = run(["solve-curl", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "solver error" in capsys.readouterr().err
+    # data that fail a solver's input check are a solver error too
+    path = write_cfg(tmp_path, """
+grid.L = 4.0
+grid.n = 32
+exponent = 3.0
+horizon = 0.1
+f.height = 0.5
+f.radius = 3.9
+""", name="wide.cfg")
+    code = run(["solve-pme", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "vanish within L/4" in capsys.readouterr().err
+
+
+def test_bug_in_a_driver_is_not_a_solver_error(tmp_path, monkeypatch):
+    import bean_limit.cli as cli
+
+    def broken(spec, sink=None):
+        raise ValueError("a bug, not a solver failure")
+
+    monkeypatch.setattr(cli, "sweep_p", broken)
+    path = write_cfg(tmp_path, """
+grid.L = 4.0
+grid.n = 24
+schedule = 4, 8
+horizon = 0.05
+h0.width = 2.0
+h0.curl_max = 0.8
+""")
+    with pytest.raises(ValueError, match="a bug"):
+        run(["sweep-p", "--config", str(path), "--out", str(tmp_path / "out")])
 
 
 def test_missing_required_key(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bean_limit import pme
 from bean_limit.curl2d import (
     BlowUp,
     CurlConfig,
@@ -18,10 +19,18 @@ from bean_limit.curl2d import (
     resistivity_coeff,
     vi_residual,
 )
-from bean_limit.datagen import StreamSpec, constant_in_time, field_from_stream, random_admissible_field
+from bean_limit.datagen import (
+    BumpSpec,
+    StreamSpec,
+    bump_field,
+    constant_in_time,
+    field_from_stream,
+    random_admissible_field,
+)
 from bean_limit.errors import DomainError
 from bean_limit.fields import (
     GridSpec,
+    PowerLaw,
     ScalarField,
     VectorField2,
     curl_z,
@@ -292,6 +301,49 @@ def test_curl_solve_raises_step_too_small():
     with pytest.raises(StepTooSmall) as info:
         curl_solve(prob, CurlConfig(dt_min=0.05))
     assert info.value.t == 0.0
+
+
+def test_forcing_divergence_is_checked_at_every_new_sample():
+    # divergence free at t = 0 and at the horizon, the only target, but
+    # not at the times in between that the steps sample
+    g = GridSpec(4.0, 24)
+    horizon = 0.05
+    zero = VectorField2(ScalarField.zeros(g), ScalarField.zeros(g))
+    bad = VectorField2(bump_field(g, BumpSpec(height=0.1, radius=1.0)), ScalarField.zeros(g))
+    prob = CurlProblem(grid=g, p=4.0, H0=default_h0(g), horizon=horizon,
+                       forcing=lambda t: bad if 0.0 < t < horizon else zero)
+    with pytest.raises(DomainError, match="not divergence free"):
+        curl_solve(prob, CurlConfig())
+
+
+def test_both_solvers_land_on_the_same_snapshot_times():
+    g = GridSpec(4.0, 16)
+    horizon = 0.3
+
+    def curl_times(times):
+        sol = curl_solve(
+            CurlProblem(grid=g, p=4.0, H0=default_h0(g), forcing=None, horizon=horizon),
+            CurlConfig(snapshot_times=times),
+        )
+        return [t for t, *_ in sol.snapshots]
+
+    def pme_times(times):
+        sol = pme.pme_solve(
+            pme.PmeProblem(grid=g, law=PowerLaw(3.0), u0=ScalarField.zeros(g),
+                           forcing=None, horizon=horizon),
+            pme.PmeConfig(dt_init=0.05, snapshot_times=times),
+        )
+        return [t for t, _ in sol.snapshots]
+
+    # 0.1 + 0.2 is not 0.3 in floating point, and a time just past the
+    # horizon is the horizon
+    awkward = (0.1, 0.2, horizon * (1 + 1e-13))
+    assert curl_times(awkward) == pme_times(awkward) == [0.0, 0.1, 0.2, 0.3]
+    for bad in (-0.1, 1.1 * horizon):
+        for solve in (curl_times, pme_times):
+            with pytest.raises(ValueError, match="outside"):
+                solve((bad,))
+    assert pme.StepTooSmall is StepTooSmall
 
 
 @settings(max_examples=8, deadline=None)

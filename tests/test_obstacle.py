@@ -13,7 +13,6 @@ from bean_limit.obstacle import (
     NotConverged,
     ObstacleData,
     collapse_profile,
-    collapse_profile_vi,
     mesa_profile,
     psor_solve,
     radial_obstacle_oracle,
@@ -77,7 +76,7 @@ def test_unconstrained_region_linearity():
     # must return the plain Poisson solution (computed here by CG on the
     # same five-point kernel)
     from bean_limit.fields import neighbor_sum
-    from bean_limit.pme import jacobi_pcg
+    from bean_limit.pme import pcg
 
     g = GridSpec(4.0, 64)
     h = g.spacing
@@ -98,7 +97,7 @@ def test_unconstrained_region_linearity():
 
     diag = np.full((64, 64), 4.0 / (h * h))
     diag[~interior] = 1.0
-    w_cg = jacobi_pcg(apply_A, rhs, diag, 1e-13, 100000)
+    w_cg = pcg(apply_A, rhs, lambda r: r / diag, 1e-13, 100000)
     assert np.min(w_cg) >= 0.0
     assert np.max(np.abs(vi.w.values - w_cg)) <= 1e-9
 
@@ -203,7 +202,7 @@ def test_mesa_small_data_is_identity():
     g = GridSpec(4.0, 48)
     f = bump_field(g, BumpSpec(height=0.4, radius=1.5))
     G = ScalarField(g, 0.3 * f.values)
-    u, mask = mesa_profile(f, G, 1.0)
+    u, mask, _ = mesa_profile(f, G)
     assert not mask.any()
     assert np.allclose(u.values, f.values + G.values)
 
@@ -215,7 +214,7 @@ def test_mesa_plateau_contains_saturated_ball():
     f = flat_top_field(g, BumpSpec(height=1.4, radius=1.5), cap=1.0)
     gsrc = bump_field(g, BumpSpec(height=0.3, radius=1.5))
     G = ScalarField(g, 0.5 * gsrc.values)
-    u, mask = mesa_profile(f, G, 0.5)
+    u, mask, _ = mesa_profile(f, G)
     ball = f.values >= 1.0 - 1e-12
     assert np.all(u.values[ball] == pytest.approx(1.0, abs=1e-12))
     assert np.max(u.values) <= 1.0 + 1e-12
@@ -226,7 +225,7 @@ def test_mesa_rejects_supercritical_datum():
     g = GridSpec(4.0, 48)
     f = bump_field(g, BumpSpec(height=1.5, radius=1.5))
     with pytest.raises(DomainError):
-        mesa_profile(f, ScalarField.zeros(g), 1.0)
+        mesa_profile(f, ScalarField.zeros(g))
 
 
 def test_mesa_mask_monotone_in_time():
@@ -236,7 +235,7 @@ def test_mesa_mask_monotone_in_time():
     masks = []
     for t in (0.6, 1.0):
         G = ScalarField(g, t * gsrc.values)
-        _, mask = mesa_profile(f, G, t)
+        _, mask, _ = mesa_profile(f, G)
         masks.append(mask)
     grown = masks[1].copy()
     # one-cell dilation allowance
@@ -250,7 +249,7 @@ def test_mesa_mask_monotone_in_time():
 def test_collapse_subcritical_is_identity():
     g = GridSpec(4.0, 48)
     f = bump_field(g, BumpSpec(height=0.8, radius=1.5))
-    v, mask = collapse_profile(f)
+    v, mask, _ = collapse_profile(f)
     assert not mask.any()
     assert np.allclose(v.values, f.values)
 
@@ -258,7 +257,7 @@ def test_collapse_subcritical_is_identity():
 def test_collapse_supercritical_profile():
     g = GridSpec(2.0, 96)
     f = bump_field(g, BumpSpec(height=1.5, radius=1.4))
-    v, mask = collapse_profile(f)
+    v, mask, _ = collapse_profile(f)
     assert np.max(v.values) <= 1.0 + 1e-12
     saturated = f.values >= 1.0
     assert np.all(mask[saturated])
@@ -270,7 +269,7 @@ def test_collapse_mass_defect_shrinks_under_refinement():
     for n in (64, 128):
         g = GridSpec(2.0, n)
         f = bump_field(g, BumpSpec(height=1.5, radius=1.4))
-        v, _, _ = collapse_profile_vi(f)
+        v, _, _ = collapse_profile(f)
         h2 = g.spacing ** 2
         mf = h2 * np.sum(f.values)
         defects.append(abs(h2 * np.sum(v.values) - mf) / mf)
