@@ -5,24 +5,27 @@ field dumps for its snapshots, a machine-readable report.json with the
 full configuration echo, and a human-readable summary.txt.  Exit code 0
 means every verdict passed, 1 that a verdict failed, 2 flags a
 configuration problem, 3 a solver failure or a failed data check; any
-other exception is a bug and ends with its traceback.
+other exception is a bug and ends with its traceback.  Among the
+configuration problems, caught before any solver runs: a data block the
+subcommand needs and the file does not set, a snapshot time outside
+[0, horizon], and a key the subcommand never reads.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import curl2d, obstacle, pme
-from .config import ConfigError, RunConfig
+from .config import PSOR_ARGS, SPEC_FIELDS, ConfigError, RunConfig
 from .datagen import (
     BumpSpec,
     StreamSpec,
     bump_field,
-    constant_in_time,
     disk_field,
     field_from_stream,
 )
@@ -32,8 +35,11 @@ from .experiments import (
     Report,
     barenblatt_convergence,
     collapse_experiment,
+    constant_source,
+    curl_config,
     equivalence_check,
     l1_contraction_check,
+    pme_config,
     small_data_check,
     sweep_m_vs_mesa,
     sweep_p,
@@ -50,19 +56,29 @@ SOLVER_ERRORS = (
     PreconditionFailed,
 )
 
-SUBCOMMANDS = (
-    "solve-pme",
-    "solve-curl",
-    "solve-obstacle",
-    "mesa-profile",
-    "sweep-p",
-    "sweep-m",
-    "collapse",
-    "small-data",
-    "equivalence",
-    "contraction",
-    "barenblatt-convergence",
-)
+# subcommand -> (driver, the key its exponents come from, data blocks it needs);
+# drivers are looked up by name when called, so wrappers installed on this
+# module take effect.  The `_cmd_*` handlers read the config themselves; the
+# others get an ExperimentSpec.
+COMMANDS = {
+    "solve-pme": ("_cmd_solve_pme", "exponent", ()),
+    "solve-curl": ("_cmd_solve_curl", "exponent", ("h0",)),
+    "solve-obstacle": ("_cmd_solve_obstacle", None, ()),
+    "mesa-profile": ("_cmd_mesa_profile", None, ("f",)),
+    "sweep-p": ("sweep_p", "schedule", ("h0",)),
+    "sweep-m": ("sweep_m_vs_mesa", "schedule", ("f",)),
+    "collapse": ("collapse_experiment", "schedule", ("f",)),
+    "small-data": ("small_data_check", "schedule", ("f",)),
+    "equivalence": ("equivalence_check", "exponent", ("h0",)),
+    "contraction": ("l1_contraction_check", "exponent", ("f", "f2")),
+    "barenblatt-convergence": ("barenblatt_convergence", "exponent", ()),
+}
+
+# psor_solve's own defaults, which solve-obstacle echoes as resolved.*
+_PSOR_DEFAULTS = {
+    name: inspect.signature(obstacle.psor_solve).parameters[name].default
+    for name in PSOR_ARGS.values()
+}
 
 
 def _grid(cfg: RunConfig) -> GridSpec:
@@ -70,51 +86,44 @@ def _grid(cfg: RunConfig) -> GridSpec:
 
 
 def _bump(cfg: RunConfig, prefix: str) -> BumpSpec | None:
-    if not cfg.has(f"{prefix}.height"):
+    if not cfg.has_block(prefix):
         return None
     return BumpSpec(
         height=cfg.require(f"{prefix}.height"),
         radius=cfg.require(f"{prefix}.radius"),
-        center=(cfg.get(f"{prefix}.center_x", 0.0), cfg.get(f"{prefix}.center_y", 0.0)),
+        center=tuple(cfg.get(f"{prefix}.center_{a}", c) for a, c in zip("xy", BumpSpec.center)),
     )
 
 
 def _stream(cfg: RunConfig, prefix: str) -> StreamSpec | None:
-    if not (cfg.has(f"{prefix}.amplitude") or cfg.has(f"{prefix}.curl_max")):
+    if not cfg.has_block(prefix):
         return None
     return StreamSpec(
-        kind=cfg.get(f"{prefix}.kind", "bump"),
-        amplitude=cfg.get(f"{prefix}.amplitude", 1.0),
         width=cfg.require(f"{prefix}.width"),
-        center=(cfg.get(f"{prefix}.center_x", 0.0), cfg.get(f"{prefix}.center_y", 0.0)),
-        curl_max=cfg.get(f"{prefix}.curl_max"),
+        center=tuple(cfg.get(f"{prefix}.center_{a}", c) for a, c in zip("xy", StreamSpec.center)),
+        **cfg.pick({f"{prefix}.{name}": name for name in ("kind", "amplitude", "curl_max")}),
     )
 
 
-def _experiment_spec(cfg: RunConfig, name: str, schedule=None) -> ExperimentSpec:
-    if schedule is None:
-        schedule = cfg.require("schedule")
-    return ExperimentSpec(
-        name=cfg.get("experiment", name),
+def _experiment_spec(cfg: RunConfig, command: str) -> ExperimentSpec:
+    """The spec of `command` from the keys set; the others keep their defaults."""
+    key = COMMANDS[command][1]
+    fields = dict(
+        name=command,
+        schedule=cfg.require(key) if key == "schedule" else (cfg.require(key),),
         grid=_grid(cfg),
-        schedule=tuple(schedule),
         horizon=cfg.require("horizon"),
         f=_bump(cfg, "f"),
         g=_bump(cfg, "g"),
         f2=_bump(cfg, "f2"),
         h0_stream=_stream(cfg, "h0"),
         forcing_stream=_stream(cfg, "force"),
-        snapshot_times=cfg.get("snapshot_times", ()),
-        dt_init=cfg.get("pme.dt_init"),
-        newton_tol=cfg.get("pme.newton_tol", 1e-10),
-        cfl_safety=cfg.get("curl.cfl_safety", 0.9),
-        psor_tol=cfg.get("psor.tol", 1e-12),
-        seed=cfg.get("seed", 0),
-        n_test_fields=cfg.get("n_test_fields", 20),
-        grids=cfg.get("grids", ()),
-        barenblatt_t0=cfg.get("barenblatt.t0", 1.0),
-        barenblatt_mass=cfg.get("barenblatt.mass", 1.0),
     )
+    fields.update(cfg.pick(SPEC_FIELDS))
+    try:
+        return ExperimentSpec(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _field_writer(out_dir: Path):
@@ -130,32 +139,21 @@ def _field_writer(out_dir: Path):
 
 
 def _cmd_solve_pme(cfg: RunConfig, out_dir: Path) -> Report:
-    grid = _grid(cfg)
-    m = cfg.require("exponent")
-    horizon = cfg.require("horizon")
-    f_spec = _bump(cfg, "f")
-    u0 = bump_field(grid, f_spec) if f_spec else ScalarField.zeros(grid)
-    g_spec = _bump(cfg, "g")
-    forcing = constant_in_time(bump_field(grid, g_spec)) if g_spec else None
-    problem = pme.PmeProblem(grid=grid, law=PowerLaw(m), u0=u0, forcing=forcing, horizon=horizon)
-    config = pme.PmeConfig(
-        dt_init=cfg.get("pme.dt_init", horizon / 50.0),
-        dt_min=cfg.get("pme.dt_min", 0.0),
-        newton_tol=cfg.get("pme.newton_tol", 1e-10),
-        max_newton_iters=cfg.get("pme.max_newton_iters", 50),
-        max_halvings=cfg.get("pme.max_halvings", 20),
-        snapshot_times=tuple(t for t in cfg.get("snapshot_times", ()) if 0 < t < horizon),
+    spec = _experiment_spec(cfg, "solve-pme")
+    grid = spec.grid
+    u0 = bump_field(grid, spec.f) if spec.f else ScalarField.zeros(grid)
+    forcing = constant_source(grid, bump_field, spec.g)
+    problem = pme.PmeProblem(
+        grid=grid, law=PowerLaw(spec.schedule[0]), u0=u0, forcing=forcing, horizon=spec.horizon
     )
+    config = pme_config(spec)
+    cfg.check_all_read("solve-pme")
     sol = pme.pme_solve(problem, config)
 
     echo = cfg.echo()
-    echo.update({
-        "resolved.dt_init": config.dt_init,
-        "resolved.newton_tol": config.newton_tol,
-        "resolved.max_newton_iters": config.max_newton_iters,
-        "resolved.max_halvings": config.max_halvings,
-    })
-    report = Report(name=cfg.get("experiment", "solve-pme"), config=echo)
+    for key in ("dt_init", "newton_tol", "max_newton_iters", "max_halvings"):
+        echo[f"resolved.{key}"] = getattr(config, key)
+    report = Report(name=spec.name, config=echo)
     sink = _field_writer(out_dir)
     trunc = 0.0
     for t, u in sol.snapshots:
@@ -172,25 +170,20 @@ def _cmd_solve_pme(cfg: RunConfig, out_dir: Path) -> Report:
 
 
 def _cmd_solve_curl(cfg: RunConfig, out_dir: Path) -> Report:
-    grid = _grid(cfg)
-    p = cfg.require("exponent")
-    horizon = cfg.require("horizon")
-    h0_spec = _stream(cfg, "h0")
-    if h0_spec is None:
-        raise ConfigError("solve-curl requires an initial stream (h0.* keys)")
-    H0 = field_from_stream(grid, h0_spec)
-    force_spec = _stream(cfg, "force")
-    forcing = constant_in_time(field_from_stream(grid, force_spec)) if force_spec else None
-    problem = curl2d.CurlProblem(grid=grid, p=p, H0=H0, forcing=forcing, horizon=horizon)
-    config = curl2d.CurlConfig(
-        snapshot_times=tuple(t for t in cfg.get("snapshot_times", ()) if 0 < t < horizon),
-        cfl_safety=cfg.get("curl.cfl_safety", 0.9),
+    spec = _experiment_spec(cfg, "solve-curl")
+    grid = spec.grid
+    H0 = field_from_stream(grid, spec.h0_stream)
+    forcing = constant_source(grid, field_from_stream, spec.forcing_stream)
+    problem = curl2d.CurlProblem(
+        grid=grid, p=spec.schedule[0], H0=H0, forcing=forcing, horizon=spec.horizon
     )
+    config = curl_config(spec)
+    cfg.check_all_read("solve-curl")
     sol = curl2d.curl_solve(problem, config)
 
     echo = cfg.echo()
     echo["resolved.cfl_safety"] = config.cfl_safety
-    report = Report(name=cfg.get("experiment", "solve-curl"), config=echo)
+    report = Report(name=spec.name, config=echo)
     sink = _field_writer(out_dir)
     trunc = 0.0
     for t, H, omega, J in sol.snapshots:
@@ -229,18 +222,13 @@ def _obstacle_datum(cfg: RunConfig, grid: GridSpec) -> ScalarField:
 def _cmd_solve_obstacle(cfg: RunConfig, out_dir: Path) -> Report:
     grid = _grid(cfg)
     q = _obstacle_datum(cfg, grid)
-    vi = obstacle.psor_solve(
-        obstacle.ObstacleData(q),
-        relaxation=cfg.get("psor.relaxation", 1.5),
-        tol=cfg.get("psor.tol", 1e-12),
-        max_sweeps=cfg.get("psor.max_sweeps"),
-    )
+    settings = {**_PSOR_DEFAULTS, **cfg.pick(PSOR_ARGS)}
+    name = cfg.get("experiment", "solve-obstacle")
+    cfg.check_all_read("solve-obstacle")
+    vi = obstacle.psor_solve(obstacle.ObstacleData(q), **settings)
     echo = cfg.echo()
-    echo.update({
-        "resolved.relaxation": cfg.get("psor.relaxation", 1.5),
-        "resolved.tol": cfg.get("psor.tol", 1e-12),
-    })
-    report = Report(name=cfg.get("experiment", "solve-obstacle"), config=echo)
+    echo.update({f"resolved.{key}": value for key, value in settings.items()})
+    report = Report(name=name, config=echo)
     sink = _field_writer(out_dir)
     sink("q", q, 0.0)
     sink("w", vi.w, 0.0)
@@ -269,17 +257,14 @@ def _cmd_solve_obstacle(cfg: RunConfig, out_dir: Path) -> Report:
 def _cmd_mesa_profile(cfg: RunConfig, out_dir: Path) -> Report:
     grid = _grid(cfg)
     t = cfg.require("horizon")
-    f_spec = _bump(cfg, "f")
-    if f_spec is None:
-        raise ConfigError("mesa-profile requires f.* keys")
-    f = bump_field(grid, f_spec)
-    g_spec = _bump(cfg, "g")
-    if g_spec is not None:
-        G = ScalarField(grid, t * bump_field(grid, g_spec).values)
-    else:
-        G = ScalarField.zeros(grid)
-    u_limit, mask, vi = obstacle.mesa_profile(f, G, tol=cfg.get("psor.tol", 1e-12))
-    report = Report(name=cfg.get("experiment", "mesa-profile"), config=cfg.echo())
+    f = bump_field(grid, _bump(cfg, "f"))
+    g = _bump(cfg, "g")
+    G = ScalarField(grid, t * bump_field(grid, g).values) if g else ScalarField.zeros(grid)
+    settings = cfg.pick(PSOR_ARGS)
+    name = cfg.get("experiment", "mesa-profile")
+    cfg.check_all_read("mesa-profile")
+    u_limit, mask, vi = obstacle.mesa_profile(f, G, **settings)
+    report = Report(name=name, config=cfg.echo())
     sink = _field_writer(out_dir)
     sink("u_limit", u_limit, t)
     sink("w", vi.w, t)
@@ -300,33 +285,15 @@ def _cmd_mesa_profile(cfg: RunConfig, out_dir: Path) -> Report:
 
 
 def _dispatch(command: str, cfg: RunConfig, out_dir: Path) -> Report:
-    if command == "solve-pme":
-        return _cmd_solve_pme(cfg, out_dir)
-    if command == "solve-curl":
-        return _cmd_solve_curl(cfg, out_dir)
-    if command == "solve-obstacle":
-        return _cmd_solve_obstacle(cfg, out_dir)
-    if command == "mesa-profile":
-        return _cmd_mesa_profile(cfg, out_dir)
-    sink = _field_writer(out_dir)
-    if command == "sweep-p":
-        return sweep_p(_experiment_spec(cfg, command), sink=sink)
-    if command == "sweep-m":
-        return sweep_m_vs_mesa(_experiment_spec(cfg, command), sink=sink)
-    if command == "collapse":
-        return collapse_experiment(_experiment_spec(cfg, command), sink=sink)
-    if command == "small-data":
-        return small_data_check(_experiment_spec(cfg, command), sink=sink)
-    if command == "equivalence":
-        spec = _experiment_spec(cfg, command, schedule=[cfg.require("exponent")])
-        return equivalence_check(spec, sink=sink)
-    if command == "contraction":
-        spec = _experiment_spec(cfg, command, schedule=[cfg.require("exponent")])
-        return l1_contraction_check(spec, sink=sink)
-    if command == "barenblatt-convergence":
-        spec = _experiment_spec(cfg, command, schedule=[cfg.require("exponent")])
-        return barenblatt_convergence(spec, sink=sink)
-    raise ConfigError(f"unknown subcommand {command!r}")
+    driver, _, blocks = COMMANDS[command]
+    for prefix in blocks:
+        if not cfg.has_block(prefix):
+            raise ConfigError(f"{command} needs the data block {prefix}.*, which is not set")
+    if driver.startswith("_cmd_"):
+        return globals()[driver](cfg, out_dir)
+    spec = _experiment_spec(cfg, command)
+    cfg.check_all_read(command)
+    return globals()[driver](spec, sink=_field_writer(out_dir))
 
 
 def run(argv) -> int:
@@ -335,7 +302,7 @@ def run(argv) -> int:
         description="Numerical experiments for the plane-wave curl system, "
         "its nonlinear-diffusion reduction, and the critical-state limit.",
     )
-    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a key = value config file")
     parser.add_argument("--out", default=None, help="output directory (overrides output_dir)")
     try:
@@ -345,12 +312,8 @@ def run(argv) -> int:
 
     try:
         cfg = RunConfig.parse(args.config)
-        out_dir = Path(args.out or cfg.get("output_dir", f"out/{args.command}"))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        default_dir = cfg.get("output_dir", f"out/{args.command}")  # read even under --out
+        out_dir = Path(args.out or default_dir)
         report = _dispatch(args.command, cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,19 +15,11 @@ class ConfigError(ValueError):
     pass
 
 
-def _as_float(v: str) -> float:
-    return float(v)
-
-
 def _as_int(v: str) -> int:
     f = float(v)
     if f != int(f):
         raise ValueError(f"{v!r} is not an integer")
     return int(f)
-
-
-def _as_str(v: str) -> str:
-    return v
 
 
 def _as_float_list(v: str) -> tuple[float, ...]:
@@ -42,25 +34,21 @@ def _positive(x) -> bool:
     return x > 0
 
 
-def _nonneg(x) -> bool:
-    return x >= 0
-
-
 def _exponent_ok(x) -> bool:
     return 1 < x <= EXPONENT_CAP
 
 
 # key -> (converter, validator or None, description)
 KEY_TABLE = {
-    "experiment": (_as_str, None, "run label"),
-    "grid.L": (_as_float, _positive, "domain half width"),
+    "experiment": (str, None, "run label"),
+    "grid.L": (float, _positive, "domain half width"),
     "grid.n": (_as_int, lambda n: n >= 8, "cells per side (>= 8)"),
-    "horizon": (_as_float, _positive, "final time"),
+    "horizon": (float, _positive, "final time"),
     "snapshot_times": (_as_float_list, None, "comma list of snapshot times"),
-    "output_dir": (_as_str, None, "artifact directory"),
-    "seed": (_as_int, _nonneg, "random seed for test fields"),
+    "output_dir": (str, None, "artifact directory"),
+    "seed": (_as_int, lambda x: x >= 0, "random seed for test fields"),
     "exponent": (
-        _as_float, _exponent_ok, f"single exponent (m > 1 or p > 2), capped at {EXPONENT_CAP}"
+        float, _exponent_ok, f"single exponent (m > 1 or p > 2), capped at {EXPONENT_CAP}"
     ),
     "schedule": (
         _as_float_list,
@@ -70,55 +58,72 @@ KEY_TABLE = {
     ),
     "grids": (_as_int_list, lambda xs: all(n >= 8 for n in xs), "grid sizes for refinement studies"),
     "n_test_fields": (_as_int, _positive, "number of random admissible test fields"),
-    "pme.dt_init": (_as_float, _positive, "initial implicit step"),
-    "pme.dt_min": (_as_float, _nonneg, "smallest allowed step"),
-    "pme.newton_tol": (_as_float, _positive, "Newton max-norm residual target"),
-    "pme.max_newton_iters": (_as_int, _positive, "Newton iteration cap"),
-    "pme.max_halvings": (_as_int, _positive, "time-step halving cap"),
-    "curl.cfl_safety": (_as_float, lambda x: 0 < x <= 1, "explicit stability safety factor"),
-    "psor.relaxation": (_as_float, lambda x: 0 < x < 2, "projected SOR relaxation"),
-    "psor.tol": (_as_float, _positive, "projected SOR update tolerance"),
-    "psor.max_sweeps": (_as_int, _positive, "projected SOR sweep cap"),
-    "f.height": (_as_float, None, "initial bump height"),
-    "f.radius": (_as_float, _positive, "initial bump radius"),
-    "f.center_x": (_as_float, None, "initial bump center x"),
-    "f.center_y": (_as_float, None, "initial bump center y"),
-    "f2.height": (_as_float, None, "second bump height"),
-    "f2.radius": (_as_float, _positive, "second bump radius"),
-    "f2.center_x": (_as_float, None, "second bump center x"),
-    "f2.center_y": (_as_float, None, "second bump center y"),
-    "g.height": (_as_float, None, "source bump height"),
-    "g.radius": (_as_float, _positive, "source bump radius"),
-    "g.center_x": (_as_float, None, "source bump center x"),
-    "g.center_y": (_as_float, None, "source bump center y"),
-    "h0.kind": (_as_str, lambda s: s in ("bump", "gaussian"), "initial stream shape"),
-    "h0.amplitude": (_as_float, None, "initial stream amplitude"),
-    "h0.width": (_as_float, _positive, "initial stream width"),
-    "h0.center_x": (_as_float, None, "initial stream center x"),
-    "h0.center_y": (_as_float, None, "initial stream center y"),
-    "h0.curl_max": (_as_float, _positive, "rescale initial field to this curl max"),
-    "force.kind": (_as_str, lambda s: s in ("bump", "gaussian"), "forcing stream shape"),
-    "force.amplitude": (_as_float, None, "forcing stream amplitude"),
-    "force.width": (_as_float, _positive, "forcing stream width"),
-    "force.center_x": (_as_float, None, "forcing stream center x"),
-    "force.center_y": (_as_float, None, "forcing stream center y"),
-    "force.curl_max": (_as_float, _positive, "rescale forcing to this curl max"),
-    "q.kind": (_as_str, lambda s: s in ("disk", "bump"), "obstacle datum shape"),
-    "q.inside": (_as_float, None, "disk datum value inside"),
-    "q.outside": (_as_float, None, "disk datum value outside"),
-    "q.radius": (_as_float, _positive, "obstacle datum radius"),
-    "q.height": (_as_float, None, "bump datum height"),
-    "q.offset": (_as_float, None, "constant subtracted from the bump datum"),
-    "barenblatt.t0": (_as_float, _positive, "profile start time"),
-    "barenblatt.mass": (_as_float, _positive, "profile total mass"),
+    "pme.dt_init": (float, _positive, "initial implicit step"),
+    "pme.newton_tol": (float, _positive, "Newton max-norm residual target"),
+    "curl.cfl_safety": (float, lambda x: 0 < x <= 1, "explicit stability safety factor"),
+    "psor.relaxation": (float, lambda x: 0 < x < 2, "projected SOR relaxation"),
+    "psor.tol": (float, _positive, "projected SOR update tolerance"),
+    "f.height": (float, None, "initial bump height"),
+    "f.radius": (float, _positive, "initial bump radius"),
+    "f.center_x": (float, None, "initial bump center x"),
+    "f.center_y": (float, None, "initial bump center y"),
+    "f2.height": (float, None, "second bump height"),
+    "f2.radius": (float, _positive, "second bump radius"),
+    "f2.center_x": (float, None, "second bump center x"),
+    "f2.center_y": (float, None, "second bump center y"),
+    "g.height": (float, None, "source bump height"),
+    "g.radius": (float, _positive, "source bump radius"),
+    "g.center_x": (float, None, "source bump center x"),
+    "g.center_y": (float, None, "source bump center y"),
+    "h0.kind": (str, lambda s: s in ("bump", "gaussian"), "initial stream shape"),
+    "h0.amplitude": (float, None, "initial stream amplitude"),
+    "h0.width": (float, _positive, "initial stream width"),
+    "h0.center_x": (float, None, "initial stream center x"),
+    "h0.center_y": (float, None, "initial stream center y"),
+    "h0.curl_max": (float, _positive, "rescale initial field to this curl max"),
+    "force.kind": (str, lambda s: s in ("bump", "gaussian"), "forcing stream shape"),
+    "force.amplitude": (float, None, "forcing stream amplitude"),
+    "force.width": (float, _positive, "forcing stream width"),
+    "force.center_x": (float, None, "forcing stream center x"),
+    "force.center_y": (float, None, "forcing stream center y"),
+    "force.curl_max": (float, _positive, "rescale forcing to this curl max"),
+    "q.kind": (str, lambda s: s in ("disk", "bump"), "obstacle datum shape"),
+    "q.inside": (float, None, "disk datum value inside"),
+    "q.outside": (float, None, "disk datum value outside"),
+    "q.radius": (float, _positive, "obstacle datum radius"),
+    "q.height": (float, None, "bump datum height"),
+    "q.offset": (float, None, "constant subtracted from the bump datum"),
+    "barenblatt.t0": (float, _positive, "profile start time"),
+    "barenblatt.mass": (float, _positive, "profile total mass"),
 }
+
+# key -> ExperimentSpec field, for the keys a spec takes as they are; a key
+# left out of the file leaves the field at its ExperimentSpec default
+SPEC_FIELDS = {
+    "experiment": "name",
+    "snapshot_times": "snapshot_times",
+    "seed": "seed",
+    "n_test_fields": "n_test_fields",
+    "grids": "grids",
+    "pme.dt_init": "dt_init",
+    "pme.newton_tol": "newton_tol",
+    "curl.cfl_safety": "cfl_safety",
+    "psor.tol": "psor_tol",
+    "barenblatt.t0": "barenblatt_t0",
+    "barenblatt.mass": "barenblatt_mass",
+}
+
+# key -> keyword of the obstacle solves (psor_solve, mesa_profile)
+PSOR_ARGS = {"psor.relaxation": "relaxation", "psor.tol": "tol"}
 
 
 class RunConfig:
-    """Validated key-value view of a configuration file."""
+    """Validated key-value view of a configuration file; the keys that
+    `get`, `require` and `has` look up count as read."""
 
     def __init__(self, entries: dict):
         self.entries = entries
+        self.read: set[str] = set()
 
     @classmethod
     def parse(cls, path) -> "RunConfig":
@@ -156,15 +161,32 @@ class RunConfig:
     def get(self, key, default=None):
         if key not in KEY_TABLE:
             raise KeyError(f"{key!r} is not a known configuration key")
+        self.read.add(key)
         return self.entries.get(key, default)
 
     def require(self, key):
+        self.read.add(key)
         if key not in self.entries:
             raise ConfigError(f"missing required configuration key {key!r}")
         return self.entries[key]
 
     def has(self, key) -> bool:
+        self.read.add(key)
         return key in self.entries
+
+    def has_block(self, prefix: str) -> bool:
+        """True when any `prefix.*` key is set; reads none of them."""
+        return any(key.startswith(prefix + ".") for key in self.entries)
+
+    def pick(self, names: dict) -> dict:
+        """{name: value} for each key of `names` (key -> name) that is set."""
+        return {name: self.get(key) for key, name in names.items() if self.has(key)}
+
+    def check_all_read(self, command: str):
+        """Raise ConfigError naming the set keys that `command` never read."""
+        unread = sorted(self.entries.keys() - self.read)
+        if unread:
+            raise ConfigError(f"{command} does not use {', '.join(map(repr, unread))}")
 
     def echo(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(self.entries.items())}

@@ -35,6 +35,7 @@ from .fields import (
     curl_z,
     lap5_values,
     psi,
+    snapshot_targets,
 )
 from .obstacle import collapse_profile, mesa_profile
 from .pme import (
@@ -116,9 +117,10 @@ class ExperimentSpec:
             raise ValueError(f"exponents are capped at {EXPONENT_CAP}")
         if not (self.horizon > 0):
             raise ValueError("horizon must be positive")
-
-    def config_echo(self) -> dict:
-        return dataclasses.asdict(self)
+        try:
+            snapshot_targets(self.snapshot_times, self.horizon)
+        except ValueError as exc:
+            raise ValueError(f"snapshot_times: {exc}") from None
 
 
 def _l1_distance(a: ScalarField, b: ScalarField) -> float:
@@ -184,17 +186,14 @@ def require_radial_monotone_data(
     sym_tol: float = 1e-12,
     growth_tol: float = 1e-8,
 ):
-    scale = max(1.0, float(np.max(np.abs(f.values))))
-    if d4_symmetry_defect(f) > sym_tol * scale:
-        raise PreconditionFailed("initial datum is not radially symmetric on the grid")
-    if outward_monotone_defect(f) > sym_tol * scale:
-        raise PreconditionFailed("initial datum is not radially non-increasing")
-    if g0 is not None:
-        gscale = max(1.0, float(np.max(np.abs(g0.values))))
-        if d4_symmetry_defect(g0) > sym_tol * gscale:
-            raise PreconditionFailed("source is not radially symmetric on the grid")
-        if outward_monotone_defect(g0) > sym_tol * gscale:
-            raise PreconditionFailed("source is not radially non-increasing")
+    for what, u in (("initial datum", f), ("source", g0)):
+        if u is None:
+            continue
+        scale = max(1.0, float(np.max(np.abs(u.values))))
+        if d4_symmetry_defect(u) > sym_tol * scale:
+            raise PreconditionFailed(f"{what} is not radially symmetric on the grid")
+        if outward_monotone_defect(u) > sym_tol * scale:
+            raise PreconditionFailed(f"{what} is not radially non-increasing")
     defect = h43_defect(f, g0, m)
     if defect > growth_tol:
         raise PreconditionFailed(
@@ -205,35 +204,48 @@ def require_radial_monotone_data(
 # -- experiment drivers ------------------------------------------------------
 
 
-def _pme_config(spec: ExperimentSpec, horizon: float, dt_init: float | None = None) -> PmeConfig:
-    dt0 = dt_init if dt_init is not None else (spec.dt_init or horizon / 50.0)
-    interior = tuple(t for t in spec.snapshot_times if 0.0 < t < horizon)
+def _no_dumps(name: str, field: ScalarField, t: float):
+    """The sink of a driver run that writes no field dumps."""
+
+
+def constant_source(grid: GridSpec, make, data):
+    """make(grid, data) as a constant-in-time source, or None without data."""
+    return constant_in_time(make(grid, data)) if data is not None else None
+
+
+def pme_config(spec: ExperimentSpec, steps: int = 50) -> PmeConfig:
+    """The spec's PME settings; without dt_init the first step is horizon / steps."""
     return PmeConfig(
-        dt_init=dt0,
+        dt_init=spec.dt_init or spec.horizon / steps,
         newton_tol=spec.newton_tol,
-        snapshot_times=interior,
+        snapshot_times=spec.snapshot_times,
     )
 
 
-def _run_pme(spec: ExperimentSpec, m: float, f: ScalarField, forcing, horizon: float,
-             dt_init: float | None = None) -> PmeSolution:
+def curl_config(spec: ExperimentSpec) -> CurlConfig:
+    return CurlConfig(snapshot_times=spec.snapshot_times, cfl_safety=spec.cfl_safety)
+
+
+def _run_pme(
+    spec: ExperimentSpec, m: float, f: ScalarField, forcing, sink, name: str
+) -> PmeSolution:
+    """pme_solve from f under the spec's settings; `sink` gets the final state as `name`."""
     problem = PmeProblem(
-        grid=spec.grid, law=PowerLaw(m), u0=f, forcing=forcing, horizon=horizon
+        grid=spec.grid, law=PowerLaw(m), u0=f, forcing=forcing, horizon=spec.horizon
     )
-    return pme_solve(problem, _pme_config(spec, horizon, dt_init))
+    sol = pme_solve(problem, pme_config(spec))
+    sink(name, sol.snapshots[-1][1], spec.horizon)
+    return sol
 
 
-def sweep_p(spec: ExperimentSpec, sink=None) -> Report:
+def sweep_p(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     """Curl runs over the exponent schedule: saturation measures and
     variational-inequality residuals against random admissible test fields."""
-    report = Report(name=spec.name, config=spec.config_echo())
+    report = Report(name=spec.name, config=dataclasses.asdict(spec))
     grid = spec.grid
     h = grid.spacing
     H0 = field_from_stream(grid, spec.h0_stream)
-    forcing = None
-    if spec.forcing_stream is not None:
-        F = field_from_stream(grid, spec.forcing_stream)
-        forcing = constant_in_time(F)
+    forcing = constant_source(grid, field_from_stream, spec.forcing_stream)
 
     rng = np.random.default_rng(spec.seed)
     test_fields = [
@@ -248,14 +260,9 @@ def sweep_p(spec: ExperimentSpec, sink=None) -> Report:
     trunc_worst = 0.0
     for p in spec.schedule:
         problem = CurlProblem(grid=grid, p=p, H0=H0, forcing=forcing, horizon=spec.horizon)
-        config = CurlConfig(
-            snapshot_times=tuple(t for t in spec.snapshot_times if 0 < t < spec.horizon),
-            cfl_safety=spec.cfl_safety,
-        )
-        sol = curl_solve(problem, config)
+        sol = curl_solve(problem, curl_config(spec))
         _, H_final, omega_final, _ = sol.snapshots[-1]
-        if sink is not None:
-            sink(f"omega_p{p:g}", omega_final, spec.horizon)
+        sink(f"omega_p{p:g}", omega_final, spec.horizon)
         wabs = np.abs(omega_final.values)
         for d in spec.deltas:
             mu = float(h * h * np.count_nonzero(wabs >= 1.0 + d))
@@ -327,10 +334,10 @@ def sweep_p(spec: ExperimentSpec, sink=None) -> Report:
     return report
 
 
-def sweep_m_vs_mesa(spec: ExperimentSpec, sink=None) -> Report:
+def sweep_m_vs_mesa(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     """Scalar runs over the exponent schedule against the obstacle-problem
     limit profile; also records the pressure bound."""
-    report = Report(name=spec.name, config=spec.config_echo())
+    report = Report(name=spec.name, config=dataclasses.asdict(spec))
     grid = spec.grid
     f = bump_field(grid, spec.f)
     g_field = bump_field(grid, spec.g) if spec.g is not None else None
@@ -341,8 +348,7 @@ def sweep_m_vs_mesa(spec: ExperimentSpec, sink=None) -> Report:
 
     G_T = accumulated_source(forcing, spec.horizon, grid)
     mesa, mask, vi = mesa_profile(f, G_T, tol=spec.psor_tol)
-    if sink is not None:
-        sink("mesa", mesa, spec.horizon)
+    sink("mesa", mesa, spec.horizon)
     report.add_metric("mesa_min", float(np.min(mesa.values)))
     report.add_metric("mesa_max", float(np.max(mesa.values)))
     report.add_metric("mesa_complementarity", vi.residuals.complementarity_max)
@@ -351,10 +357,8 @@ def sweep_m_vs_mesa(spec: ExperimentSpec, sink=None) -> Report:
     e_keys, p_keys = [], []
     trunc_worst = 0.0
     for m in spec.schedule:
-        sol = _run_pme(spec, m, f, forcing, spec.horizon)
+        sol = _run_pme(spec, m, f, forcing, sink, f"u_m{m:g}")
         u_final = sol.snapshots[-1][1]
-        if sink is not None:
-            sink(f"u_m{m:g}", u_final, spec.horizon)
         e_keys.append(report.add_metric("e", _l1_distance(u_final, mesa), m))
         p_keys.append(report.add_metric("pressure_max", max(sol.diagnostics.pressure_max), m))
         report.add_metric("sup_u", max(sol.diagnostics.sup_norm), m)
@@ -386,20 +390,18 @@ def sweep_m_vs_mesa(spec: ExperimentSpec, sink=None) -> Report:
     return report
 
 
-def collapse_experiment(spec: ExperimentSpec, sink=None) -> Report:
+def collapse_experiment(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     """Super-critical data: distance of short-horizon runs (with and without
     forcing) to the instantaneous-collapse projection, per exponent."""
-    report = Report(name=spec.name, config=spec.config_echo())
+    report = Report(name=spec.name, config=dataclasses.asdict(spec))
     grid = spec.grid
     f = bump_field(grid, spec.f)
     if float(np.max(f.values)) <= 1.0:
         raise PreconditionFailed("collapse experiment expects max f > 1")
-    g_field = bump_field(grid, spec.g) if spec.g is not None else None
-    forcing = constant_in_time(g_field) if g_field is not None else None
+    forcing = constant_source(grid, bump_field, spec.g)
 
     v_limit, mask, vi = collapse_profile(f, tol=spec.psor_tol)
-    if sink is not None:
-        sink("v_limit", v_limit, 0.0)
+    sink("v_limit", v_limit, 0.0)
     h2 = grid.spacing ** 2
     mass_f = float(h2 * np.sum(f.values))
     mass_v = float(h2 * np.sum(v_limit.values))
@@ -431,14 +433,10 @@ def collapse_experiment(spec: ExperimentSpec, sink=None) -> Report:
     fk, gk, mk = [], [], []
     for m in spec.schedule:
         t_m = 1.0 / m
-        dt0 = t_m / 10.0
-        sol_forced = _run_pme(spec, m, f, forcing, t_m, dt_init=dt0)
-        sol_free = _run_pme(spec, m, f, None, t_m, dt_init=dt0)
-        u_forced = sol_forced.snapshots[-1][1]
-        u_free = sol_free.snapshots[-1][1]
-        if sink is not None:
-            sink(f"u_forced_m{m:g}", u_forced, t_m)
-            sink(f"u_free_m{m:g}", u_free, t_m)
+        # the runs to 1/m start from dt = t_m / 10 and record only their final state
+        run_m = dataclasses.replace(spec, horizon=t_m, dt_init=t_m / 10.0, snapshot_times=())
+        u_forced = _run_pme(run_m, m, f, forcing, sink, f"u_forced_m{m:g}").snapshots[-1][1]
+        u_free = _run_pme(run_m, m, f, None, sink, f"u_free_m{m:g}").snapshots[-1][1]
         fk.append(report.add_metric("d_forced", _l1_distance(u_forced, v_limit), m))
         gk.append(report.add_metric("d_free", _l1_distance(u_free, v_limit), m))
         mk.append(report.add_metric("d_mutual", _l1_distance(u_forced, u_free), m))
@@ -464,10 +462,10 @@ def collapse_experiment(spec: ExperimentSpec, sink=None) -> Report:
     return report
 
 
-def small_data_check(spec: ExperimentSpec, sink=None) -> Report:
+def small_data_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     """Sub-critical data: the final state approaches datum plus accumulated
     source as the exponent grows."""
-    report = Report(name=spec.name, config=spec.config_echo())
+    report = Report(name=spec.name, config=dataclasses.asdict(spec))
     grid = spec.grid
     f = bump_field(grid, spec.f)
     g_field = bump_field(grid, spec.g) if spec.g is not None else None
@@ -480,15 +478,12 @@ def small_data_check(spec: ExperimentSpec, sink=None) -> Report:
 
     G_T = accumulated_source(forcing, spec.horizon, grid)
     target = ScalarField(grid, f.values + G_T.values)
-    if sink is not None:
-        sink("target", target, spec.horizon)
+    sink("target", target, spec.horizon)
 
     d_keys = []
     for m in spec.schedule:
-        sol = _run_pme(spec, m, f, forcing, spec.horizon)
+        sol = _run_pme(spec, m, f, forcing, sink, f"u_m{m:g}")
         u_final = sol.snapshots[-1][1]
-        if sink is not None:
-            sink(f"u_m{m:g}", u_final, spec.horizon)
         d_keys.append(report.add_metric("d", _l1_distance(u_final, target), m))
         report.add_metric(
             "sup_bound_defect",
@@ -506,11 +501,11 @@ def small_data_check(spec: ExperimentSpec, sink=None) -> Report:
     return report
 
 
-def equivalence_check(spec: ExperimentSpec, sink=None) -> Report:
+def equivalence_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     """Cross-validation of the vector solver against the scalar reduction:
     the curl of the vector run must match the scalar run driven by the
     discrete curl of the data, with discrepancy vanishing under refinement."""
-    report = Report(name=spec.name, config=spec.config_echo())
+    report = Report(name=spec.name, config=dataclasses.asdict(spec))
     p = spec.schedule[0]
     if p > 16:
         raise PreconditionFailed("equivalence check is limited to p <= 16")
@@ -522,35 +517,20 @@ def equivalence_check(spec: ExperimentSpec, sink=None) -> Report:
     for n in grids:
         grid = GridSpec(L, n)
         H0 = field_from_stream(grid, spec.h0_stream)
-        forcing = None
-        pme_forcing = None
-        if spec.forcing_stream is not None:
-            F = field_from_stream(grid, spec.forcing_stream)
-            forcing = constant_in_time(F)
-            g_of_F = curl_z(F)
-            pme_forcing = constant_in_time(g_of_F)
+        forcing = constant_source(grid, field_from_stream, spec.forcing_stream)
+        pme_forcing = constant_in_time(curl_z(forcing(0.0))) if forcing else None
         problem = CurlProblem(grid=grid, p=p, H0=H0, forcing=forcing, horizon=spec.horizon)
-        config = CurlConfig(
-            snapshot_times=tuple(t for t in spec.snapshot_times if 0 < t < spec.horizon),
-            cfl_safety=spec.cfl_safety,
-        )
-        curl_sol = curl_solve(problem, config)
+        curl_sol = curl_solve(problem, curl_config(spec))
 
         u0 = curl_z(H0)
         pme_problem = PmeProblem(
             grid=grid, law=PowerLaw(p - 1.0), u0=u0, forcing=pme_forcing,
             horizon=spec.horizon,
         )
-        pme_cfg = PmeConfig(
-            dt_init=spec.dt_init or spec.horizon / 100.0,
-            newton_tol=spec.newton_tol,
-            snapshot_times=tuple(t for t in spec.snapshot_times if 0 < t < spec.horizon),
-        )
-        pme_sol = pme_solve(pme_problem, pme_cfg)
+        pme_sol = pme_solve(pme_problem, pme_config(spec, steps=100))
 
-        if sink is not None:
-            sink(f"omega_n{n}", curl_sol.snapshots[-1][2], spec.horizon)
-            sink(f"u_n{n}", pme_sol.snapshots[-1][1], spec.horizon)
+        sink(f"omega_n{n}", curl_sol.snapshots[-1][2], spec.horizon)
+        sink(f"u_n{n}", pme_sol.snapshots[-1][1], spec.horizon)
         # both solvers snapshot at the same requested times; a mismatch is a
         # bug in a solver's snapshot logic, not a solver failure
         if len(curl_sol.snapshots) != len(pme_sol.snapshots):
@@ -580,22 +560,18 @@ def equivalence_check(spec: ExperimentSpec, sink=None) -> Report:
     return report
 
 
-def l1_contraction_check(spec: ExperimentSpec, sink=None) -> Report:
+def l1_contraction_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     """Two runs with shared source: distances contract in L1 and ordered
     data stay ordered."""
-    report = Report(name=spec.name, config=spec.config_echo())
+    report = Report(name=spec.name, config=dataclasses.asdict(spec))
     grid = spec.grid
     m = spec.schedule[0]
     f1 = bump_field(grid, spec.f)
     f2 = bump_field(grid, spec.f2)
-    g_field = bump_field(grid, spec.g) if spec.g is not None else None
-    forcing = constant_in_time(g_field) if g_field is not None else None
+    forcing = constant_source(grid, bump_field, spec.g)
 
-    sol1 = _run_pme(spec, m, f1, forcing, spec.horizon)
-    sol2 = _run_pme(spec, m, f2, forcing, spec.horizon)
-    if sink is not None:
-        sink("u1_final", sol1.snapshots[-1][1], spec.horizon)
-        sink("u2_final", sol2.snapshots[-1][1], spec.horizon)
+    sol1 = _run_pme(spec, m, f1, forcing, sink, "u1_final")
+    sol2 = _run_pme(spec, m, f2, forcing, sink, "u2_final")
     d0 = _l1_distance(f1, f2)
     report.add_metric("initial_l1_distance", d0)
 
@@ -649,17 +625,17 @@ def monotonicity_check(solution: PmeSolution) -> Report:
     return report
 
 
-def barenblatt_convergence(spec: ExperimentSpec, sink=None) -> Report:
+def barenblatt_convergence(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     """Exact-solution study: L1 error against the self-similar profile under
     simultaneous grid and step refinement, plus the mass-balance residual."""
-    report = Report(name=spec.name, config=spec.config_echo())
+    report = Report(name=spec.name, config=dataclasses.asdict(spec))
     m = spec.schedule[0]
     law = PowerLaw(m)
     grids = spec.grids or (spec.grid.n,)
     L = spec.grid.half_width
     t0 = spec.barenblatt_t0
     mass = spec.barenblatt_mass
-    base_dt = spec.dt_init or spec.horizon / 40.0
+    base = pme_config(spec, steps=40)
 
     err_keys = []
     mass_keys = []
@@ -667,13 +643,10 @@ def barenblatt_convergence(spec: ExperimentSpec, sink=None) -> Report:
         grid = GridSpec(L, n)
         u0 = barenblatt_field(grid, t0, law, mass)
         problem = PmeProblem(grid=grid, law=law, u0=u0, forcing=None, horizon=spec.horizon)
-        dt_n = base_dt * grids[0] / n
-        config = PmeConfig(dt_init=dt_n, newton_tol=spec.newton_tol)
-        sol = pme_solve(problem, config)
+        sol = pme_solve(problem, dataclasses.replace(base, dt_init=base.dt_init * grids[0] / n))
         exact = barenblatt_field(grid, t0 + spec.horizon, law, mass)
-        if sink is not None:
-            sink(f"u_n{n}", sol.snapshots[-1][1], spec.horizon)
-            sink(f"exact_n{n}", exact, spec.horizon)
+        sink(f"u_n{n}", sol.snapshots[-1][1], spec.horizon)
+        sink(f"exact_n{n}", exact, spec.horizon)
         err_keys.append(report.add_metric("l1_error", _l1_distance(sol.snapshots[-1][1], exact), n))
         mass_keys.append(
             report.add_metric(

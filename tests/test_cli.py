@@ -343,3 +343,99 @@ seed = 0
     report = json.loads((out / "report.json").read_text())
     assert "mu[0.1]@4" in report["metrics"]
     assert report["config"]["schedule"] == [4.0, 8.0]
+
+
+# -- one path from config to run ---------------------------------------------------
+
+SCALAR_BASE = """
+grid.L = 4.0
+grid.n = 24
+horizon = 0.05
+"""
+F_BLOCK = "f.height = 0.5\nf.radius = 1.0\n"
+
+
+@pytest.mark.parametrize("command, prefix", [
+    ("sweep-p", "h0"),
+    ("equivalence", "h0"),
+    ("sweep-m", "f"),
+    ("collapse", "f"),
+    ("small-data", "f"),
+    ("contraction", "f2"),
+])
+def test_missing_data_block_is_a_config_error(tmp_path, capsys, command, prefix):
+    single = command in ("equivalence", "contraction")
+    body = "exponent = 4\n" + F_BLOCK if single else "schedule = 4, 8\n"
+    path = write_cfg(tmp_path, SCALAR_BASE + body)
+    code = run([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{prefix}.*" in err
+
+
+def test_snapshot_time_past_the_horizon_is_a_config_error(tmp_path, capsys):
+    path = write_cfg(tmp_path, """
+grid.L = 2.0
+grid.n = 32
+exponent = 3.0
+horizon = 0.5
+snapshot_times = 0.25, 2.0
+""")
+    out = tmp_path / "out"
+    assert run(["solve-pme", "--config", str(path), "--out", str(out)]) == 2
+    assert "snapshot_times" in capsys.readouterr().err
+    assert not out.exists()
+    # the horizon itself is a valid snapshot time and adds no snapshot
+    path.write_text(path.read_text().replace("2.0", "0.5"))
+    assert run(["solve-pme", "--config", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("u_*.csv")) == ["u_000.csv", "u_001.csv", "u_002.csv"]
+
+
+def test_key_the_subcommand_never_reads_is_a_config_error(tmp_path, capsys, monkeypatch):
+    import bean_limit.obstacle as obstacle
+
+    mesa = """
+grid.L = 4.0
+grid.n = 32
+horizon = 1.0
+f.height = 0.55
+f.radius = 1.5
+output_dir = unused-under-out
+"""
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, mesa + "schedule = 4, 8\n")
+    assert run(["mesa-profile", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "mesa-profile" in err and "'schedule'" in err
+    assert not out.exists()  # rejected before any solver ran
+    path = write_cfg(tmp_path, "grid.L = 4.0\ngrid.n = 32\nq.inside = 0.5\nq.outside = -1.0\n"
+                     "q.radius = 1.0\nhorizon = 1.0\n", name="obstacle.cfg")
+    assert run(["solve-obstacle", "--config", str(path), "--out", str(out)]) == 2
+    assert "solve-obstacle" in capsys.readouterr().err
+    # mesa-profile hands psor.relaxation to the obstacle solve
+    seen = []
+    psor_solve = obstacle.psor_solve
+
+    def recording(data, relaxation, tol):
+        seen.append(relaxation)
+        return psor_solve(data, relaxation, tol)
+
+    monkeypatch.setattr(obstacle, "psor_solve", recording)
+    path = write_cfg(tmp_path, mesa + "psor.relaxation = 1.7\n")
+    assert run(["mesa-profile", "--config", str(path), "--out", str(out)]) == 0
+    assert seen == [1.7]
+
+
+def test_reference_runs_cover_every_config_and_subcommand():
+    import importlib.util
+
+    from bean_limit.cli import COMMANDS
+
+    root = Path(__file__).resolve().parents[1]
+    script = root / "scripts" / "run_reference_experiments.py"
+    module_spec = importlib.util.spec_from_file_location("run_reference_experiments", script)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    configs = [cfg for _, cfg in module.RUNS]
+    assert sorted(configs) == sorted(p.name for p in (root / "configs").glob("*.cfg"))
+    assert {command for command, _ in module.RUNS} == set(COMMANDS)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bean_limit.datagen import BumpSpec, bump_field, constant_in_time, flat_top_field
 from bean_limit.fields import GridSpec, PowerLaw, ScalarField
@@ -295,6 +297,34 @@ def test_l1_contraction_and_ordering():
     for (t1, u1), (t2, u2) in zip(sols[0].snapshots[1:], sols[1].snapshots[1:]):
         d = h2 * np.sum(np.abs(u1.values - u2.values))
         assert d <= d0 * (1 + 1e-6)
+        assert np.max(u1.values - u2.values) <= 1e-8  # f1 <= f2 stays ordered
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    n=st.integers(16, 32),
+    m=st.sampled_from([2.0, 3.0, 5.0, 8.0]),
+    heights=st.tuples(st.floats(0.1, 1.5), st.floats(0.0, 0.8), st.floats(0.0, 0.6)),
+    radii=st.tuples(st.floats(0.4, 1.0), st.floats(0.3, 1.0), st.floats(0.3, 1.0)),
+    center=st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+)
+def test_pme_invariants_on_random_bump_data(n, m, heights, radii, center):
+    # every bump vanishes beyond radius 1.0 + 0.4 * sqrt(2) < 1.5, inside
+    # the L/4 margin; tolerances as in experiments.l1_contraction_check
+    g = GridSpec(2.0, n)
+    f1 = bump_field(g, BumpSpec(heights[0], radii[0]))
+    f2 = ScalarField(g, f1.values + bump_field(g, BumpSpec(heights[1], radii[1], center)).values)
+    source = constant_in_time(bump_field(g, BumpSpec(heights[2], radii[2], center[::-1])))
+    sols = []
+    for f in (f1, f2):
+        prob = PmeProblem(grid=g, law=PowerLaw(m), u0=f, forcing=source, horizon=0.2)
+        sol = pme_solve(prob, PmeConfig(dt_init=0.025, snapshot_times=(0.1,)))
+        assert max(r for _, r in mass_balance_residual(sol, prob)) <= 1e-8
+        sols.append(sol)
+    h2 = g.spacing ** 2
+    d0 = h2 * np.sum(np.abs(f1.values - f2.values))
+    for (_, u1), (_, u2) in zip(sols[0].snapshots[1:], sols[1].snapshots[1:]):
+        assert h2 * np.sum(np.abs(u1.values - u2.values)) <= d0 * (1 + 1e-6)
         assert np.max(u1.values - u2.values) <= 1e-8  # f1 <= f2 stays ordered
 
 
