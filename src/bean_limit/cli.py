@@ -25,6 +25,7 @@ from .config import PSOR_ARGS, SPEC_FIELDS, ConfigError, RunConfig
 from .datagen import (
     BumpSpec,
     StreamSpec,
+    accumulated_source,
     bump_field,
     disk_field,
     field_from_stream,
@@ -56,22 +57,33 @@ SOLVER_ERRORS = (
     PreconditionFailed,
 )
 
-# subcommand -> (driver, the key its exponents come from, data blocks it needs);
-# drivers are looked up by name when called, so wrappers installed on this
-# module take effect.  The `_cmd_*` handlers read the config themselves; the
-# others get an ExperimentSpec.
+# the keys experiments.pme_config and curl_config read
+_PME = ("pme", "snapshot_times")
+_CURL = ("curl", "snapshot_times")
+
+# subcommand -> (driver, the key its exponents come from, data blocks it needs,
+# the other blocks and keys of its ExperimentSpec it reads); a name without a
+# dot is a prefix, so "pme" stands for every `pme.*` key.  Drivers are looked
+# up by name when called, so wrappers installed on this module take effect.
+# The `_cmd_*` handlers read the config themselves (solve-pme and solve-curl
+# through an ExperimentSpec); the other drivers get an ExperimentSpec.
 COMMANDS = {
-    "solve-pme": ("_cmd_solve_pme", "exponent", ()),
-    "solve-curl": ("_cmd_solve_curl", "exponent", ("h0",)),
-    "solve-obstacle": ("_cmd_solve_obstacle", None, ()),
-    "mesa-profile": ("_cmd_mesa_profile", None, ("f",)),
-    "sweep-p": ("sweep_p", "schedule", ("h0",)),
-    "sweep-m": ("sweep_m_vs_mesa", "schedule", ("f",)),
-    "collapse": ("collapse_experiment", "schedule", ("f",)),
-    "small-data": ("small_data_check", "schedule", ("f",)),
-    "equivalence": ("equivalence_check", "exponent", ("h0",)),
-    "contraction": ("l1_contraction_check", "exponent", ("f", "f2")),
-    "barenblatt-convergence": ("barenblatt_convergence", "exponent", ()),
+    "solve-pme": ("_cmd_solve_pme", "exponent", (), ("f", "g", *_PME)),
+    "solve-curl": ("_cmd_solve_curl", "exponent", ("h0",), ("force", *_CURL)),
+    "solve-obstacle": ("_cmd_solve_obstacle", None, (), ()),
+    "mesa-profile": ("_cmd_mesa_profile", None, ("f",), ()),
+    "sweep-p": ("sweep_p", "schedule", ("h0",), ("force", "seed", "n_test_fields", *_CURL)),
+    "sweep-m": ("sweep_m_vs_mesa", "schedule", ("f",), ("g", "psor.tol", *_PME)),
+    # the runs to 1/m set their own first step and record only their final state
+    "collapse": (
+        "collapse_experiment", "schedule", ("f",), ("g", "psor.tol", "grids", "pme.newton_tol"),
+    ),
+    "small-data": ("small_data_check", "schedule", ("f",), ("g", *_PME)),
+    "equivalence": ("equivalence_check", "exponent", ("h0",), ("force", "grids", *_CURL, *_PME)),
+    "contraction": ("l1_contraction_check", "exponent", ("f", "f2"), ("g", *_PME)),
+    "barenblatt-convergence": (
+        "barenblatt_convergence", "exponent", (), ("barenblatt", "grids", *_PME),
+    ),
 }
 
 # psor_solve's own defaults, which solve-obstacle echoes as resolved.*
@@ -106,20 +118,28 @@ def _stream(cfg: RunConfig, prefix: str) -> StreamSpec | None:
 
 
 def _experiment_spec(cfg: RunConfig, command: str) -> ExperimentSpec:
-    """The spec of `command` from the keys set; the others keep their defaults."""
-    key = COMMANDS[command][1]
+    """The spec of `command` from the keys it reads and the file sets; the
+    others keep their defaults, and a set key it does not read stays unread."""
+    _, key, blocks, others = COMMANDS[command]
+    reads = {"experiment", *blocks, *others}
+
+    def block(prefix, build):
+        return build(cfg, prefix) if prefix in reads else None
+
     fields = dict(
         name=command,
         schedule=cfg.require(key) if key == "schedule" else (cfg.require(key),),
         grid=_grid(cfg),
         horizon=cfg.require("horizon"),
-        f=_bump(cfg, "f"),
-        g=_bump(cfg, "g"),
-        f2=_bump(cfg, "f2"),
-        h0_stream=_stream(cfg, "h0"),
-        forcing_stream=_stream(cfg, "force"),
+        f=block("f", _bump),
+        g=block("g", _bump),
+        f2=block("f2", _bump),
+        h0_stream=block("h0", _stream),
+        forcing_stream=block("force", _stream),
     )
-    fields.update(cfg.pick(SPEC_FIELDS))
+    fields.update(cfg.pick({
+        k: name for k, name in SPEC_FIELDS.items() if k in reads or k.split(".")[0] in reads
+    }))
     try:
         return ExperimentSpec(**fields)
     except ValueError as exc:
@@ -151,8 +171,9 @@ def _cmd_solve_pme(cfg: RunConfig, out_dir: Path) -> Report:
     sol = pme.pme_solve(problem, config)
 
     echo = cfg.echo()
-    for key in ("dt_init", "newton_tol", "max_newton_iters", "max_halvings"):
-        echo[f"resolved.{key}"] = getattr(config, key)
+    resolved = dict(dt_init=config.dt_init, newton_tol=config.newton_tol,
+                    max_newton_iters=pme.MAX_NEWTON_ITERS, max_halvings=pme.MAX_HALVINGS)
+    echo.update({f"resolved.{key}": value for key, value in resolved.items()})
     report = Report(name=spec.name, config=echo)
     sink = _field_writer(out_dir)
     trunc = 0.0
@@ -258,8 +279,7 @@ def _cmd_mesa_profile(cfg: RunConfig, out_dir: Path) -> Report:
     grid = _grid(cfg)
     t = cfg.require("horizon")
     f = bump_field(grid, _bump(cfg, "f"))
-    g = _bump(cfg, "g")
-    G = ScalarField(grid, t * bump_field(grid, g).values) if g else ScalarField.zeros(grid)
+    G = accumulated_source(constant_source(grid, bump_field, _bump(cfg, "g")), t, grid)
     settings = cfg.pick(PSOR_ARGS)
     name = cfg.get("experiment", "mesa-profile")
     cfg.check_all_read("mesa-profile")
@@ -285,7 +305,7 @@ def _cmd_mesa_profile(cfg: RunConfig, out_dir: Path) -> Report:
 
 
 def _dispatch(command: str, cfg: RunConfig, out_dir: Path) -> Report:
-    driver, _, blocks = COMMANDS[command]
+    driver, _, blocks, _ = COMMANDS[command]
     for prefix in blocks:
         if not cfg.has_block(prefix):
             raise ConfigError(f"{command} needs the data block {prefix}.*, which is not set")

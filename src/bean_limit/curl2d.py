@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,15 +28,11 @@ from .fields import (
     VectorField2,
     curl_z,
     ddx_into,
-    ddx_values,
     ddy_into,
-    ddy_values,
     divergence,
     psi_prime,
     snapshot_targets,
 )
-
-ForcingFn = Optional[Callable[[float], VectorField2]]
 
 BLOWUP_LIMIT = 10.0
 
@@ -56,7 +50,7 @@ class CurlProblem:
     grid: GridSpec
     p: float
     H0: VectorField2
-    forcing: ForcingFn
+    forcing: VectorField2 | None  # the source F, constant in time
     horizon: float
 
     def __post_init__(self):
@@ -69,31 +63,21 @@ class CurlProblem:
         div0 = float(np.max(np.abs(divergence(self.H0).values)))
         if div0 > 1e-10:
             raise ValueError(f"initial field is not divergence free (max div {div0:.2e})")
+        if self.forcing is not None:
+            if self.forcing.grid != self.grid:
+                raise ValueError("forcing grid does not match problem grid")
+            if float(np.max(np.abs(divergence(self.forcing).values))) > 1e-10:
+                raise DomainError("forcing is not divergence free")
 
     @property
     def law(self) -> PowerLaw:
         return PowerLaw(self.p - 1.0)
-
-    @cached_property
-    def _zero_forcing(self) -> np.ndarray:
-        z = np.zeros((self.grid.n, self.grid.n))
-        z.setflags(write=False)
-        return z
-
-    def forcing_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        if self.forcing is None:
-            return self._zero_forcing, self._zero_forcing
-        F = self.forcing(t)
-        if F.grid != self.grid:
-            raise ValueError("forcing grid does not match problem grid")
-        return F.comp1.values, F.comp2.values
 
 
 @dataclass(frozen=True)
 class CurlConfig:
     snapshot_times: tuple[float, ...] = ()
     cfl_safety: float = 0.9
-    dt_max: float = math.inf
     dt_min: float = 1e-12
 
     def __post_init__(self):
@@ -122,6 +106,12 @@ class CurlSolution:
         times = [t for t, *_ in self.snapshots]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("snapshot times must be strictly increasing")
+
+
+def _forcing_arrays(problem: CurlProblem):
+    """(f1, f2) of the problem's forcing; (0.0, 0.0) without one."""
+    F = problem.forcing
+    return (F.comp1.values, F.comp2.values) if F is not None else (0.0, 0.0)
 
 
 def _cfl_dt(wmax: float, law: PowerLaw, h2: float, cfl_safety: float) -> float:
@@ -196,9 +186,10 @@ class _StepKernel:
         np.multiply(self.flux, self.wabs, out=self.work)
         return float(self.work.sum())
 
-    def advance(self, H: np.ndarray, f1: np.ndarray, f2: np.ndarray, dt: float) -> float:
+    def advance(self, H: np.ndarray, f1, f2, dt: float) -> float:
         """H += dt * (F - (d(Phi)/dy, -d(Phi)/dx)) in place, Phi = psi_{p-1}(w)
-        of the last differentiated state; returns that state's sum |w|^p."""
+        of the last differentiated state; returns that state's sum |w|^p.
+        f1 and f2 are arrays, or 0.0 without forcing."""
         lp = self.curl_power_sum()
         phi = np.copysign(self.flux, self.omega, out=self.flux)
         incr = self.incr
@@ -223,7 +214,7 @@ def curl_step(
     H = np.stack((state.comp1.values, state.comp2.values))
     kernel.differentiate(H)
     kernel.check_blowup(t)
-    f1, f2 = problem.forcing_at(t)
+    f1, f2 = _forcing_arrays(problem)
     kernel.advance(H, f1, f2, dt)
     return VectorField2(ScalarField(grid, H[0]), ScalarField(grid, H[1]))
 
@@ -247,10 +238,8 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
     diag = CurlDiagnostics()
     dissipation = 0.0
     forcing_l2 = 0.0
-    # (f1, f2, h^2 sum |F|^2) of the last forcing sample; field values are
-    # read-only, so a sample that returns the same arrays has the same norm
-    # and divergence: each new pair of arrays is checked once
-    forcing_sq = (None, None, 0.0)
+    f1, f2 = _forcing_arrays(problem)
+    forcing_sq = float(h2 * np.sum(f1 * f1 + f2 * f2))  # h^2 sum |F|^2
 
     def record(t_now, dt_used):
         """Append the diagnostics of H, which `kernel` has just differentiated;
@@ -273,19 +262,13 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
     for target in targets:
         while t < target - eps_t:
             wmax = kernel.check_blowup(t)
-            dt = min(_cfl_dt(wmax, law, h2, config.cfl_safety), config.dt_max, target - t)
+            dt = min(_cfl_dt(wmax, law, h2, config.cfl_safety), target - t)
             if dt < config.dt_min:
                 raise StepTooSmall(t, dt)
-            f1, f2 = problem.forcing_at(t)
-            if f1 is not forcing_sq[0] or f2 is not forcing_sq[1]:
-                f_div = ddx_values(f1, h) + ddy_values(f2, h)
-                if float(np.max(np.abs(f_div))) > 1e-10:
-                    raise DomainError(f"forcing at t={t:g} is not divergence free")
-                forcing_sq = (f1, f2, float(h2 * np.sum(f1 * f1 + f2 * f2)))
             curl_lp = h2 * kernel.advance(H, f1, f2, dt)
             diag.curl_lp.append(curl_lp)
             dissipation += dt * curl_lp
-            forcing_l2 += dt * forcing_sq[2]
+            forcing_l2 += dt * forcing_sq
             t = target if target - (t + dt) <= eps_t else t + dt
             kernel.differentiate(H)
             record(t, dt)
@@ -311,12 +294,9 @@ def resistivity_coeff(omega: ScalarField, p: float) -> ScalarField:
     return ScalarField(omega.grid, np.abs(omega.values) ** (p - 2.0))
 
 
-def vi_residual(
-    solution: CurlSolution,
-    V: VectorField2,
-    forcing: ForcingFn = None,
-) -> list[tuple[float, float]]:
-    """Residual series h^2 sum (F - H_t) . (V - H) over snapshot times.
+def vi_residual(solution: CurlSolution, V: VectorField2) -> list[tuple[float, float]]:
+    """Residual series h^2 sum (F - H_t) . (V - H) over snapshot times, F
+    the problem's forcing.
 
     H_t is the backward difference of consecutive snapshots, so the series
     starts at the second snapshot.  V must be admissible: max |curl V| at
@@ -330,15 +310,11 @@ def vi_residual(
     if float(np.max(np.abs(divergence(V).values))) > 1e-10:
         raise DomainError("test field is not divergence free")
     h2 = grid.spacing ** 2
+    f1, f2 = _forcing_arrays(solution.problem)
     snaps = solution.snapshots
     out: list[tuple[float, float]] = []
     for (t_prev, H_prev, _, _), (t_now, H_now, _, _) in zip(snaps, snaps[1:]):
         dt = t_now - t_prev
-        if forcing is not None:
-            F = forcing(t_now)
-            f1, f2 = F.comp1.values, F.comp2.values
-        else:
-            f1 = f2 = 0.0
         ht1 = (H_now.comp1.values - H_prev.comp1.values) / dt
         ht2 = (H_now.comp2.values - H_prev.comp2.values) / dt
         d1 = V.comp1.values - H_now.comp1.values

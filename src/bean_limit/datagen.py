@@ -85,25 +85,11 @@ def field_from_stream(grid: GridSpec, spec: StreamSpec) -> VectorField2:
     return from_stream(stream_field(grid, spec))
 
 
-def constant_in_time(field):
-    """Wrap a field as a time-sampled source."""
-    def sample(_t: float):
-        return field
-    return sample
-
-
-def accumulated_source(forcing, t: float, grid: GridSpec, samples: int = 64) -> ScalarField:
-    """Trapezoidal accumulation of a time-sampled scalar source over [0, t]."""
-    if forcing is None or t == 0.0:
+def accumulated_source(g: ScalarField | None, t: float, grid: GridSpec) -> ScalarField:
+    """t * g, the source a constant g accumulates over [0, t]; zeros without one."""
+    if g is None:
         return ScalarField.zeros(grid)
-    ts = np.linspace(0.0, t, samples + 1)
-    acc = np.zeros((grid.n, grid.n))
-    prev = forcing(ts[0]).values
-    for t0, t1 in zip(ts, ts[1:]):
-        cur = forcing(t1).values
-        acc += 0.5 * (t1 - t0) * (prev + cur)
-        prev = cur
-    return ScalarField(grid, acc)
+    return ScalarField(grid, t * g.values)
 
 
 def random_admissible_field(

@@ -21,7 +21,6 @@ from .datagen import (
     StreamSpec,
     accumulated_source,
     bump_field,
-    constant_in_time,
     field_from_stream,
     random_admissible_field,
 )
@@ -170,23 +169,23 @@ def outward_monotone_defect(u: ScalarField) -> float:
     return worst
 
 
-def h43_defect(f: ScalarField, g0: ScalarField | None, m: float) -> float:
-    """Worst violation of the monotone-growth hypothesis lap(psi_m(f)) + g(., 0) >= 0."""
+def h43_defect(f: ScalarField, g: ScalarField | None, m: float) -> float:
+    """Worst violation of the monotone-growth hypothesis lap(psi_m(f)) + g >= 0."""
     h = f.grid.spacing
     lhs = lap5_values(psi(f.values, PowerLaw(m)), h)
-    if g0 is not None:
-        lhs = lhs + g0.values
+    if g is not None:
+        lhs = lhs + g.values
     return float(max(0.0, -np.min(lhs)))
 
 
 def require_radial_monotone_data(
     f: ScalarField,
-    g0: ScalarField | None,
+    g: ScalarField | None,
     m: float,
     sym_tol: float = 1e-12,
     growth_tol: float = 1e-8,
 ):
-    for what, u in (("initial datum", f), ("source", g0)):
+    for what, u in (("initial datum", f), ("source", g)):
         if u is None:
             continue
         scale = max(1.0, float(np.max(np.abs(u.values))))
@@ -194,7 +193,7 @@ def require_radial_monotone_data(
             raise PreconditionFailed(f"{what} is not radially symmetric on the grid")
         if outward_monotone_defect(u) > sym_tol * scale:
             raise PreconditionFailed(f"{what} is not radially non-increasing")
-    defect = h43_defect(f, g0, m)
+    defect = h43_defect(f, g, m)
     if defect > growth_tol:
         raise PreconditionFailed(
             f"discrete growth hypothesis fails by {defect:.3e} at m={m:g}"
@@ -209,8 +208,8 @@ def _no_dumps(name: str, field: ScalarField, t: float):
 
 
 def constant_source(grid: GridSpec, make, data):
-    """make(grid, data) as a constant-in-time source, or None without data."""
-    return constant_in_time(make(grid, data)) if data is not None else None
+    """make(grid, data) as a source, constant in time, or None without data."""
+    return make(grid, data) if data is not None else None
 
 
 def pme_config(spec: ExperimentSpec, steps: int = 50) -> PmeConfig:
@@ -247,6 +246,8 @@ def sweep_p(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     H0 = field_from_stream(grid, spec.h0_stream)
     forcing = constant_source(grid, field_from_stream, spec.forcing_stream)
 
+    fl2 = 0.0 if forcing is None else math.sqrt(h * h * float(np.sum(
+        forcing.comp1.values ** 2 + forcing.comp2.values ** 2)))  # ||F||_L2
     rng = np.random.default_rng(spec.seed)
     test_fields = [
         random_admissible_field(grid, rng) for _ in range(spec.n_test_fields)
@@ -272,19 +273,13 @@ def sweep_p(spec: ExperimentSpec, sink=_no_dumps) -> Report:
         vi_abs = 0.0
         vi_bound_defect = -np.inf
         for V in test_fields:
-            series = vi_residual(sol, V, forcing)
+            series = vi_residual(sol, V)
             vi_max = max(vi_max, max(r for _, r in series))
             vi_abs = max(vi_abs, max(abs(r) for _, r in series))
-            for (t_r, r), (_, H_snap, _, _) in zip(series, sol.snapshots[1:]):
+            for (_, r), (_, H_snap, _, _) in zip(series, sol.snapshots[1:]):
                 dv1 = V.comp1.values - H_snap.comp1.values
                 dv2 = V.comp2.values - H_snap.comp2.values
                 vh = math.sqrt(h * h * float(np.sum(dv1 * dv1 + dv2 * dv2)))
-                if forcing is not None:
-                    Ft = forcing(t_r)
-                    fl2 = math.sqrt(h * h * float(np.sum(
-                        Ft.comp1.values ** 2 + Ft.comp2.values ** 2)))
-                else:
-                    fl2 = 0.0
                 vi_bound_defect = max(vi_bound_defect, r - 0.05 * fl2 * vh)
         report.add_metric("vi_max", vi_max, p)
         vi_keys.append(report.add_metric("vi_abs_max", vi_abs, p))
@@ -340,13 +335,12 @@ def sweep_m_vs_mesa(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     report = Report(name=spec.name, config=dataclasses.asdict(spec))
     grid = spec.grid
     f = bump_field(grid, spec.f)
-    g_field = bump_field(grid, spec.g) if spec.g is not None else None
-    forcing = constant_in_time(g_field) if g_field is not None else None
+    g = constant_source(grid, bump_field, spec.g)
     if float(np.max(f.values)) > 1.0 + 1e-12:
         raise PreconditionFailed("mesa sweep requires max f <= 1")
-    require_radial_monotone_data(f, g_field, min(spec.schedule))
+    require_radial_monotone_data(f, g, min(spec.schedule))
 
-    G_T = accumulated_source(forcing, spec.horizon, grid)
+    G_T = accumulated_source(g, spec.horizon, grid)
     mesa, mask, vi = mesa_profile(f, G_T, tol=spec.psor_tol)
     sink("mesa", mesa, spec.horizon)
     report.add_metric("mesa_min", float(np.min(mesa.values)))
@@ -357,7 +351,7 @@ def sweep_m_vs_mesa(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     e_keys, p_keys = [], []
     trunc_worst = 0.0
     for m in spec.schedule:
-        sol = _run_pme(spec, m, f, forcing, sink, f"u_m{m:g}")
+        sol = _run_pme(spec, m, f, g, sink, f"u_m{m:g}")
         u_final = sol.snapshots[-1][1]
         e_keys.append(report.add_metric("e", _l1_distance(u_final, mesa), m))
         p_keys.append(report.add_metric("pressure_max", max(sol.diagnostics.pressure_max), m))
@@ -468,21 +462,20 @@ def small_data_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     report = Report(name=spec.name, config=dataclasses.asdict(spec))
     grid = spec.grid
     f = bump_field(grid, spec.f)
-    g_field = bump_field(grid, spec.g) if spec.g is not None else None
-    forcing = constant_in_time(g_field) if g_field is not None else None
-    g_sup = float(np.max(g_field.values)) if g_field is not None else 0.0
+    g = constant_source(grid, bump_field, spec.g)
+    g_sup = float(np.max(g.values)) if g is not None else 0.0
     M = float(np.max(f.values)) + spec.horizon * g_sup
     report.add_metric("M", M)
     if M >= 1.0:
         raise PreconditionFailed(f"small-data check needs max f + T max g < 1, got {M:g}")
 
-    G_T = accumulated_source(forcing, spec.horizon, grid)
+    G_T = accumulated_source(g, spec.horizon, grid)
     target = ScalarField(grid, f.values + G_T.values)
     sink("target", target, spec.horizon)
 
     d_keys = []
     for m in spec.schedule:
-        sol = _run_pme(spec, m, f, forcing, sink, f"u_m{m:g}")
+        sol = _run_pme(spec, m, f, g, sink, f"u_m{m:g}")
         u_final = sol.snapshots[-1][1]
         d_keys.append(report.add_metric("d", _l1_distance(u_final, target), m))
         report.add_metric(
@@ -518,7 +511,7 @@ def equivalence_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
         grid = GridSpec(L, n)
         H0 = field_from_stream(grid, spec.h0_stream)
         forcing = constant_source(grid, field_from_stream, spec.forcing_stream)
-        pme_forcing = constant_in_time(curl_z(forcing(0.0))) if forcing else None
+        pme_forcing = curl_z(forcing) if forcing is not None else None
         problem = CurlProblem(grid=grid, p=p, H0=H0, forcing=forcing, horizon=spec.horizon)
         curl_sol = curl_solve(problem, curl_config(spec))
 
@@ -602,8 +595,7 @@ def monotonicity_check(solution: PmeSolution) -> Report:
     hypothesis, verified discretely on the supplied data first."""
     problem = solution.problem
     f = solution.snapshots[0][1]
-    g0 = problem.forcing(0.0) if problem.forcing is not None else None
-    require_radial_monotone_data(f, g0, problem.law.exponent)
+    require_radial_monotone_data(f, problem.forcing, problem.law.exponent)
 
     report = Report(
         name="monotonicity-check",

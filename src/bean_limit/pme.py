@@ -4,7 +4,7 @@ Each backward-Euler step is solved in the transformed variable
 v = psi_m(u), where the linear part is symmetric positive definite and
 the nonlinearity psi_inv is mild.  The per-cell system
 
-    psi_inv(v) - dt * lap5(v) = u_prev + dt * g(., t + dt)
+    psi_inv(v) - dt * lap5(v) = u_prev + dt * g
 
 is driven to a small max-norm residual by damped Newton; the inner
 linear solves use Jacobi-preconditioned conjugate gradients on the
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -31,10 +31,12 @@ from .fields import (
     support_margin_ok,
 )
 
-ForcingFn = Optional[Callable[[float], ScalarField]]
-
 JACOBIAN_FLOOR = 1e-12  # |v| floor inside the psi_inv derivative, caps the diagonal
 POINTWISE_MAX_ITERS = 80  # scalar Newton cap in _pointwise_exact; reaching it raises
+MAX_NEWTON_ITERS = 50  # damped Newton cap per step; reaching it raises NewtonDiverged
+MAX_HALVINGS = 20  # dt halvings per step in pme_solve before StepTooSmall
+CG_TOL = 1e-12  # relative residual target of the inner CG solves
+CG_MAX_ITERS = 20000  # inner CG iteration cap
 
 
 class NewtonDiverged(RuntimeError):
@@ -46,7 +48,7 @@ class PmeProblem:
     grid: GridSpec
     law: PowerLaw
     u0: ScalarField
-    forcing: ForcingFn
+    forcing: ScalarField | None  # the source g, constant in time
     horizon: float
 
     def __post_init__(self):
@@ -57,19 +59,10 @@ class PmeProblem:
         if not support_margin_ok(self.u0):
             raise DomainError("initial data must vanish within L/4 of the boundary")
         if self.forcing is not None:
-            for t in (0.0, 0.5 * self.horizon, self.horizon):
-                if not support_margin_ok(self.forcing(t)):
-                    raise DomainError(
-                        f"forcing at t={t:g} must vanish within L/4 of the boundary"
-                    )
-
-    def source_at(self, t: float) -> np.ndarray:
-        if self.forcing is None:
-            return np.zeros((self.grid.n, self.grid.n))
-        g = self.forcing(t)
-        if g.grid != self.grid:
-            raise ValueError("forcing grid does not match problem grid")
-        return g.values
+            if self.forcing.grid != self.grid:
+                raise ValueError("forcing grid does not match problem grid")
+            if not support_margin_ok(self.forcing):
+                raise DomainError("forcing must vanish within L/4 of the boundary")
 
 
 @dataclass(frozen=True)
@@ -77,11 +70,7 @@ class PmeConfig:
     dt_init: float
     dt_min: float = 0.0  # 0 means dt_init * 2**-30
     newton_tol: float = 1e-10
-    max_newton_iters: int = 50
-    max_halvings: int = 20
     snapshot_times: tuple[float, ...] = ()
-    cg_tol: float = 1e-12
-    cg_max_iters: int = 20000
 
     def __post_init__(self):
         if not (self.dt_init > 0):
@@ -267,7 +256,7 @@ def _step_values(
     best_linf = math.inf
     stalled = 0
 
-    for it in range(config.max_newton_iters):
+    for it in range(MAX_NEWTON_ITERS):
         linf = float(np.max(np.abs(res)))
         if linf <= config.newton_tol:
             return u, it
@@ -294,9 +283,7 @@ def _step_values(
         newton_ok = False
         diag_jac = diag_phi + dt * 4.0 / h2
         try:
-            delta_v = pcg(
-                apply_jac, -res, lambda r: r / diag_jac, config.cg_tol, config.cg_max_iters
-            )
+            delta_v = pcg(apply_jac, -res, lambda r: r / diag_jac, CG_TOL, CG_MAX_ITERS)
         except NewtonDiverged:
             delta_v = None
         if delta_v is not None:
@@ -328,8 +315,8 @@ def _step_values(
             u, v, res, merit = u_pol, v_pol, res_pol, merit_pol
 
     if float(np.max(np.abs(res))) <= config.newton_tol:
-        return u, config.max_newton_iters
-    raise NewtonDiverged(f"no convergence in {config.max_newton_iters} iterations")
+        return u, MAX_NEWTON_ITERS
+    raise NewtonDiverged(f"no convergence in {MAX_NEWTON_ITERS} iterations")
 
 
 def pme_step(
@@ -341,7 +328,6 @@ def pme_step(
 ) -> ScalarField:
     """Advance one backward-Euler step from time t to t + dt.
 
-    The source is sampled at the end-of-step time (fully implicit).
     Raises NewtonDiverged when the nonlinear solve fails and StepTooSmall
     when dt is already below the configured floor.
     """
@@ -349,10 +335,9 @@ def pme_step(
         raise ValueError("dt must be positive")
     if dt < config.dt_floor:
         raise StepTooSmall(t, dt)
-    g_end = problem.source_at(t + dt)
-    u_new, _ = _step_values(
-        u_prev.values, g_end, dt, problem.law, problem.grid.spacing, config
-    )
+    u = u_prev.values
+    g = problem.forcing.values if problem.forcing is not None else np.zeros_like(u)
+    u_new, _ = _step_values(u, g, dt, problem.law, problem.grid.spacing, config)
     return ScalarField(problem.grid, u_new)
 
 
@@ -374,6 +359,8 @@ def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
     targets, eps_t = snapshot_targets(config.snapshot_times, problem.horizon)
 
     u = problem.u0.values.copy()
+    g = problem.forcing.values if problem.forcing is not None else np.zeros_like(u)
+    g_mass = float(h2 * np.sum(g))
     t = 0.0
     dt = config.dt_init
     streak = 0
@@ -401,19 +388,18 @@ def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
             halvings = 0
             while True:
                 try:
-                    g_end = problem.source_at(t + dt_eff)
-                    u_new, iters = _step_values(u, g_end, dt_eff, law, h, config)
+                    u_new, iters = _step_values(u, g, dt_eff, law, h, config)
                     break
                 except NewtonDiverged:
                     halvings += 1
                     dt_eff *= 0.5
                     dt = min(dt, dt_eff)
                     streak = 0
-                    if halvings > config.max_halvings or dt_eff < config.dt_floor:
+                    if halvings > MAX_HALVINGS or dt_eff < config.dt_floor:
                         raise StepTooSmall(t, dt_eff)
             ut_l1 = float(h2 * np.sum(np.abs(u_new - u)) / dt_eff)
             u = u_new
-            source_mass += dt_eff * float(h2 * np.sum(g_end))
+            source_mass += dt_eff * g_mass
             t = target if target - (t + dt_eff) <= eps_t else t + dt_eff
             streak += 1
             if streak >= 3:
@@ -440,9 +426,9 @@ def mass_balance_residual(solution: PmeSolution, problem: PmeProblem) -> list[tu
     r(t) = |mass(t) - mass(0) - accumulated source| scaled by
     |mass(0)| + |accumulated source| + 1e-30; the source term in the
     scale keeps the ratio meaningful for runs started from zero data.
-    The source integral uses the scheme's own end-of-step quadrature, so
-    for interior-supported data the residual measures only the Newton
-    convergence defect.
+    The source integral sums dt * h^2 sum(g) over the accepted steps, the
+    scheme's own quadrature, so for interior-supported data the residual
+    measures only the Newton convergence defect.
     """
     d = solution.diagnostics
     m0 = d.mass[0]

@@ -426,16 +426,99 @@ output_dir = unused-under-out
     assert seen == [1.7]
 
 
-def test_reference_runs_cover_every_config_and_subcommand():
+def reference_runs():
+    """RUNS of scripts/run_reference_experiments.py and the repository root."""
     import importlib.util
-
-    from bean_limit.cli import COMMANDS
 
     root = Path(__file__).resolve().parents[1]
     script = root / "scripts" / "run_reference_experiments.py"
     module_spec = importlib.util.spec_from_file_location("run_reference_experiments", script)
     module = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(module)
-    configs = [cfg for _, cfg in module.RUNS]
+    return module.RUNS, root
+
+
+def test_reference_runs_cover_every_config_and_subcommand():
+    from bean_limit.cli import COMMANDS
+
+    runs, root = reference_runs()
+    configs = [cfg for _, cfg in runs]
     assert sorted(configs) == sorted(p.name for p in (root / "configs").glob("*.cfg"))
-    assert {command for command, _ in module.RUNS} == set(COMMANDS)
+    assert {command for command, _ in runs} == set(COMMANDS)
+
+
+def test_reference_configs_set_only_keys_their_subcommand_reads():
+    from bean_limit.cli import COMMANDS, _experiment_spec
+
+    runs, root = reference_runs()
+    checked = 0
+    for command, name in runs:
+        if COMMANDS[command][1] is None:  # solve-obstacle and mesa-profile build no spec
+            continue
+        cfg = RunConfig.parse(root / "configs" / name)
+        cfg.get("output_dir")  # `run` reads it for every subcommand
+        _experiment_spec(cfg, command)
+        cfg.check_all_read(command)
+        checked += 1
+    assert checked == 10
+
+
+SWEEP_BASE = SCALAR_BASE + "schedule = 4, 8\n"
+H0_BLOCK = "h0.width = 1.5\nh0.curl_max = 0.5\n"
+
+
+# subcommand -> (config, the keys it sets that the subcommand's driver ignores)
+IGNORED_KEYS = {
+    "sweep-p": (
+        SWEEP_BASE + H0_BLOCK + F_BLOCK + "barenblatt.t0 = 2.0\npsor.tol = 1e-6\n",
+        ["barenblatt.t0", "f.height", "f.radius", "psor.tol"],
+    ),
+    "collapse": (
+        SWEEP_BASE + "f.height = 1.2\nf.radius = 1.0\npme.dt_init = 0.01\n"
+        "snapshot_times = 0.02\nseed = 3\n",
+        ["pme.dt_init", "seed", "snapshot_times"],
+    ),
+    "sweep-m": (
+        SWEEP_BASE + F_BLOCK + H0_BLOCK + "n_test_fields = 4\ncurl.cfl_safety = 0.5\n",
+        ["curl.cfl_safety", "h0.curl_max", "h0.width", "n_test_fields"],
+    ),
+    "barenblatt-convergence": (
+        SCALAR_BASE + "exponent = 3\n" + F_BLOCK + "psor.tol = 1e-6\n",
+        ["f.height", "f.radius", "psor.tol"],
+    ),
+    "small-data": (
+        SWEEP_BASE + F_BLOCK + "grids = 24, 32\nf2.height = 0.3\nf2.radius = 1.0\n",
+        ["f2.height", "f2.radius", "grids"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", IGNORED_KEYS)
+def test_key_the_driver_ignores_is_a_config_error(tmp_path, capsys, command):
+    body, ignored = IGNORED_KEYS[command]
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, body)
+    assert run([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {command} does not use " in err
+    assert all(repr(key) in err for key in ignored)
+    assert not out.exists()
+
+
+def test_sweep_m_and_mesa_profile_compute_the_same_limit(tmp_path):
+    shared = """
+grid.L = 4.0
+grid.n = 32
+horizon = 1.0
+f.height = 0.55
+f.radius = 1.5
+g.height = 0.7
+g.radius = 1.7
+"""
+    mesa_cfg = write_cfg(tmp_path, shared, name="mesa.cfg")
+    sweep_cfg = write_cfg(tmp_path, shared + "schedule = 8, 64\npme.dt_init = 0.1\n", name="sweep.cfg")
+    assert run(["mesa-profile", "--config", str(mesa_cfg), "--out", str(tmp_path / "mesa")]) == 0
+    assert run(["sweep-m", "--config", str(sweep_cfg), "--out", str(tmp_path / "sweep")]) == 0
+    u_limit, _, _ = read_field(tmp_path / "mesa" / "u_limit_000.csv")
+    mesa, _, _ = read_field(tmp_path / "sweep" / "mesa_000.csv")
+    assert u_limit.values.tobytes() == mesa.values.tobytes()

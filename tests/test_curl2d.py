@@ -23,7 +23,6 @@ from bean_limit.datagen import (
     BumpSpec,
     StreamSpec,
     bump_field,
-    constant_in_time,
     field_from_stream,
     random_admissible_field,
 )
@@ -109,7 +108,7 @@ def test_divergence_drift_over_run():
     g = GridSpec(4.0, 48)
     H0 = default_h0(g)
     F = field_from_stream(g, StreamSpec(kind="bump", width=1.8, curl_max=2.0))
-    prob = CurlProblem(grid=g, p=6.0, H0=H0, forcing=constant_in_time(F), horizon=0.2)
+    prob = CurlProblem(grid=g, p=6.0, H0=H0, forcing=F, horizon=0.2)
     sol = curl_solve(prob, CurlConfig(snapshot_times=(0.1,)))
     assert max(sol.diagnostics.div_drift) <= 1e-10
 
@@ -136,7 +135,7 @@ def test_energy_budget_holds():
     g = GridSpec(4.0, 48)
     H0 = default_h0(g)
     F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=3.0))
-    prob = CurlProblem(grid=g, p=4.0, H0=H0, forcing=constant_in_time(F), horizon=0.3)
+    prob = CurlProblem(grid=g, p=4.0, H0=H0, forcing=F, horizon=0.3)
     sol = curl_solve(prob, CurlConfig())
     for _, lhs, bound in energy_budget(sol):
         assert lhs <= 1.05 * bound
@@ -168,11 +167,11 @@ def test_vi_residual_trivial_cases():
     prob = CurlProblem(grid=g, p=4.0, H0=H0, forcing=None, horizon=0.2)
     sol = curl_solve(prob, CurlConfig(snapshot_times=(0.1,)))
     H_final = sol.snapshots[-1][1]
-    series = vi_residual(sol, H_final, None)
+    series = vi_residual(sol, H_final)
     assert series[-1][1] == pytest.approx(0.0, abs=1e-15)
 
     V0 = VectorField2(ScalarField.zeros(g), ScalarField.zeros(g))
-    series0 = vi_residual(sol, V0, None)
+    series0 = vi_residual(sol, V0)
     # direct unwinding: r = -h^2 sum (F - H_t) . H
     h2 = g.spacing ** 2
     snaps = sol.snapshots
@@ -191,11 +190,11 @@ def test_vi_residual_rejects_inadmissible_fields():
     sol = curl_solve(prob, CurlConfig())
     V_bad = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=1.5))
     with pytest.raises(DomainError):
-        vi_residual(sol, V_bad, None)
+        vi_residual(sol, V_bad)
     x, _ = g.meshgrid()
     V_div = VectorField2(ScalarField(g, 0.01 * x), ScalarField.zeros(g))
     with pytest.raises(DomainError):
-        vi_residual(sol, V_div, None)
+        vi_residual(sol, V_div)
 
 
 def test_random_admissible_fields_are_admissible():
@@ -230,18 +229,18 @@ def stepped_reference(prob, config):
         series["dissipation_cum"].append(diss)
         series["forcing_l2_cum"].append(fl2)
 
+    F = prob.forcing
+    f_sq = float(h2 * np.sum(F.comp1.values ** 2 + F.comp2.values ** 2))
     lp = h2 * float(np.sum(np.abs(curl_z(H).values) ** prob.p))
     record(0.0, 0.0)
     snaps = [H]
     for target in targets[1:]:
         while t < target - eps_t:
             omega = curl_z(H).values
-            dt = min(dt_stability(omega, prob.p, g.spacing, config.cfl_safety),
-                     config.dt_max, target - t)
-            F = prob.forcing(t)
+            dt = min(dt_stability(omega, prob.p, g.spacing, config.cfl_safety), target - t)
             H = curl_step(H, t, dt, prob)
             diss += dt * (h2 * float(np.sum(np.abs(omega) ** prob.p)))
-            fl2 += dt * float(h2 * np.sum(F.comp1.values ** 2 + F.comp2.values ** 2))
+            fl2 += dt * f_sq
             t = target if target - (t + dt) <= eps_t else t + dt
             lp = h2 * float(np.sum(np.abs(curl_z(H).values) ** prob.p))
             record(t, dt)
@@ -253,7 +252,7 @@ def test_curl_solve_is_a_loop_of_curl_step_bit_for_bit():
     g = GridSpec(4.0, 24)
     H0 = default_h0(g, curl_max=0.9)
     F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=20.0))
-    prob = CurlProblem(grid=g, p=8.0, H0=H0, forcing=constant_in_time(F), horizon=0.05)
+    prob = CurlProblem(grid=g, p=8.0, H0=H0, forcing=F, horizon=0.05)
     config = CurlConfig(snapshot_times=(0.02,))
     sol = curl_solve(prob, config)
     snaps, series = stepped_reference(prob, config)
@@ -276,7 +275,7 @@ def test_curl_lp_measures_the_state_at_its_time():
     g = GridSpec(4.0, 24)
     F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=20.0))
     prob = CurlProblem(grid=g, p=8.0, H0=default_h0(g, curl_max=0.9),
-                       forcing=constant_in_time(F), horizon=0.05)
+                       forcing=F, horizon=0.05)
     sol = curl_solve(prob, CurlConfig(snapshot_times=(0.02,)))
     d = sol.diagnostics
     assert len(d.curl_lp) == len(d.times)
@@ -289,7 +288,7 @@ def test_curl_lp_measures_the_state_at_its_time():
 def test_curl_solve_raises_blowup_mid_run():
     g = GridSpec(4.0, 24)
     F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=400.0))
-    prob = CurlProblem(grid=g, p=3.0, H0=default_h0(g), forcing=constant_in_time(F), horizon=1.0)
+    prob = CurlProblem(grid=g, p=3.0, H0=default_h0(g), forcing=F, horizon=1.0)
     with pytest.raises(BlowUp) as info:
         curl_solve(prob, CurlConfig())
     assert 0.0 < info.value.t < 1.0
@@ -303,17 +302,15 @@ def test_curl_solve_raises_step_too_small():
     assert info.value.t == 0.0
 
 
-def test_forcing_divergence_is_checked_at_every_new_sample():
-    # divergence free at t = 0 and at the horizon, the only target, but
-    # not at the times in between that the steps sample
+def test_forcing_is_checked_when_the_problem_is_built():
     g = GridSpec(4.0, 24)
-    horizon = 0.05
-    zero = VectorField2(ScalarField.zeros(g), ScalarField.zeros(g))
     bad = VectorField2(bump_field(g, BumpSpec(height=0.1, radius=1.0)), ScalarField.zeros(g))
-    prob = CurlProblem(grid=g, p=4.0, H0=default_h0(g), horizon=horizon,
-                       forcing=lambda t: bad if 0.0 < t < horizon else zero)
     with pytest.raises(DomainError, match="not divergence free"):
-        curl_solve(prob, CurlConfig())
+        CurlProblem(grid=g, p=4.0, H0=default_h0(g), forcing=bad, horizon=0.05)
+    other = GridSpec(4.0, 32)
+    F = field_from_stream(other, StreamSpec(kind="bump", width=1.5, curl_max=0.5))
+    with pytest.raises(ValueError, match="grid"):
+        CurlProblem(grid=g, p=4.0, H0=default_h0(g), forcing=F, horizon=0.05)
 
 
 def test_both_solvers_land_on_the_same_snapshot_times():
@@ -359,7 +356,7 @@ def test_divergence_stays_at_roundoff_on_every_step(n, p, seed, force):
     H0 = random_admissible_field(g, rng)
     V = random_admissible_field(g, rng)
     F = VectorField2(ScalarField(g, force * V.comp1.values), ScalarField(g, force * V.comp2.values))
-    prob = CurlProblem(grid=g, p=p, H0=H0, forcing=constant_in_time(F), horizon=0.02)
+    prob = CurlProblem(grid=g, p=p, H0=H0, forcing=F, horizon=0.02)
     sol = curl_solve(prob, CurlConfig(snapshot_times=(0.01,)))
     assert len(sol.diagnostics.div_drift) == len(sol.diagnostics.times) >= 3
     assert all(math.isfinite(d) and d <= 1e-10 for d in sol.diagnostics.div_drift)

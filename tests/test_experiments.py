@@ -6,7 +6,6 @@ from bean_limit.datagen import (
     StreamSpec,
     accumulated_source,
     bump_field,
-    constant_in_time,
     flat_top_field,
 )
 from bean_limit.errors import PreconditionFailed
@@ -290,14 +289,14 @@ def test_monotonicity_check_pass_and_flat_top():
     g = GridSpec(4.0, 48)
     f = bump_field(g, BumpSpec(height=0.3, radius=1.4))
     gb = ScalarField(g, 0.1 * f.values)
-    prob = PmeProblem(grid=g, law=PowerLaw(8.0), u0=f, forcing=constant_in_time(gb), horizon=0.5)
+    prob = PmeProblem(grid=g, law=PowerLaw(8.0), u0=f, forcing=gb, horizon=0.5)
     sol = pme_solve(prob, PmeConfig(dt_init=0.01, snapshot_times=(0.25,)))
     rep = monotonicity_check(sol)
     assert rep.passed()
 
     ft = flat_top_field(g, BumpSpec(height=0.45, radius=1.4), cap=0.3)
     gb2 = bump_field(g, BumpSpec(height=0.1, radius=1.6))
-    prob2 = PmeProblem(grid=g, law=PowerLaw(8.0), u0=ft, forcing=constant_in_time(gb2), horizon=0.25)
+    prob2 = PmeProblem(grid=g, law=PowerLaw(8.0), u0=ft, forcing=gb2, horizon=0.25)
     sol2 = pme_solve(prob2, PmeConfig(dt_init=0.01))
     assert monotonicity_check(sol2).passed()
 
@@ -326,10 +325,10 @@ def test_barenblatt_convergence_driver():
     assert rep.metrics["l1_error@64"] < rep.metrics["l1_error@32"]
 
 
-def test_accumulated_source_trapezoid_exact_for_constant():
+def test_accumulated_source_is_t_times_g():
     g = GridSpec(4.0, 24)
     f = bump_field(g, BumpSpec(height=0.4, radius=1.5))
-    acc = accumulated_source(constant_in_time(f), 0.8, g)
-    assert np.allclose(acc.values, 0.8 * f.values, atol=1e-14)
+    acc = accumulated_source(f, 0.8, g)
+    assert np.array_equal(acc.values, 0.8 * f.values)
     zero = accumulated_source(None, 0.8, g)
     assert np.all(zero.values == 0.0)

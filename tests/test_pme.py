@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bean_limit.datagen import BumpSpec, bump_field, constant_in_time, flat_top_field
+from bean_limit.datagen import BumpSpec, bump_field, flat_top_field
+from bean_limit.errors import DomainError
 from bean_limit.fields import GridSpec, PowerLaw, ScalarField
 from bean_limit.pme import (
     NewtonDiverged,
@@ -253,7 +254,7 @@ def test_mass_balance_with_patch_source():
     src = ScalarField(g, vals)
     prob = PmeProblem(
         grid=g, law=PowerLaw(2.0), u0=ScalarField.zeros(g),
-        forcing=constant_in_time(src), horizon=0.5,
+        forcing=src, horizon=0.5,
     )
     sol = pme_solve(prob, PmeConfig(dt_init=0.02))
     d = sol.diagnostics
@@ -266,7 +267,7 @@ def test_nonnegativity_preserved():
     g = GridSpec(4.0, 48)
     f = bump_field(g, BumpSpec(height=0.8, radius=1.5))
     gb = bump_field(g, BumpSpec(height=0.2, radius=1.2))
-    prob = PmeProblem(grid=g, law=PowerLaw(6.0), u0=f, forcing=constant_in_time(gb), horizon=0.5)
+    prob = PmeProblem(grid=g, law=PowerLaw(6.0), u0=f, forcing=gb, horizon=0.5)
     sol = pme_solve(prob, PmeConfig(dt_init=0.01))
     assert min(np.min(f.values) for _, f in sol.snapshots) >= -1e-10
 
@@ -276,7 +277,7 @@ def test_sup_norm_comparison_bound():
     f = bump_field(g, BumpSpec(height=0.7, radius=1.5))
     gb = bump_field(g, BumpSpec(height=0.4, radius=1.2))
     T = 0.5
-    prob = PmeProblem(grid=g, law=PowerLaw(8.0), u0=f, forcing=constant_in_time(gb), horizon=T)
+    prob = PmeProblem(grid=g, law=PowerLaw(8.0), u0=f, forcing=gb, horizon=T)
     sol = pme_solve(prob, PmeConfig(dt_init=0.01))
     M = 0.7 + T * 0.4
     assert max(sol.diagnostics.sup_norm) <= M + 1e-6
@@ -291,7 +292,7 @@ def test_l1_contraction_and_ordering():
     h2 = g.spacing ** 2
     sols = []
     for f in (f1, f2):
-        prob = PmeProblem(grid=g, law=PowerLaw(8.0), u0=f, forcing=constant_in_time(gb), horizon=0.5)
+        prob = PmeProblem(grid=g, law=PowerLaw(8.0), u0=f, forcing=gb, horizon=0.5)
         sols.append(pme_solve(prob, PmeConfig(dt_init=0.0125, snapshot_times=(0.25,))))
     d0 = h2 * np.sum(np.abs(f1.values - f2.values))
     for (t1, u1), (t2, u2) in zip(sols[0].snapshots[1:], sols[1].snapshots[1:]):
@@ -314,7 +315,7 @@ def test_pme_invariants_on_random_bump_data(n, m, heights, radii, center):
     g = GridSpec(2.0, n)
     f1 = bump_field(g, BumpSpec(heights[0], radii[0]))
     f2 = ScalarField(g, f1.values + bump_field(g, BumpSpec(heights[1], radii[1], center)).values)
-    source = constant_in_time(bump_field(g, BumpSpec(heights[2], radii[2], center[::-1])))
+    source = bump_field(g, BumpSpec(heights[2], radii[2], center[::-1]))
     sols = []
     for f in (f1, f2):
         prob = PmeProblem(grid=g, law=PowerLaw(m), u0=f, forcing=source, horizon=0.2)
@@ -353,7 +354,7 @@ def test_zero_datum_accumulates_the_source():
     T = 0.5  # max accumulated source stays sub-critical
     prob = PmeProblem(
         grid=g, law=PowerLaw(32.0), u0=ScalarField.zeros(g),
-        forcing=constant_in_time(gb), horizon=T,
+        forcing=gb, horizon=T,
     )
     sol = pme_solve(prob, PmeConfig(dt_init=0.01))
     target = T * gb.values
@@ -386,6 +387,18 @@ def test_time_derivative_diagnostic_is_bounded():
     series = [t * v for t, v in zip(d.times, d.ut_l1)]
     assert all(np.isfinite(series))
     assert max(series) <= 100.0 * d.mass[0]
+
+
+def test_problem_checks_the_source_when_built():
+    g = GridSpec(2.0, 32)
+    near_edge = np.zeros((32, 32))
+    near_edge[2, 2] = 1.0
+    f = bump_field(g, BumpSpec(height=0.5, radius=0.8))
+    with pytest.raises(DomainError, match="forcing"):
+        PmeProblem(grid=g, law=LAW3, u0=f, forcing=ScalarField(g, near_edge), horizon=1.0)
+    other = bump_field(GridSpec(2.0, 24), BumpSpec(height=0.5, radius=0.8))
+    with pytest.raises(ValueError, match="grid"):
+        PmeProblem(grid=g, law=LAW3, u0=f, forcing=other, horizon=1.0)
 
 
 def test_problem_rejects_data_near_boundary():
