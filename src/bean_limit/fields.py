@@ -109,14 +109,33 @@ class Norms(NamedTuple):
 # -- raw-array stencils (zero ghost cells) ----------------------------------
 
 
+def neighbor_sum_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum of the four axis neighbors of a written into out; returns out.
+
+    Each cell gets 0 + left + right + below + above, the neighbors outside
+    the box skipped, so the sum is never -0.  a may be a stack of fields;
+    a and out must be C-contiguous and must not overlap.  The x-neighbors
+    run over the flattened arrays and the edge columns are then redone,
+    as in ddx_into.
+    """
+    if not (a.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("neighbor_sum_into needs C-contiguous arrays")
+    if np.may_share_memory(a, out):
+        raise ValueError("neighbor_sum_into needs an out that does not overlap a")
+    af, of = a.reshape(-1), out.reshape(-1)
+    np.add(af[:-1], 0.0, out=of[1:])
+    of[1:-1] += af[2:]
+    np.add(a[..., 1], 0.0, out=out[..., 0])
+    np.add(a[..., -2], 0.0, out=out[..., -1])
+    out[..., 1:, :] += a[..., :-1, :]
+    out[..., :-1, :] += a[..., 1:, :]
+    return out
+
+
 def neighbor_sum(a: np.ndarray) -> np.ndarray:
     """Sum of the four axis neighbors, zero ghosts outside."""
-    out = np.zeros_like(a)
-    out[:, 1:] += a[:, :-1]
-    out[:, :-1] += a[:, 1:]
-    out[1:, :] += a[:-1, :]
-    out[:-1, :] += a[1:, :]
-    return out
+    a = np.ascontiguousarray(a)
+    return neighbor_sum_into(a, np.empty_like(a))
 
 
 def lap5_values(a: np.ndarray, h: float) -> np.ndarray:

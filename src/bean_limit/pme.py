@@ -8,7 +8,7 @@ the nonlinearity psi_inv is mild.  The per-cell system
 
 is driven to a small max-norm residual by damped Newton; the inner
 linear solves use Jacobi-preconditioned conjugate gradients on the
-five-point stencil, matrix free.
+five-point stencil, matrix free, and a CG iteration allocates nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .fields import (
     ScalarField,
     lap5_values,
     neighbor_sum,
+    neighbor_sum_into,
     psi,
     snapshot_targets,
     support_margin_ok,
@@ -131,41 +132,57 @@ def pcg(
     direction and is returned, with the outer line search as safeguard.
     Raises NewtonDiverged only when the operator loses positive
     definiteness.
+
+    apply_op and apply_minv may return the same buffer on every call.  x,
+    r and p are updated in place through one scratch vector, and the best
+    iterate is kept by swapping x with a spare buffer, not by copying it.
+    Inner products are multiply-then-sum: np.dot would load BLAS.
     """
-    bnorm = float(np.sqrt(np.sum(b * b)))
+    s = np.empty_like(b)
+
+    def dot(a1, a2):
+        return float(np.multiply(a1, a2, out=s).sum())
+
+    bnorm = math.sqrt(dot(b, b))
     if bnorm == 0.0:
         return np.zeros_like(b)
     x = np.zeros_like(b)
+    spare = np.empty_like(b)
     r = b.copy()
-    z = apply_minv(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
+    p = apply_minv(r).copy()
+    rz = dot(r, p)
     target = rtol * bnorm
-    best_x = x.copy()
+    best_x = x
     best_norm = bnorm
     since_best = 0
     for _ in range(max_iters):
         ap = apply_op(p)
-        denom = float(np.sum(p * ap))
+        denom = dot(p, ap)
         if denom <= 0.0 or not math.isfinite(denom):
             raise NewtonDiverged("linear operator lost positive definiteness")
         alpha = rz / denom
-        x += alpha * p
-        r -= alpha * ap
-        rnorm = float(np.sqrt(np.sum(r * r)))
+        np.multiply(p, alpha, out=s)
+        if x is best_x:  # x += alpha p, leaving best_x intact
+            x, spare = np.add(x, s, out=spare), x
+        else:
+            x += s
+        np.multiply(ap, alpha, out=s)
+        r -= s
+        rnorm = math.sqrt(dot(r, r))
         if rnorm <= target:
             return x
         if rnorm < best_norm:
             best_norm = rnorm
-            best_x = x.copy()
+            best_x = x
             since_best = 0
         else:
             since_best += 1
             if since_best >= 50:
                 return best_x
         z = apply_minv(r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
+        rz_new = dot(r, z)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return best_x
 
@@ -224,6 +241,38 @@ def _pointwise_exact(v: np.ndarray, rhs: np.ndarray, dt: float, m: float, h2: fl
     )
 
 
+def _newton_direction(
+    res: np.ndarray, v: np.ndarray, inv_m: float, dt: float, h2: float
+) -> np.ndarray | None:
+    """Newton increment dv from (diag_phi + dt A) dv = -res by Jacobi-PCG;
+    None when CG finds the Jacobian indefinite.
+
+    The operator and the preconditioner each write into one buffer, freed
+    before the line search, where a step's memory peaks.  Both round as
+    (N - 4w)(-dt/h^2) + diag_phi w and r / diag_jac, N the neighbor sum:
+    diag_jac w - (dt/h^2) N and r * (1/diag_jac) cost fewer passes, but
+    their rounding moves the CG iteration counts of the mesa and collapse
+    runs.
+    """
+    diag_phi = inv_m * np.maximum(np.abs(v), JACOBIAN_FLOOR) ** (inv_m - 1.0)
+    diag_jac = diag_phi + dt * 4.0 / h2
+    nsum, jw, z = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+
+    def apply_jac(w: np.ndarray) -> np.ndarray:
+        neighbor_sum_into(w, nsum)
+        np.subtract(nsum, np.multiply(w, 4.0, out=jw), out=nsum)
+        np.multiply(nsum, -dt / h2, out=nsum)
+        return np.add(nsum, np.multiply(diag_phi, w, out=jw), out=jw)
+
+    def apply_minv(r: np.ndarray) -> np.ndarray:
+        return np.divide(r, diag_jac, out=z)
+
+    try:
+        return pcg(apply_jac, -res, apply_minv, CG_TOL, CG_MAX_ITERS)
+    except NewtonDiverged:
+        return None
+
+
 def _step_values(
     u_prev: np.ndarray,
     g_end: np.ndarray,
@@ -268,24 +317,11 @@ def _step_values(
             if stalled > 10:
                 raise NewtonDiverged(f"stalled at residual {linf:.3e}")
 
-        diag_phi = inv_m * np.maximum(np.abs(v), JACOBIAN_FLOOR) ** (inv_m - 1.0)
-
-        def apply_jac(w, d=diag_phi):
-            out = neighbor_sum(w)
-            out -= 4.0 * w
-            out *= -dt / h2
-            out += d * w
-            return out
-
         # Damped Newton on the sum-of-squares merit.  Sign-crossing cells
         # land exactly on the kink at u = 0 (the degeneracy makes crossings
         # expensive, and nonnegative data should stay nonnegative).
         newton_ok = False
-        diag_jac = diag_phi + dt * 4.0 / h2
-        try:
-            delta_v = pcg(apply_jac, -res, lambda r: r / diag_jac, CG_TOL, CG_MAX_ITERS)
-        except NewtonDiverged:
-            delta_v = None
+        delta_v = _newton_direction(res, v, inv_m, dt, h2)
         if delta_v is not None:
             delta_u = dt * lap5_values(delta_v, h) - res
             alpha = 1.0

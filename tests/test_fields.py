@@ -17,6 +17,8 @@ from bean_limit.fields import (
     divergence,
     from_stream,
     laplacian5,
+    neighbor_sum,
+    neighbor_sum_into,
     norms,
     psi,
     psi_inv,
@@ -174,6 +176,42 @@ def test_central_differences_bit_exact_on_stacks_and_signed_zeros():
     assert not np.any(np.signbit(dx) & (dx == 0.0))  # equal neighbors give +0
     with pytest.raises(ValueError):
         ddx_into(a[:, :, ::2], h, np.empty((2, 9, 5)))
+
+
+@pytest.mark.parametrize("n", [8, 9, 13])
+def test_neighbor_sum_bit_exact_on_stacks_and_signed_zeros(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((2, n, n))
+    a[rng.random(a.shape) < 0.3] = 0.0
+    a[rng.random(a.shape) < 0.3] = -0.0
+    a[:, :3, :3] = -0.0  # cells whose four neighbors are all -0
+    stacked = neighbor_sum_into(a, np.empty_like(a))
+    for k in range(2):
+        b = a[k]
+        expected = np.empty_like(b)
+        for j in range(n):
+            for i in range(n):
+                w = b[j, i - 1] if i > 0 else 0.0
+                e = b[j, i + 1] if i < n - 1 else 0.0
+                s = b[j - 1, i] if j > 0 else 0.0
+                nn = b[j + 1, i] if j < n - 1 else 0.0
+                expected[j, i] = (((0.0 + w) + e) + s) + nn
+        single = neighbor_sum_into(np.ascontiguousarray(b), np.empty_like(b))
+        for got in (stacked[k], single, neighbor_sum(b), neighbor_sum(np.asfortranarray(b))):
+            assert got.tobytes() == expected.tobytes()
+    assert not np.any(np.signbit(stacked) & (stacked == 0.0))  # never -0
+
+
+def test_neighbor_sum_into_rejects_aliased_or_strided_arrays():
+    a = np.random.default_rng(0).standard_normal((2, 9, 9))
+    with pytest.raises(ValueError):
+        neighbor_sum_into(a, a)
+    with pytest.raises(ValueError):
+        neighbor_sum_into(a[0], a.reshape(-1)[1:82].reshape(9, 9))  # shifted by one cell
+    with pytest.raises(ValueError):
+        neighbor_sum_into(a[:, :, ::2], np.empty((2, 9, 5)))
+    with pytest.raises(ValueError):
+        neighbor_sum_into(a[0], np.empty((9, 9), order="F"))
 
 
 def test_from_stream_trivial_cases():
