@@ -26,10 +26,12 @@ from .fields import (
     PowerLaw,
     ScalarField,
     VectorField2,
+    abs_pow,
     curl_z,
     ddx_into,
     ddy_into,
     divergence,
+    pow_into,
     psi_prime,
     snapshot_targets,
 )
@@ -131,17 +133,15 @@ class _StepKernel:
     `differentiate(H)` fills the x- and y-differences of both components;
     they give the curl that drives the next step and the divergence of H.
     `advance` evaluates one pow per step, |w|^(p-1), which serves the flux
-    and, times |w|, the dissipation sum |w|^p.  The pow skips the cells
-    with |w| <= pow_floor, where |w|^(p-1) <= 2^-1100 rounds to +0: they
-    are most of the grid early in a run, and zeros and underflows are
-    pow's slowest inputs.
+    and, times |w|, the dissipation sum |w|^p.  It is `pow_into`, which
+    skips the cells where the power rounds to +0: they are most of the
+    grid early in a run.
     """
 
     def __init__(self, grid: GridSpec, p: float):
         n = grid.n
         self.h = grid.spacing
         self.p = p
-        self.pow_floor = 2.0 ** (-1100.0 / (p - 1.0))
         self.live = np.empty((n, n), dtype=bool)
         self.dx = np.empty((2, n, n))
         self.dy = np.empty((2, n, n))
@@ -180,9 +180,7 @@ class _StepKernel:
 
     def curl_power_sum(self) -> float:
         """sum |w|^p of the last differentiated state; leaves |w|^(p-1) in flux."""
-        np.greater(self.wabs, self.pow_floor, out=self.live)
-        self.flux.fill(0.0)
-        np.power(self.wabs, self.p - 1.0, out=self.flux, where=self.live)
+        pow_into(self.wabs, self.p - 1.0, self.flux, self.live)
         np.multiply(self.flux, self.wabs, out=self.work)
         return float(self.work.sum())
 
@@ -291,7 +289,7 @@ def resistivity_coeff(omega: ScalarField, p: float) -> ScalarField:
     """Effective resistivity |w|^(p-2); localizes onto the saturated set."""
     if not (p > 2):
         raise ValueError("p must exceed 2")
-    return ScalarField(omega.grid, np.abs(omega.values) ** (p - 2.0))
+    return ScalarField(omega.grid, abs_pow(omega.values, p - 2.0))
 
 
 def vi_residual(solution: CurlSolution, V: VectorField2) -> list[tuple[float, float]]:

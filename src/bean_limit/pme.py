@@ -9,6 +9,9 @@ the nonlinearity psi_inv is mild.  The per-cell system
 is driven to a small max-norm residual by damped Newton; the inner
 linear solves use Jacobi-preconditioned conjugate gradients on the
 five-point stencil, matrix free, and a CG iteration allocates nothing.
+The powers of u go through fields.abs_pow and fields.pow_into, which
+skip the cells where the power rounds to +0; at large m those are most
+of the grid.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ from .fields import (
     GridSpec,
     PowerLaw,
     ScalarField,
+    abs_pow,
     lap5_values,
     neighbor_sum,
     neighbor_sum_into,
+    pow_into,
     psi,
     snapshot_targets,
     support_margin_ok,
@@ -218,12 +223,13 @@ def _pointwise_exact(v: np.ndarray, rhs: np.ndarray, dt: float, m: float, h2: fl
     # the root obeys s <= min(|b|, (|b|/a)^(1/m)); starting at that bound
     # keeps Newton monotone (f convex, f(s0) >= 0) and avoids overflow in
     # s^m for the huge right sides of the super-critical collapse regime
-    s = np.minimum(babs, (babs / a) ** (1.0 / m))
+    s = np.minimum(babs, abs_pow(babs / a, 1.0 / m))
     ftol = 1e-16 * (1.0 + babs)
+    sm1, live = np.empty_like(s), np.empty(s.shape, dtype=bool)
     last_step = math.inf
     for _ in range(POINTWISE_MAX_ITERS):
         # one pow per iteration: s^(m-1) serves both s^m and the slope
-        sm1 = s ** (m - 1.0)
+        pow_into(s, m - 1.0, sm1, live)
         f = s + a * (s * sm1) - babs
         if np.all(np.abs(f) <= ftol):
             return np.sign(b) * s
@@ -408,8 +414,7 @@ def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
         diag.times.append(t_now)
         diag.mass.append(float(h2 * np.sum(u_now)))
         diag.sup_norm.append(float(np.max(np.abs(u_now))))
-        vm = m / (m - 1.0) * np.abs(u_now) ** (m - 1.0)
-        diag.pressure_max.append(float(np.max(vm)))
+        diag.pressure_max.append(float(np.max(_pressure(u_now, m))))
         diag.dt.append(dt_used)
         diag.newton_iters.append(iters)
         diag.ut_l1.append(ut_l1)
@@ -450,10 +455,13 @@ def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
 # -- diagnostics -------------------------------------------------------------
 
 
+def _pressure(u: np.ndarray, m: float) -> np.ndarray:
+    return m / (m - 1.0) * abs_pow(u, m - 1.0)
+
+
 def pressure_field(u: ScalarField, law: PowerLaw) -> ScalarField:
     """Pressure variable m/(m-1) |u|^(m-1)."""
-    m = law.exponent
-    return ScalarField(u.grid, m / (m - 1.0) * np.abs(u.values) ** (m - 1.0))
+    return ScalarField(u.grid, _pressure(u.values, law.exponent))
 
 
 def mass_balance_residual(solution: PmeSolution, problem: PmeProblem) -> list[tuple[float, float]]:

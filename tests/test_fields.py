@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from bean_limit.curl2d import resistivity_coeff
 from bean_limit.fields import (
     GridSpec,
     PowerLaw,
     ScalarField,
     VectorField2,
+    abs_pow,
     boundary_ring_max,
     curl_z,
     ddx_into,
@@ -20,11 +23,13 @@ from bean_limit.fields import (
     neighbor_sum,
     neighbor_sum_into,
     norms,
+    pow_into,
     psi,
     psi_inv,
     psi_prime,
     support_margin_ok,
 )
+from bean_limit.pme import pressure_field
 
 
 def grid(n=16, L=1.0):
@@ -288,6 +293,74 @@ def test_psi_odd_and_monotone(a, b, m):
     if a < b:
         assert psi(a, law) <= psi(b, law)
     assert psi_prime(a, law) >= 0.0
+
+
+POW_EXPONENTS = [1 / 96, 1 / 3, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 31.0, 63.0, 95.0, 96.0]
+
+
+def pow_edge_cases(e):
+    """Signed zeros, subnormals, the skip floor and its neighbours, a base
+    whose power is a subnormal, NaN and inf."""
+    floor = 2.0 ** (-1100.0 / e) if e > 1 else 0.0
+    edges = [0.0, 5e-324, 2.2e-308, 1e-300, 1.0, 1e300, np.nan, np.inf,
+             floor, np.nextafter(floor, 0.0), np.nextafter(floor, 1.0), 2.0 ** (-1070.0 / e)]
+    return np.array(edges + [-x for x in edges])
+
+
+def same_bits(a, b):
+    return np.asarray(a).shape == np.asarray(b).shape and np.array_equal(
+        np.asarray(a, dtype=float).view(np.uint64), np.asarray(b, dtype=float).view(np.uint64))
+
+
+@pytest.mark.parametrize("e", POW_EXPONENTS)
+def test_abs_pow_is_bit_identical_on_edge_cases(e):
+    x = pow_edge_cases(e)
+    with np.errstate(over="ignore"):
+        expected = np.abs(x) ** e
+        assert same_bits(abs_pow(x, e), expected)
+        assert same_bits(abs_pow(x.reshape(2, -1), e), expected.reshape(2, -1))
+        out, live = np.empty_like(x), np.empty(x.shape, dtype=bool)
+        assert pow_into(np.abs(x), e, out, live) is out
+        assert same_bits(out, expected)
+        # a scalar takes numpy's scalar pow, as the formula does; the array
+        # pow rounds a few percent of these differently
+        for v in [*x, *np.random.default_rng(7).uniform(0.0, 2.0, 200)]:
+            assert same_bits(abs_pow(v, e), np.abs(np.float64(v)) ** e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=hnp.arrays(np.float64, st.integers(1, 300), elements=st.floats(width=64)),
+    e=st.sampled_from(POW_EXPONENTS),
+)
+def test_abs_pow_is_bit_identical_on_random_data(x, e):
+    with np.errstate(over="ignore"):
+        assert same_bits(abs_pow(x, e), np.abs(x) ** e)
+
+
+def test_pow_into_rejects_a_non_positive_exponent():
+    x = np.linspace(0.0, 2.0, 9)
+    for e in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            pow_into(x, e, np.empty(9), np.empty(9, dtype=bool))
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0, 8.0, 64.0, 96.0])
+def test_power_maps_match_their_formulas_bit_for_bit(m):
+    rng = np.random.default_rng(int(m * 2))
+    u = rng.standard_normal((16, 16)) * 10.0 ** rng.integers(-12, 2, (16, 16))
+    u[rng.random(u.shape) < 0.3] = 0.0
+    u[rng.random(u.shape) < 0.3] = -0.0
+    u[0, :4] = [5e-324, -5e-324, 2.0 ** (-1100.0 / m), -(2.0 ** (-1100.0 / (m - 1.0)))]
+    law, p = PowerLaw(m), m + 1.0
+    field = ScalarField(GridSpec(1.0, 16), u)
+    assert same_bits(psi(u, law), np.sign(u) * np.abs(u) ** m)
+    assert same_bits(psi_inv(u, law), np.sign(u) * np.abs(u) ** (1.0 / m))
+    assert same_bits(pressure_field(field, law).values, m / (m - 1.0) * np.abs(u) ** (m - 1.0))
+    assert same_bits(resistivity_coeff(field, p).values, np.abs(u) ** (p - 2.0))
+    for s in (0.0, -0.0, 5e-324, 0.3, -1.7):
+        assert same_bits(psi(s, law), np.sign(s) * np.abs(np.float64(s)) ** m)
+        assert same_bits(psi_inv(s, law), np.sign(s) * np.abs(np.float64(s)) ** (1.0 / m))
 
 
 def test_powerlaw_validation():

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from bean_limit.datagen import BumpSpec, bump_field, flat_top_field
 from bean_limit.errors import DomainError
-from bean_limit import pme
+from bean_limit import cli, pme
 from bean_limit.fields import GridSpec, PowerLaw, ScalarField, neighbor_sum
 from bean_limit.pme import (
     CG_MAX_ITERS,
@@ -229,6 +230,41 @@ def test_bench_barenblatt_work_count(monkeypatch):
     prob = PmeProblem(grid=g, law=LAW3, u0=u0, forcing=None, horizon=1.0)
     pme_solve(prob, PmeConfig(dt_init=0.05))
     assert (calls, iters) == (40, 1111)
+
+
+def test_bench_mesa_work_count(tmp_path, monkeypatch):
+    # the mesa-sweep bench run (sweep_m.cfg at n = 48, m = 8 and 64) does a
+    # fixed amount of pointwise and CG work; a cheaper power must not come
+    # from fewer passes or iterations
+    counts = {"pointwise": 0, "pcg": 0, "iters": 0}
+    pointwise, inner = pme._pointwise_exact, pme.pcg
+
+    def counting_pointwise(*args):
+        counts["pointwise"] += 1
+        return pointwise(*args)
+
+    def counting_pcg(apply_op, b, apply_minv, rtol, max_iters):
+        counts["pcg"] += 1
+
+        def counted_op(p):
+            counts["iters"] += 1
+            return apply_op(p)
+
+        return inner(counted_op, b, apply_minv, rtol, max_iters)
+
+    bench = {"grid.n": "48", "schedule": "8, 64", "pme.dt_init": "0.04"}
+    lines = (Path(__file__).parents[1] / "configs" / "sweep_m.cfg").read_text().splitlines()
+    for i, line in enumerate(lines):
+        key = line.split("=")[0].strip()
+        if key in bench:
+            lines[i] = f"{key} = {bench.pop(key)}"
+    assert not bench
+    cfg = tmp_path / "sweep_m.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(pme, "_pointwise_exact", counting_pointwise)
+    monkeypatch.setattr(pme, "pcg", counting_pcg)
+    assert cli.run(["sweep-m", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert counts == {"pointwise": 182, "pcg": 132, "iters": 1668}
 
 
 # -- pointwise scalar kernel ---------------------------------------------------
