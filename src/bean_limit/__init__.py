@@ -35,7 +35,6 @@ from .obstacle import (
     collapse_profile,
     mesa_profile,
     psor_solve,
-    radial_obstacle_oracle,
 )
 from .curl2d import (
     BlowUp,

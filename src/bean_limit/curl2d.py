@@ -22,17 +22,15 @@ import numpy as np
 
 from .errors import DomainError, StepTooSmall
 from .fields import (
+    DiffPlan,
     GridSpec,
     PowerLaw,
     ScalarField,
     VectorField2,
     abs_pow,
     curl_z,
-    ddx_into,
-    ddy_into,
     divergence,
     pow_into,
-    psi_prime,
     snapshot_targets,
 )
 
@@ -110,94 +108,120 @@ class CurlSolution:
             raise ValueError("snapshot times must be strictly increasing")
 
 
-def _forcing_arrays(problem: CurlProblem):
-    """(f1, f2) of the problem's forcing; (0.0, 0.0) without one."""
-    F = problem.forcing
+def _forcing_arrays(F: VectorField2 | None):
+    """(f1, f2) of a forcing; (0.0, 0.0) without one."""
     return (F.comp1.values, F.comp2.values) if F is not None else (0.0, 0.0)
 
 
-def _cfl_dt(wmax: float, law: PowerLaw, h2: float, cfl_safety: float) -> float:
-    return cfl_safety * h2 / (8.0 * psi_prime(wmax, law) + 1e-30)
+def _cfl_dt(wmax: float, m: float, h2: float, cfl_safety: float) -> float:
+    """cfl_safety * h^2 / (8 psi'_m(wmax)) on Python floats, for a finite wmax >= 0;
+    0 where the power overflows, so that the march stops with StepTooSmall."""
+    try:
+        return cfl_safety * h2 / (8.0 * (m * wmax ** (m - 1.0)) + 1e-30)
+    except OverflowError:
+        return 0.0
 
 
 def dt_stability(omega_vals: np.ndarray, p: float, h: float, cfl_safety: float = 1.0) -> float:
-    """CFL bound cfl_safety * h^2 / (8 max psi'_{p-1}(w)) for the explicit update."""
+    """CFL bound cfl_safety * h^2 / (8 max psi'_{p-1}(w)) for the explicit update;
+    0 for a max |w| whose power overflows."""
     wmax = float(np.max(np.abs(omega_vals)))
-    return _cfl_dt(wmax, PowerLaw(p - 1.0), h * h, cfl_safety)
+    return _cfl_dt(wmax, PowerLaw(p - 1.0).exponent, h * h, cfl_safety)
 
 
 class _StepKernel:
-    """The forward-Euler step on raw arrays, with every work array allocated once.
+    """The forward-Euler march of one state array H, every work array and
+    every view bound once, so that a step is ufunc calls only.
 
-    The state is one (2, n, n) array H with H[0] = h1 and H[1] = h2.
-    `differentiate(H)` fills the x- and y-differences of both components;
+    H is a (2, n, n) array with H[0] = h1 and H[1] = h2, updated in place.
+    `differentiate` fills the x- and y-differences of both components;
     they give the curl that drives the next step and the divergence of H.
-    `advance` evaluates one pow per step, |w|^(p-1), which serves the flux
-    and, times |w|, the dissipation sum |w|^p.  It is `pow_into`, which
-    skips the cells where the power rounds to +0: they are most of the
-    grid early in a run.
+    `advance` evaluates one pow per step, |w|^(p-1) by pow_into, which
+    serves the flux and, times |w|, the dissipation sum |w|^p.  `step` is
+    one whole step, and appends the new state to `diag`.
     """
 
-    def __init__(self, grid: GridSpec, p: float):
-        n = grid.n
-        self.h = grid.spacing
-        self.p = p
+    def __init__(self, grid: GridSpec, p: float, H: np.ndarray, forcing: VectorField2 | None):
+        n, h = grid.n, grid.spacing
+        self.h2 = h * h
+        self.e = p - 1.0
+        self.dt = np.array(0.0)  # a 0-d array, as in DiffPlan
+        self.H = H
+        dx, dy, self.incr = (np.empty((2, n, n)) for _ in range(3))
+        self.omega, self.wabs, self.flux, self.work = (np.empty((n, n)) for _ in range(4))
         self.live = np.empty((n, n), dtype=bool)
-        self.dx = np.empty((2, n, n))
-        self.dy = np.empty((2, n, n))
-        self.incr = np.empty((2, n, n))
-        self.omega = np.empty((n, n))
-        self.wabs = np.empty((n, n))
-        self.flux = np.empty((n, n))
-        self.work = np.empty((n, n))
+        self.dx0, self.dx1, self.dy0, self.dy1 = dx[0], dx[1], dy[0], dy[1]
+        self.incr0, self.incr1 = self.incr
+        self.diff_H = (DiffPlan(H, h, dx, -1), DiffPlan(H, h, dy, -2))
+        self.diff_flux = (DiffPlan(self.flux, h, self.incr0, -2),
+                          DiffPlan(self.flux, h, self.incr1, -1))
+        self.f1, self.f2 = _forcing_arrays(forcing)
+        self.forcing_sq = float(self.h2 * np.sum(self.f1 * self.f1 + self.f2 * self.f2))
+        self.diag = CurlDiagnostics()
+        self.dissipation = self.forcing_l2 = 0.0
 
-    def differentiate(self, H: np.ndarray) -> float:
+    def differentiate(self) -> float:
         """Differences and curl of H; returns max |curl|."""
-        ddx_into(H, self.h, self.dx)
-        ddy_into(H, self.h, self.dy)
-        np.subtract(self.dx[1], self.dy[0], out=self.omega)
-        np.abs(self.omega, out=self.wabs)
-        self.wmax = float(self.wabs.max())
+        for plan in self.diff_H:
+            plan()
+        np.subtract(self.dx1, self.dy0, self.omega)
+        np.absolute(self.omega, self.wabs)
+        self.wmax = float(np.maximum.reduce(self.wabs, None))
         return self.wmax
 
     def check_blowup(self, t: float) -> float:
-        """max |curl| of the last differentiated state; raises BlowUp past the guard."""
-        if self.wmax > BLOWUP_LIMIT:
+        """max |curl| of the last differentiated state; raises BlowUp past the
+        guard or on NaN."""
+        if not (self.wmax <= BLOWUP_LIMIT):
             raise BlowUp(t, self.wmax)
         return self.wmax
 
-    def div_max(self) -> float:
-        """max |div| of the last differentiated state."""
-        np.add(self.dx[0], self.dy[1], out=self.work)
-        np.abs(self.work, out=self.work)
-        return float(self.work.max())
-
-    def sum_sq(self, H: np.ndarray) -> float:
-        """sum of h1^2 + h2^2 over the cells."""
-        np.multiply(H, H, out=self.incr)
-        self.incr[0] += self.incr[1]
-        return float(self.incr[0].sum())
+    def record(self, t: float, dt: float) -> None:
+        """Append the diagnostics of H at t, which has just been differentiated;
+        its curl_lp is appended by the next `advance`, or by the caller."""
+        d, work = self.diag, self.work
+        np.multiply(self.H, self.H, self.incr)
+        np.add(self.incr0, self.incr1, self.incr0)
+        np.add(self.dx0, self.dy1, work)
+        np.absolute(work, work)
+        d.times.append(t)
+        d.l2_H.append(math.sqrt(self.h2 * float(np.add.reduce(self.incr0, None))))
+        d.div_drift.append(float(np.maximum.reduce(work, None)))
+        d.dt.append(dt)
+        d.dissipation_cum.append(self.dissipation)
+        d.forcing_l2_cum.append(self.forcing_l2)
 
     def curl_power_sum(self) -> float:
-        """sum |w|^p of the last differentiated state; leaves |w|^(p-1) in flux."""
-        pow_into(self.wabs, self.p - 1.0, self.flux, self.live)
-        np.multiply(self.flux, self.wabs, out=self.work)
-        return float(self.work.sum())
+        """h^2 sum |w|^p of the last differentiated state; leaves |w|^(p-1) in flux."""
+        pow_into(self.wabs, self.e, self.flux, self.live)
+        np.multiply(self.flux, self.wabs, self.work)
+        return self.h2 * float(np.add.reduce(self.work, None))
 
-    def advance(self, H: np.ndarray, f1, f2, dt: float) -> float:
-        """H += dt * (F - (d(Phi)/dy, -d(Phi)/dx)) in place, Phi = psi_{p-1}(w)
-        of the last differentiated state; returns that state's sum |w|^p.
-        f1 and f2 are arrays, or 0.0 without forcing."""
+    def advance(self, dt: float) -> float:
+        """H += dt * (F - (d(Phi)/dy, -d(Phi)/dx)), Phi = psi_{p-1}(w) of the
+        last differentiated state; returns that state's h^2 sum |w|^p."""
         lp = self.curl_power_sum()
-        phi = np.copysign(self.flux, self.omega, out=self.flux)
-        incr = self.incr
-        ddy_into(phi, self.h, incr[0])
-        ddx_into(phi, self.h, incr[1])
-        np.subtract(f1, incr[0], out=incr[0])
-        np.add(f2, incr[1], out=incr[1])
-        incr *= dt
-        H += incr
+        np.copysign(self.flux, self.omega, self.flux)
+        for plan in self.diff_flux:
+            plan()
+        np.subtract(self.f1, self.incr0, self.incr0)
+        np.add(self.f2, self.incr1, self.incr1)
+        self.dt[()] = dt
+        np.multiply(self.incr, self.dt, self.incr)
+        np.add(self.H, self.incr, self.H)
         return lp
+
+    def step(self, dt: float, t: float) -> float:
+        """Advance H by dt to time t, then differentiate, check and record the
+        new state; returns its max |curl|."""
+        lp = self.advance(dt)
+        self.diag.curl_lp.append(lp)
+        self.dissipation += dt * lp
+        self.forcing_l2 += dt * self.forcing_sq
+        self.differentiate()
+        self.check_blowup(t)
+        self.record(t, dt)
+        return self.wmax
 
 
 def curl_step(
@@ -208,72 +232,47 @@ def curl_step(
 ) -> VectorField2:
     """One forward-Euler step; the caller is responsible for dt <= dt_stability."""
     grid = problem.grid
-    kernel = _StepKernel(grid, problem.p)
     H = np.stack((state.comp1.values, state.comp2.values))
-    kernel.differentiate(H)
+    kernel = _StepKernel(grid, problem.p, H, problem.forcing)
+    kernel.differentiate()
     kernel.check_blowup(t)
-    f1, f2 = _forcing_arrays(problem)
-    kernel.advance(H, f1, f2, dt)
+    kernel.advance(dt)
     return VectorField2(ScalarField(grid, H[0]), ScalarField(grid, H[1]))
 
 
 def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
     """Adaptive explicit integration with snapshots and energy diagnostics."""
     grid = problem.grid
-    h = grid.spacing
-    h2 = h * h
-    law = problem.law
-    kernel = _StepKernel(grid, problem.p)
+    m = problem.law.exponent
     H = np.stack((problem.H0.comp1.values, problem.H0.comp2.values))
+    kernel = _StepKernel(grid, problem.p, H, problem.forcing)
 
-    if kernel.differentiate(H) > 1.0 + 1e-9 and problem.p > 8:
+    if kernel.differentiate() > 1.0 + 1e-9 and problem.p > 8:
         raise DomainError(
             "explicit stepping with p > 8 requires max |curl H0| <= 1"
         )
-
+    wmax = kernel.check_blowup(0.0)
     targets, eps_t = snapshot_targets(config.snapshot_times, problem.horizon)
-    t = 0.0
-    diag = CurlDiagnostics()
-    dissipation = 0.0
-    forcing_l2 = 0.0
-    f1, f2 = _forcing_arrays(problem)
-    forcing_sq = float(h2 * np.sum(f1 * f1 + f2 * f2))  # h^2 sum |F|^2
-
-    def record(t_now, dt_used):
-        """Append the diagnostics of H, which `kernel` has just differentiated;
-        its curl_lp is appended by the next `advance`, or after the loop."""
-        diag.times.append(t_now)
-        diag.l2_H.append(math.sqrt(h2 * kernel.sum_sq(H)))
-        diag.div_drift.append(kernel.div_max())
-        diag.dt.append(dt_used)
-        diag.dissipation_cum.append(dissipation)
-        diag.forcing_l2_cum.append(forcing_l2)
 
     def snap(t_now) -> tuple[float, VectorField2, ScalarField, ScalarField]:
         """Copy out H, which `kernel` has just differentiated, with its curl."""
         Hf = VectorField2(ScalarField(grid, H[0]), ScalarField(grid, H[1]))
         return (t_now, Hf, ScalarField(grid, kernel.omega), ScalarField(grid, kernel.wabs))
 
-    record(0.0, 0.0)
+    kernel.record(0.0, 0.0)
     snapshots = [snap(0.0)]
-
+    t = 0.0
     for target in targets:
         while t < target - eps_t:
-            wmax = kernel.check_blowup(t)
-            dt = min(_cfl_dt(wmax, law, h2, config.cfl_safety), target - t)
+            dt = min(_cfl_dt(wmax, m, kernel.h2, config.cfl_safety), target - t)
             if dt < config.dt_min:
                 raise StepTooSmall(t, dt)
-            curl_lp = h2 * kernel.advance(H, f1, f2, dt)
-            diag.curl_lp.append(curl_lp)
-            dissipation += dt * curl_lp
-            forcing_l2 += dt * forcing_sq
             t = target if target - (t + dt) <= eps_t else t + dt
-            kernel.differentiate(H)
-            record(t, dt)
+            wmax = kernel.step(dt, t)
         snapshots.append(snap(target))
-    diag.curl_lp.append(h2 * kernel.curl_power_sum())
+    kernel.diag.curl_lp.append(kernel.curl_power_sum())
 
-    return CurlSolution(problem, snapshots, diag)
+    return CurlSolution(problem, snapshots, kernel.diag)
 
 
 # -- diagnostics on solutions -----------------------------------------------
@@ -308,7 +307,7 @@ def vi_residual(solution: CurlSolution, V: VectorField2) -> list[tuple[float, fl
     if float(np.max(np.abs(divergence(V).values))) > 1e-10:
         raise DomainError("test field is not divergence free")
     h2 = grid.spacing ** 2
-    f1, f2 = _forcing_arrays(solution.problem)
+    f1, f2 = _forcing_arrays(solution.problem.forcing)
     snaps = solution.snapshots
     out: list[tuple[float, float]] = []
     for (t_prev, H_prev, _, _), (t_now, H_now, _, _) in zip(snaps, snaps[1:]):

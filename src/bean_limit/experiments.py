@@ -590,33 +590,6 @@ def l1_contraction_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     return report
 
 
-def monotonicity_check(solution: PmeSolution) -> Report:
-    """Radial and temporal monotonicity of a run under the monotone-growth
-    hypothesis, verified discretely on the supplied data first."""
-    problem = solution.problem
-    f = solution.snapshots[0][1]
-    require_radial_monotone_data(f, problem.forcing, problem.law.exponent)
-
-    report = Report(
-        name="monotonicity-check",
-        config={
-            "m": problem.law.exponent,
-            "horizon": problem.horizon,
-            "grid_n": problem.grid.n,
-            "grid_L": problem.grid.half_width,
-        },
-    )
-    radial_defect = max(outward_monotone_defect(u) for _, u in solution.snapshots)
-    time_defect = 0.0
-    for (_, u_a), (_, u_b) in zip(solution.snapshots, solution.snapshots[1:]):
-        time_defect = max(time_defect, float(np.max(u_a.values - u_b.values)))
-    report.add_metric("radial_defect_max", radial_defect)
-    report.add_metric("time_defect_max", time_defect)
-    report.add_verdict("radially_non_increasing", radial_defect <= 1e-8, ["radial_defect_max"])
-    report.add_verdict("time_monotone", time_defect <= 1e-8, ["time_defect_max"])
-    return report
-
-
 def barenblatt_convergence(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     """Exact-solution study: L1 error against the self-similar profile under
     simultaneous grid and step refinement, plus the mass-balance residual."""

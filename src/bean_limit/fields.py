@@ -116,7 +116,7 @@ def neighbor_sum_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     the box skipped, so the sum is never -0.  a may be a stack of fields;
     a and out must be C-contiguous and must not overlap.  The x-neighbors
     run over the flattened arrays and the edge columns are then redone,
-    as in ddx_into.
+    as in DiffPlan.
     """
     if not (a.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError("neighbor_sum_into needs C-contiguous arrays")
@@ -145,42 +145,59 @@ def lap5_values(a: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def ddx_into(a: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """Central x-difference of a written into out; returns out.
+class DiffPlan:
+    """Central difference of a along x (axis -1) or y (axis -2) into out,
+    with every shifted view bound once; calling the plan refills out from
+    a's current values and returns out.
 
-    x is the last axis, so a may be a stack of fields; a and out must be
-    C-contiguous.  The differences run over the flattened arrays, whose
-    shifts wrap across row ends, and the two edge columns are then
-    redone.  Adding 0.0 maps -0 to +0: a difference of equal neighbors
-    is always +0.
+    Each cell gets ((a[i+1] + 0.0) - a[i-1]) * (1/(2h)), the neighbors
+    outside the box zero.  Adding 0.0 maps -0 to +0: a difference of
+    equal neighbors is always +0.  a may be a stack of fields; a and out
+    must be C-contiguous and must not overlap.  The x-differences run over
+    the flattened arrays, whose shifts wrap across row ends, and the two
+    edge columns are then redone.  The constants are bound as 0-d arrays,
+    which a ufunc takes faster than Python floats.
     """
-    if not (a.flags.c_contiguous and out.flags.c_contiguous):
-        raise ValueError("ddx_into needs C-contiguous arrays")
-    af, of = a.reshape(-1), out.reshape(-1)
-    np.add(af[1:], 0.0, out=of[:-1])
-    of[1:-1] -= af[:-2]
-    np.add(a[..., 1], 0.0, out=out[..., 0])
-    np.subtract(0.0, a[..., -2], out=out[..., -1])
-    out *= 1.0 / (2.0 * h)
-    return out
 
+    def __init__(self, a: np.ndarray, h: float, out: np.ndarray, axis: int):
+        if not (a.flags.c_contiguous and out.flags.c_contiguous):
+            raise ValueError("central differences need C-contiguous arrays")
+        if np.may_share_memory(a, out):
+            raise ValueError("central differences need an out that does not overlap a")
+        zero = np.array(0.0)
+        if axis == -1:
+            af, of = a.reshape(-1), out.reshape(-1)
+            self.ops = [
+                (np.add, af[1:], zero, of[:-1]),
+                (np.subtract, of[1:-1], af[:-2], of[1:-1]),
+                (np.add, a[..., 1], zero, out[..., 0]),
+                (np.subtract, zero, a[..., -2], out[..., -1]),
+            ]
+        elif axis == -2:
+            self.ops = [
+                (np.add, a[..., 1:, :], zero, out[..., :-1, :]),
+                (np.subtract, out[..., 1:-1, :], a[..., :-2, :], out[..., 1:-1, :]),
+                (np.subtract, zero, a[..., -2, :], out[..., -1, :]),
+            ]
+        else:
+            raise ValueError(f"central differences run along axis -1 or -2, got {axis}")
+        self.ops.append((np.multiply, out, np.array(1.0 / (2.0 * h)), out))
+        self.out = out
 
-def ddy_into(a: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """Central y-difference of a written into out (y is the second-to-last axis)."""
-    np.add(a[..., 1:, :], 0.0, out=out[..., :-1, :])
-    out[..., -1, :] = 0.0
-    out[..., 1:, :] -= a[..., :-1, :]
-    out *= 1.0 / (2.0 * h)
-    return out
+    def __call__(self) -> np.ndarray:
+        for op, x, y, out in self.ops:
+            op(x, y, out)
+        return self.out
 
 
 def ddx_values(a: np.ndarray, h: float) -> np.ndarray:
     a = np.ascontiguousarray(a)
-    return ddx_into(a, h, np.empty_like(a))
+    return DiffPlan(a, h, np.empty_like(a), -1)()
 
 
 def ddy_values(a: np.ndarray, h: float) -> np.ndarray:
-    return ddy_into(a, h, np.empty_like(a))
+    a = np.ascontiguousarray(a)
+    return DiffPlan(a, h, np.empty_like(a), -2)()
 
 
 # -- field-level operators ---------------------------------------------------

@@ -1,0 +1,130 @@
+"""Independent reference checks that only the tests use.
+
+`radial_obstacle_oracle` solves the radial complementarity problem on a
+fine 1-d mesh, as a reference for the 2-d obstacle solver;
+`monotonicity_check` audits a radial PME run for radial and temporal
+monotonicity.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from bean_limit.experiments import Report, outward_monotone_defect, require_radial_monotone_data
+from bean_limit.obstacle import NotConverged
+from bean_limit.pme import PmeSolution
+
+
+@dataclass(frozen=True)
+class RadialProfile:
+    """Piecewise-linear radial function from the 1-d oracle."""
+
+    r: np.ndarray
+    w: np.ndarray
+
+    def __call__(self, radii) -> np.ndarray:
+        return np.interp(np.asarray(radii, dtype=float), self.r, self.w)
+
+
+def radial_obstacle_oracle(
+    q_profile,
+    r_max: float,
+    n1d: int,
+    tol: float = 1e-12,
+    max_sweeps: int | None = None,
+) -> RadialProfile:
+    """Reference solve of the radial complementarity problem.
+
+    Discretizes -(1/r)(r w')' >= q, w >= 0 with w'(0) = 0, w(r_max) = 0 on
+    a fine 1-d mesh (finite volumes in the symmetric weighted form) and
+    runs projected SOR with odd-even ordering, which vectorizes cleanly.
+    Used only to generate reference values for the 2-d solver tests.
+    """
+    if n1d < 1000:
+        raise ValueError("oracle needs n1d >= 1000 for reference quality")
+    dr = r_max / n1d
+    r = dr * np.arange(n1d + 1)
+    q = np.asarray([float(q_profile(rk)) for rk in r])
+
+    # symmetric weighted rows: volume weight dr^2/8 at the center cell,
+    # r_k * dr elsewhere; Dirichlet w = 0 at the outer node
+    r_half_up = r + 0.5 * dr
+    r_half_dn = np.maximum(r - 0.5 * dr, 0.0)
+    upper = r_half_up / dr          # coupling k -> k+1
+    lower = r_half_dn / dr          # coupling k -> k-1
+    diag = upper + lower
+    diag[0] = upper[0]
+    vol = r * dr
+    vol[0] = dr * dr / 8.0
+    b = q * vol
+
+    if max_sweeps is None:
+        max_sweeps = 50 * n1d
+    # reference-quality targets in operator units; the row scaling by the
+    # cell volume amplifies roundoff near r_max, so the 2-d targets do not
+    # transfer (the oracle's own discretization error is O(1/n1d) anyway)
+    residual_tol = 1e-8
+    omega = 2.0 / (1.0 + math.sin(math.pi / n1d))
+    w = np.zeros(n1d + 1)
+
+    idx = np.arange(n1d + 1)
+    colors = [idx[(idx % 2 == 0) & (idx < n1d)], idx[(idx % 2 == 1) & (idx < n1d)]]
+
+    def color_update(ks):
+        wc = w[ks]
+        nb = np.zeros_like(wc)
+        has_left = ks >= 1
+        nb[has_left] += lower[ks[has_left]] * w[ks[has_left] - 1]
+        nb += upper[ks] * w[ks + 1]
+        target = (nb + b[ks]) / diag[ks]
+        new = np.maximum(0.0, wc + omega * (target - wc))
+        w[ks] = new
+        return float(np.max(np.abs(new - wc)))
+
+    for sweep in range(1, max_sweeps + 1):
+        max_update = max(color_update(colors[0]), color_update(colors[1]))
+        if max_update < tol:
+            resid = diag * w - b
+            resid[:-1] -= upper[:-1] * w[1:]
+            resid[1:] -= lower[1:] * w[:-1]
+            resid = resid / vol          # back to operator units
+            inactive = w > 1e-9 * max(1.0, float(np.max(w)))
+            ok = (
+                float(np.min(resid[:-1])) >= -residual_tol
+                and float(np.max(np.abs((w * resid)[:-1]))) <= residual_tol
+                and (
+                    not inactive[:-1].any()
+                    or float(np.max(np.abs(resid[:-1][inactive[:-1]]))) <= residual_tol
+                )
+            )
+            if ok:
+                return RadialProfile(r=r, w=w)
+    raise NotConverged(f"radial oracle did not converge in {max_sweeps} sweeps")
+
+
+def monotonicity_check(solution: PmeSolution) -> Report:
+    """Radial and temporal monotonicity of a run under the monotone-growth
+    hypothesis, verified discretely on the supplied data first."""
+    problem = solution.problem
+    f = solution.snapshots[0][1]
+    require_radial_monotone_data(f, problem.forcing, problem.law.exponent)
+
+    report = Report(
+        name="monotonicity-check",
+        config={
+            "m": problem.law.exponent,
+            "horizon": problem.horizon,
+            "grid_n": problem.grid.n,
+            "grid_L": problem.grid.half_width,
+        },
+    )
+    radial_defect = max(outward_monotone_defect(u) for _, u in solution.snapshots)
+    time_defect = 0.0
+    for (_, u_a), (_, u_b) in zip(solution.snapshots, solution.snapshots[1:]):
+        time_defect = max(time_defect, float(np.max(u_a.values - u_b.values)))
+    report.add_metric("radial_defect_max", radial_defect)
+    report.add_metric("time_defect_max", time_defect)
+    report.add_verdict("radially_non_increasing", radial_defect <= 1e-8, ["radial_defect_max"])
+    report.add_verdict("time_monotone", time_defect <= 1e-8, ["time_defect_max"])
+    return report

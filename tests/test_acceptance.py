@@ -20,7 +20,9 @@ from bean_limit.experiments import (
     sweep_p,
 )
 from bean_limit.fields import GridSpec, ScalarField
-from bean_limit.obstacle import ObstacleData, psor_solve, radial_obstacle_oracle
+from bean_limit.obstacle import ObstacleData, psor_solve
+
+from oracles import radial_obstacle_oracle
 
 
 def announce(num, name, ok):

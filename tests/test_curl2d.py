@@ -1,12 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bean_limit import pme
+from bean_limit import cli, experiments, pme
 from bean_limit.curl2d import (
+    BLOWUP_LIMIT,
     BlowUp,
     CurlConfig,
     CurlProblem,
@@ -18,6 +20,8 @@ from bean_limit.curl2d import (
     energy_budget,
     resistivity_coeff,
     vi_residual,
+    _cfl_dt,
+    _StepKernel,
 )
 from bean_limit.datagen import (
     BumpSpec,
@@ -35,6 +39,7 @@ from bean_limit.fields import (
     curl_z,
     divergence,
     from_stream,
+    psi_prime,
 )
 
 
@@ -294,6 +299,42 @@ def test_curl_solve_raises_blowup_mid_run():
     assert 0.0 < info.value.t < 1.0
 
 
+def test_curl_solve_raises_blowup_on_the_final_state():
+    # the run above, stopped at the time it blew up: its last step lifts
+    # max |curl| past the guard, and there is no next step to see it
+    g = GridSpec(4.0, 24)
+    F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=400.0))
+
+    def solve(horizon):
+        prob = CurlProblem(grid=g, p=3.0, H0=default_h0(g), forcing=F, horizon=horizon)
+        return curl_solve(prob, CurlConfig())
+
+    with pytest.raises(BlowUp) as info:
+        solve(1.0)
+    t_blow = info.value.t
+    with pytest.raises(BlowUp) as info:
+        solve(t_blow)
+    assert info.value.t == t_blow
+
+
+def test_a_nan_curl_raises_blowup():
+    g = GridSpec(4.0, 16)
+    H = np.zeros((2, 16, 16))
+    H[0, 8, 8] = np.nan
+    kernel = _StepKernel(g, 4.0, H, None)
+    assert math.isnan(kernel.differentiate())
+    with pytest.raises(BlowUp):
+        kernel.check_blowup(0.0)
+
+    H0 = default_h0(g)
+    H = np.stack((H0.comp1.values, H0.comp2.values))
+    kernel = _StepKernel(g, 4.0, H, None)
+    assert kernel.differentiate() <= BLOWUP_LIMIT
+    with pytest.raises(BlowUp) as info:
+        kernel.step(math.nan, 0.5)  # a NaN dt makes every cell NaN
+    assert info.value.t == 0.5
+
+
 def test_curl_solve_raises_step_too_small():
     g = GridSpec(4.0, 24)
     prob = CurlProblem(grid=g, p=4.0, H0=default_h0(g), forcing=None, horizon=0.1)
@@ -360,3 +401,80 @@ def test_divergence_stays_at_roundoff_on_every_step(n, p, seed, force):
     sol = curl_solve(prob, CurlConfig(snapshot_times=(0.01,)))
     assert len(sol.diagnostics.div_drift) == len(sol.diagnostics.times) >= 3
     assert all(math.isfinite(d) and d <= 1e-10 for d in sol.diagnostics.div_drift)
+
+
+def test_kernel_curl_and_divergence_match_curl_z_and_divergence_bit_for_bit():
+    # the kernel differentiates through plans bound once; after each step
+    # its curl and its div_drift are those of curl_z and divergence
+    g = GridSpec(4.0, 24)
+    F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=20.0))
+    H0 = default_h0(g, curl_max=0.9)
+    H = np.stack((H0.comp1.values, H0.comp2.values))
+    H[:, :2, :] = -0.0
+    H[:, -3:, :4] = [5e-324, -5e-324, 0.0, -0.0]
+    kernel = _StepKernel(g, 8.0, H, F)
+    wmax = kernel.differentiate()
+    for k in range(6):
+        field = VectorField2(ScalarField(g, H[0]), ScalarField(g, H[1]))
+        want_w = curl_z(field).values
+        assert np.array_equal(kernel.omega.view(np.uint64), want_w.view(np.uint64)), k
+        assert wmax == np.max(np.abs(want_w))
+        kernel.record(0.0, 0.0)
+        assert kernel.diag.div_drift[-1] == np.max(np.abs(divergence(field).values))
+        dt = _cfl_dt(wmax, 7.0, g.spacing ** 2, 0.9)
+        wmax = kernel.step(dt, (k + 1) * dt)
+
+
+def test_cfl_dt_is_psi_primes_formula_bit_for_bit():
+    # _cfl_dt works on Python floats; the dt it gives is the one the old
+    # numpy-scalar psi_prime formula gave
+    rng = np.random.default_rng(5)
+    wmax = np.concatenate((
+        [0.0, 5e-324, 2.2e-308, 1e-300, 1e-8, 0.5, 1.0, np.nextafter(1.0, 2.0), BLOWUP_LIMIT],
+        rng.uniform(0.0, BLOWUP_LIMIT, 2000),
+        10.0 ** rng.uniform(-30.0, 1.0, 2000),
+    ))
+    h2 = (8.0 / 48) ** 2
+    for p in (2.5, 3.0, 4.0, 6.5, 8.0, 16.0, 32.0, 47.0, 64.0, 96.0):
+        law = PowerLaw(p - 1.0)
+        got = np.array([_cfl_dt(float(w), p - 1.0, h2, 0.9) for w in wmax])
+        want = np.array([0.9 * h2 / (8.0 * psi_prime(w, law) + 1e-30) for w in wmax])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), p
+
+
+def test_cfl_dt_is_zero_where_the_power_overflows():
+    # p is capped at 96 only by the config reader; past about p = 310 a
+    # max |curl| under the guard can overflow wmax^(p-2), and the dt is 0,
+    # as with the numpy-scalar formula, so a march stops with StepTooSmall
+    h2 = (8.0 / 48) ** 2
+    assert _cfl_dt(9.0, 399.0, h2, 0.9) == 0.0
+    assert dt_stability(np.full((4, 4), 9.0), 400.0, math.sqrt(h2), 0.9) == 0.0
+    with np.errstate(over="ignore"):
+        assert 0.9 * h2 / (8.0 * psi_prime(9.0, PowerLaw(399.0)) + 1e-30) == 0.0
+
+    # the first step lands on t = 0.1 with max |curl| near 8, and 8^398
+    # overflows
+    g = GridSpec(4.0, 24)
+    F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=80.0))
+    prob = CurlProblem(grid=g, p=400.0, H0=default_h0(g), forcing=F, horizon=0.2)
+    with pytest.raises(StepTooSmall) as info:
+        curl_solve(prob, CurlConfig(snapshot_times=(0.1,)))
+    assert info.value.t == 0.1
+
+
+def test_bench_saturation_step_count(tmp_path, monkeypatch):
+    # the saturation-sweep bench run (sweep_p.cfg as written) takes a fixed
+    # number of explicit steps at each p; a faster step must not come from
+    # fewer steps
+    steps = {}
+    inner = experiments.curl_solve
+
+    def counting_solve(problem, config):
+        sol = inner(problem, config)
+        steps[problem.p] = len(sol.diagnostics.times) - 1
+        return sol
+
+    monkeypatch.setattr(experiments, "curl_solve", counting_solve)
+    cfg = Path(__file__).parents[1] / "configs" / "sweep_p.cfg"
+    assert cli.run(["sweep-p", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert steps == {4.0: 633, 8.0: 2045, 16.0: 5036, 32.0: 11093}

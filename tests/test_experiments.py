@@ -18,7 +18,6 @@ from bean_limit.experiments import (
     equivalence_check,
     h43_defect,
     l1_contraction_check,
-    monotonicity_check,
     outward_monotone_defect,
     small_data_check,
     sweep_m_vs_mesa,
@@ -26,6 +25,8 @@ from bean_limit.experiments import (
 )
 from bean_limit.fields import GridSpec, PowerLaw, ScalarField
 from bean_limit.pme import PmeConfig, PmeProblem, pme_solve
+
+from oracles import monotonicity_check
 
 
 def test_spec_validation():

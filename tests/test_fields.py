@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from bean_limit.curl2d import resistivity_coeff
 from bean_limit.fields import (
+    DiffPlan,
     GridSpec,
     PowerLaw,
     ScalarField,
@@ -13,9 +14,7 @@ from bean_limit.fields import (
     abs_pow,
     boundary_ring_max,
     curl_z,
-    ddx_into,
     ddx_values,
-    ddy_into,
     ddy_values,
     divergence,
     from_stream,
@@ -154,33 +153,49 @@ def test_divergence_matches_bruteforce_stencil():
 
 
 def test_central_differences_bit_exact_on_stacks_and_signed_zeros():
+    # plans bound once, as the curl kernel binds them, then rerun on fresh
+    # data with +-0 and subnormals written into the same buffer
     rng = np.random.default_rng(13)
-    a = rng.standard_normal((2, 9, 9))
-    a[rng.random(a.shape) < 0.3] = 0.0
-    a[rng.random(a.shape) < 0.3] = -0.0
     h = 0.37
     scale = 1.0 / (2.0 * h)
-    dx = ddx_into(a, h, np.empty_like(a))
-    dy = ddy_into(a, h, np.empty_like(a))
-    for k in range(2):
-        b = a[k]
-        expected_x = np.empty_like(b)
-        expected_y = np.empty_like(b)
-        for j in range(9):
-            for i in range(9):
-                e = b[j, i + 1] if i < 8 else 0.0
-                w = b[j, i - 1] if i > 0 else 0.0
-                expected_x[j, i] = ((0.0 + e) - w) * scale
-                n = b[j + 1, i] if j < 8 else 0.0
-                s = b[j - 1, i] if j > 0 else 0.0
-                expected_y[j, i] = ((0.0 + n) - s) * scale
-        for got in (dx[k], ddx_values(b, h), ddx_values(np.asfortranarray(b), h)):
-            assert got.tobytes() == expected_x.tobytes()
-        for got in (dy[k], ddy_values(b, h)):
-            assert got.tobytes() == expected_y.tobytes()
-    assert not np.any(np.signbit(dx) & (dx == 0.0))  # equal neighbors give +0
-    with pytest.raises(ValueError):
-        ddx_into(a[:, :, ::2], h, np.empty((2, 9, 5)))
+    for n in (8, 9, 13):
+        a = np.empty((2, n, n))
+        dx = DiffPlan(a, h, np.empty_like(a), -1)
+        dy = DiffPlan(a, h, np.empty_like(a), -2)
+        for _ in range(3):
+            a[...] = rng.standard_normal(a.shape)
+            for value in (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-315):
+                a[rng.random(a.shape) < 0.12] = value
+            dx(), dy()
+            for k in range(2):
+                b = a[k]
+                expected_x = np.empty_like(b)
+                expected_y = np.empty_like(b)
+                for j in range(n):
+                    for i in range(n):
+                        e = b[j, i + 1] if i < n - 1 else 0.0
+                        w = b[j, i - 1] if i > 0 else 0.0
+                        expected_x[j, i] = ((0.0 + e) - w) * scale
+                        north = b[j + 1, i] if j < n - 1 else 0.0
+                        s = b[j - 1, i] if j > 0 else 0.0
+                        expected_y[j, i] = ((0.0 + north) - s) * scale
+                for got in (dx.out[k], ddx_values(b, h), ddx_values(np.asfortranarray(b), h)):
+                    assert got.tobytes() == expected_x.tobytes()
+                for got in (dy.out[k], ddy_values(b, h), ddy_values(np.asfortranarray(b), h)):
+                    assert got.tobytes() == expected_y.tobytes()
+            assert dx.out.tobytes() == ddx_values(a, h).tobytes()
+            assert dy.out.tobytes() == ddy_values(a, h).tobytes()
+            assert not np.any(np.signbit(dx.out) & (dx.out == 0.0))  # equal neighbors give +0
+
+
+def test_diff_plan_rejects_bad_arrays_and_axes():
+    a = np.zeros((2, 9, 9))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        DiffPlan(a[:, :, ::2], 1.0, np.empty((2, 9, 5)), -2)
+    with pytest.raises(ValueError, match="overlap"):
+        DiffPlan(a, 1.0, a, -1)
+    with pytest.raises(ValueError, match="axis"):
+        DiffPlan(a, 1.0, np.empty_like(a), 0)
 
 
 @pytest.mark.parametrize("n", [8, 9, 13])

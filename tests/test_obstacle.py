@@ -15,8 +15,9 @@ from bean_limit.obstacle import (
     collapse_profile,
     mesa_profile,
     psor_solve,
-    radial_obstacle_oracle,
 )
+
+from oracles import radial_obstacle_oracle
 
 
 def auto_omega(n):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bean_limit.datagen import BumpSpec, bump_field, flat_top_field
 from bean_limit.errors import DomainError
-from bean_limit import cli, pme
+from bean_limit import cli, obstacle, pme
 from bean_limit.fields import GridSpec, PowerLaw, ScalarField, neighbor_sum
 from bean_limit.pme import (
     CG_MAX_ITERS,
@@ -232,12 +232,25 @@ def test_bench_barenblatt_work_count(monkeypatch):
     assert (calls, iters) == (40, 1111)
 
 
-def test_bench_mesa_work_count(tmp_path, monkeypatch):
-    # the mesa-sweep bench run (sweep_m.cfg at n = 48, m = 8 and 64) does a
-    # fixed amount of pointwise and CG work; a cheaper power must not come
-    # from fewer passes or iterations
-    counts = {"pointwise": 0, "pcg": 0, "iters": 0}
-    pointwise, inner = pme._pointwise_exact, pme.pcg
+def bench_config(tmp_path, name, overrides):
+    """configs/<name> with the bench-scale overrides, written to tmp_path."""
+    overrides = dict(overrides)
+    lines = (Path(__file__).parents[1] / "configs" / name).read_text().splitlines()
+    for i, line in enumerate(lines):
+        key = line.split("=")[0].strip()
+        if key in overrides:
+            lines[i] = f"{key} = {overrides.pop(key)}"
+    assert not overrides
+    cfg = tmp_path / name
+    cfg.write_text("\n".join(lines) + "\n")
+    return cfg
+
+
+def count_solver_work(monkeypatch):
+    """Counts of pointwise passes, CG solves and iterations, and PSOR sweeps,
+    filled in as the solvers run."""
+    counts = {"pointwise": 0, "pcg": 0, "iters": 0, "psor_sweeps": 0}
+    pointwise, inner, psor = pme._pointwise_exact, pme.pcg, obstacle.psor_solve
 
     def counting_pointwise(*args):
         counts["pointwise"] += 1
@@ -252,19 +265,36 @@ def test_bench_mesa_work_count(tmp_path, monkeypatch):
 
         return inner(counted_op, b, apply_minv, rtol, max_iters)
 
-    bench = {"grid.n": "48", "schedule": "8, 64", "pme.dt_init": "0.04"}
-    lines = (Path(__file__).parents[1] / "configs" / "sweep_m.cfg").read_text().splitlines()
-    for i, line in enumerate(lines):
-        key = line.split("=")[0].strip()
-        if key in bench:
-            lines[i] = f"{key} = {bench.pop(key)}"
-    assert not bench
-    cfg = tmp_path / "sweep_m.cfg"
-    cfg.write_text("\n".join(lines) + "\n")
+    def counting_psor(*args, **kwargs):
+        vi = psor(*args, **kwargs)
+        counts["psor_sweeps"] += vi.iterations
+        return vi
+
     monkeypatch.setattr(pme, "_pointwise_exact", counting_pointwise)
     monkeypatch.setattr(pme, "pcg", counting_pcg)
+    monkeypatch.setattr(obstacle, "psor_solve", counting_psor)
+    return counts
+
+
+def test_bench_mesa_work_count(tmp_path, monkeypatch):
+    # the mesa-sweep bench run (sweep_m.cfg at n = 48, m = 8 and 64) does a
+    # fixed amount of pointwise, CG and PSOR work; a cheaper power must not
+    # come from fewer passes, iterations or sweeps
+    cfg = bench_config(tmp_path, "sweep_m.cfg",
+                       {"grid.n": "48", "schedule": "8, 64", "pme.dt_init": "0.04"})
+    counts = count_solver_work(monkeypatch)
     assert cli.run(["sweep-m", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert counts == {"pointwise": 182, "pcg": 132, "iters": 1668}
+    assert counts == {"pointwise": 182, "pcg": 132, "iters": 1668, "psor_sweeps": 176}
+
+
+def test_bench_collapse_work_count(tmp_path, monkeypatch):
+    # the collapse bench run (collapse.cfg at n = 32, m = 8 and 64, mass grid
+    # 96, f.height 1.15) does a fixed amount of pointwise, CG and PSOR work
+    cfg = bench_config(tmp_path, "collapse.cfg",
+                       {"grid.n": "32", "schedule": "8, 64", "grids": "96", "f.height": "1.15"})
+    counts = count_solver_work(monkeypatch)
+    assert cli.run(["collapse", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert counts == {"pointwise": 187, "pcg": 147, "iters": 2279, "psor_sweeps": 444}
 
 
 # -- pointwise scalar kernel ---------------------------------------------------
