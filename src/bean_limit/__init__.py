@@ -25,7 +25,6 @@ from .pme import (
     barenblatt_field,
     mass_balance_residual,
     pme_solve,
-    pme_step,
     pressure_field,
 )
 from .obstacle import (
@@ -42,7 +41,6 @@ from .curl2d import (
     CurlProblem,
     CurlSolution,
     curl_solve,
-    curl_step,
     current_density,
     resistivity_coeff,
     vi_residual,

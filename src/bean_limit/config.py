@@ -6,6 +6,7 @@ values are validated against the solver preconditions at parse time.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .fields import EXPONENT_CAP
@@ -17,7 +18,7 @@ class ConfigError(ValueError):
 
 def _as_int(v: str) -> int:
     f = float(v)
-    if f != int(f):
+    if not math.isfinite(f) or f != int(f):
         raise ValueError(f"{v!r} is not an integer")
     return int(f)
 
@@ -151,6 +152,11 @@ class RunConfig:
                 raise ConfigError(
                     f"{path}: line {lineno}: bad value for {key!r} ({descr}): {exc}"
                 ) from exc
+            items = parsed if isinstance(parsed, tuple) else (parsed,)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in items):
+                raise ConfigError(
+                    f"{path}: line {lineno}: value {value!r} for {key!r} ({descr}) is not finite"
+                )
             if check is not None and not check(parsed):
                 raise ConfigError(
                     f"{path}: line {lineno}: value {value!r} out of range for {key!r} ({descr})"

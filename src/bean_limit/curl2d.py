@@ -24,7 +24,6 @@ from .errors import DomainError, StepTooSmall
 from .fields import (
     DiffPlan,
     GridSpec,
-    PowerLaw,
     ScalarField,
     VectorField2,
     abs_pow,
@@ -35,6 +34,7 @@ from .fields import (
 )
 
 BLOWUP_LIMIT = 10.0
+DT_MIN = 1e-12  # a CFL step below this raises StepTooSmall
 
 
 class BlowUp(RuntimeError):
@@ -69,16 +69,11 @@ class CurlProblem:
             if float(np.max(np.abs(divergence(self.forcing).values))) > 1e-10:
                 raise DomainError("forcing is not divergence free")
 
-    @property
-    def law(self) -> PowerLaw:
-        return PowerLaw(self.p - 1.0)
-
 
 @dataclass(frozen=True)
 class CurlConfig:
     snapshot_times: tuple[float, ...] = ()
     cfl_safety: float = 0.9
-    dt_min: float = 1e-12
 
     def __post_init__(self):
         if not (0 < self.cfl_safety <= 1):
@@ -122,13 +117,6 @@ def _cfl_dt(wmax: float, m: float, h2: float, cfl_safety: float) -> float:
         return 0.0
 
 
-def dt_stability(omega_vals: np.ndarray, p: float, h: float, cfl_safety: float = 1.0) -> float:
-    """CFL bound cfl_safety * h^2 / (8 max psi'_{p-1}(w)) for the explicit update;
-    0 for a max |w| whose power overflows."""
-    wmax = float(np.max(np.abs(omega_vals)))
-    return _cfl_dt(wmax, PowerLaw(p - 1.0).exponent, h * h, cfl_safety)
-
-
 class _StepKernel:
     """The forward-Euler march of one state array H, every work array and
     every view bound once, so that a step is ufunc calls only.
@@ -136,9 +124,9 @@ class _StepKernel:
     H is a (2, n, n) array with H[0] = h1 and H[1] = h2, updated in place.
     `differentiate` fills the x- and y-differences of both components;
     they give the curl that drives the next step and the divergence of H.
-    `advance` evaluates one pow per step, |w|^(p-1) by pow_into, which
-    serves the flux and, times |w|, the dissipation sum |w|^p.  `step` is
-    one whole step, and appends the new state to `diag`.
+    `step` is one whole step, and appends the new state to `diag`; it
+    evaluates one pow, |w|^(p-1) by pow_into, which serves the flux and,
+    times |w|, the dissipation sum |w|^p.
     """
 
     def __init__(self, grid: GridSpec, p: float, H: np.ndarray, forcing: VectorField2 | None):
@@ -178,7 +166,7 @@ class _StepKernel:
 
     def record(self, t: float, dt: float) -> None:
         """Append the diagnostics of H at t, which has just been differentiated;
-        its curl_lp is appended by the next `advance`, or by the caller."""
+        its curl_lp is appended by the next `step`, or by the caller."""
         d, work = self.diag, self.work
         np.multiply(self.H, self.H, self.incr)
         np.add(self.incr0, self.incr1, self.incr0)
@@ -197,9 +185,10 @@ class _StepKernel:
         np.multiply(self.flux, self.wabs, self.work)
         return self.h2 * float(np.add.reduce(self.work, None))
 
-    def advance(self, dt: float) -> float:
+    def step(self, dt: float, t: float) -> float:
         """H += dt * (F - (d(Phi)/dy, -d(Phi)/dx)), Phi = psi_{p-1}(w) of the
-        last differentiated state; returns that state's h^2 sum |w|^p."""
+        last differentiated state, to time t; then differentiate, check and
+        record the new state.  Returns its max |curl|."""
         lp = self.curl_power_sum()
         np.copysign(self.flux, self.omega, self.flux)
         for plan in self.diff_flux:
@@ -209,12 +198,6 @@ class _StepKernel:
         self.dt[()] = dt
         np.multiply(self.incr, self.dt, self.incr)
         np.add(self.H, self.incr, self.H)
-        return lp
-
-    def step(self, dt: float, t: float) -> float:
-        """Advance H by dt to time t, then differentiate, check and record the
-        new state; returns its max |curl|."""
-        lp = self.advance(dt)
         self.diag.curl_lp.append(lp)
         self.dissipation += dt * lp
         self.forcing_l2 += dt * self.forcing_sq
@@ -224,26 +207,9 @@ class _StepKernel:
         return self.wmax
 
 
-def curl_step(
-    state: VectorField2,
-    t: float,
-    dt: float,
-    problem: CurlProblem,
-) -> VectorField2:
-    """One forward-Euler step; the caller is responsible for dt <= dt_stability."""
-    grid = problem.grid
-    H = np.stack((state.comp1.values, state.comp2.values))
-    kernel = _StepKernel(grid, problem.p, H, problem.forcing)
-    kernel.differentiate()
-    kernel.check_blowup(t)
-    kernel.advance(dt)
-    return VectorField2(ScalarField(grid, H[0]), ScalarField(grid, H[1]))
-
-
 def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
     """Adaptive explicit integration with snapshots and energy diagnostics."""
     grid = problem.grid
-    m = problem.law.exponent
     H = np.stack((problem.H0.comp1.values, problem.H0.comp2.values))
     kernel = _StepKernel(grid, problem.p, H, problem.forcing)
 
@@ -264,8 +230,8 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
     t = 0.0
     for target in targets:
         while t < target - eps_t:
-            dt = min(_cfl_dt(wmax, m, kernel.h2, config.cfl_safety), target - t)
-            if dt < config.dt_min:
+            dt = min(_cfl_dt(wmax, kernel.e, kernel.h2, config.cfl_safety), target - t)
+            if dt < DT_MIN:
                 raise StepTooSmall(t, dt)
             t = target if target - (t + dt) <= eps_t else t + dt
             wmax = kernel.step(dt, t)

@@ -92,21 +92,16 @@ def accumulated_source(g: ScalarField | None, t: float, grid: GridSpec) -> Scala
     return ScalarField(grid, t * g.values)
 
 
-def random_admissible_field(
-    grid: GridSpec,
-    rng: np.random.Generator,
-    curl_max: float = 0.9,
-    n_bumps: int = 3,
-) -> VectorField2:
-    """Random divergence-free field with max |curl| rescaled to curl_max.
+def random_admissible_field(grid: GridSpec, rng: np.random.Generator) -> VectorField2:
+    """Random divergence-free field with max |curl| rescaled to 0.9.
 
-    Built from a random combination of compact stream bumps placed well
+    Built from a random combination of three compact stream bumps placed well
     inside the domain, so admissibility is exact by construction.
     """
     L = grid.half_width
     x, y = grid.meshgrid()
     vals = np.zeros((grid.n, grid.n))
-    for _ in range(n_bumps):
+    for _ in range(3):
         cx, cy = rng.uniform(-0.4 * L, 0.4 * L, size=2)
         width = rng.uniform(0.25 * L, 0.5 * L)
         amp = rng.uniform(-1.0, 1.0)
@@ -117,5 +112,5 @@ def random_admissible_field(
     peak = float(np.max(np.abs(curl_z(H).values)))
     if peak == 0.0:
         return H
-    scale = curl_max / peak
+    scale = 0.9 / peak
     return from_stream(ScalarField(grid, vals * scale))

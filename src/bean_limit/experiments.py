@@ -178,23 +178,20 @@ def h43_defect(f: ScalarField, g: ScalarField | None, m: float) -> float:
     return float(max(0.0, -np.min(lhs)))
 
 
-def require_radial_monotone_data(
-    f: ScalarField,
-    g: ScalarField | None,
-    m: float,
-    sym_tol: float = 1e-12,
-    growth_tol: float = 1e-8,
-):
+def require_radial_monotone_data(f: ScalarField, g: ScalarField | None, m: float):
+    """Raise PreconditionFailed unless f and g are square-symmetric and
+    radially non-increasing to 1e-12 relative, and the growth hypothesis
+    holds at m to 1e-8."""
     for what, u in (("initial datum", f), ("source", g)):
         if u is None:
             continue
         scale = max(1.0, float(np.max(np.abs(u.values))))
-        if d4_symmetry_defect(u) > sym_tol * scale:
+        if d4_symmetry_defect(u) > 1e-12 * scale:
             raise PreconditionFailed(f"{what} is not radially symmetric on the grid")
-        if outward_monotone_defect(u) > sym_tol * scale:
+        if outward_monotone_defect(u) > 1e-12 * scale:
             raise PreconditionFailed(f"{what} is not radially non-increasing")
     defect = h43_defect(f, g, m)
-    if defect > growth_tol:
+    if defect > 1e-8:
         raise PreconditionFailed(
             f"discrete growth hypothesis fails by {defect:.3e} at m={m:g}"
         )
@@ -357,7 +354,7 @@ def sweep_m_vs_mesa(spec: ExperimentSpec, sink=_no_dumps) -> Report:
         p_keys.append(report.add_metric("pressure_max", max(sol.diagnostics.pressure_max), m))
         report.add_metric("sup_u", max(sol.diagnostics.sup_norm), m)
         report.add_metric(
-            "mass_residual_max", max(r for _, r in mass_balance_residual(sol, sol.problem)), m
+            "mass_residual_max", max(r for _, r in mass_balance_residual(sol)), m
         )
         trunc_worst = max(trunc_worst, boundary_ring_max(u_final))
     report.add_metric("boundary_max", trunc_worst)
@@ -405,7 +402,7 @@ def collapse_experiment(spec: ExperimentSpec, sink=_no_dumps) -> Report:
 
     # the projection loses O(h) mass across the discrete free boundary, so
     # the conservation verdict is measured on the finest configured grid
-    mass_n = max(spec.grids) if spec.grids else grid.n
+    mass_n = max((grid.n, *spec.grids))
     if mass_n != grid.n:
         fine_grid = GridSpec(grid.half_width, mass_n)
         f_fine = bump_field(fine_grid, spec.f)
@@ -616,7 +613,7 @@ def barenblatt_convergence(spec: ExperimentSpec, sink=_no_dumps) -> Report:
         mass_keys.append(
             report.add_metric(
                 "mass_residual_max",
-                max(r for _, r in mass_balance_residual(sol, problem)),
+                max(r for _, r in mass_balance_residual(sol)),
                 n,
             )
         )

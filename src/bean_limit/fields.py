@@ -324,13 +324,13 @@ def boundary_ring_max(u: ScalarField) -> float:
     return float(max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max()))
 
 
-def support_margin_ok(u: ScalarField, fraction: float = 0.25, tol: float = 1e-12) -> bool:
-    """True when u vanishes within `fraction * L` of the boundary."""
+def support_margin_ok(u: ScalarField) -> bool:
+    """True when u vanishes, to 1e-12 relative, within L/4 of the boundary."""
     grid = u.grid
     c = np.abs(grid.cell_centers())
-    limit = (1.0 - fraction) * grid.half_width
+    limit = 0.75 * grid.half_width
     outside = (c[None, :] > limit) | (c[:, None] > limit)
     if not outside.any():
         return True
     scale = max(1.0, float(np.max(np.abs(u.values))))
-    return float(np.max(np.abs(u.values[outside]))) <= tol * scale
+    return float(np.max(np.abs(u.values[outside]))) <= 1e-12 * scale

@@ -185,9 +185,7 @@ def mesa_profile(
 
 
 def collapse_profile(
-    f: ScalarField,
-    relaxation: float | None = None,
-    tol: float = 1e-12,
+    f: ScalarField, tol: float = 1e-12
 ) -> tuple[ScalarField, np.ndarray, ViSolution]:
     """Instantaneous-collapse projection of possibly super-critical data.
 
@@ -197,4 +195,4 @@ def collapse_profile(
     it with the noncoincidence mask and the obstacle solution.
     """
     _check_nonnegative(f, "f")
-    return _limit_profile(f.values, f.grid, relaxation, tol)
+    return _limit_profile(f.values, f.grid, None, tol)

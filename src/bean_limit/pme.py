@@ -41,6 +41,7 @@ JACOBIAN_FLOOR = 1e-12  # |v| floor inside the psi_inv derivative, caps the diag
 POINTWISE_MAX_ITERS = 80  # scalar Newton cap in _pointwise_exact; reaching it raises
 MAX_NEWTON_ITERS = 50  # damped Newton cap per step; reaching it raises NewtonDiverged
 MAX_HALVINGS = 20  # dt halvings per step in pme_solve before StepTooSmall
+DT_FLOOR = 2.0 ** -30  # a halved dt below DT_FLOOR * dt_init raises StepTooSmall
 CG_TOL = 1e-12  # relative residual target of the inner CG solves
 CG_MAX_ITERS = 20000  # inner CG iteration cap
 
@@ -74,21 +75,14 @@ class PmeProblem:
 @dataclass(frozen=True)
 class PmeConfig:
     dt_init: float
-    dt_min: float = 0.0  # 0 means dt_init * 2**-30
     newton_tol: float = 1e-10
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not (self.dt_init > 0):
             raise ValueError("dt_init must be positive")
-        if self.dt_min < 0 or self.dt_min > self.dt_init:
-            raise DomainError("need 0 <= dt_min <= dt_init")
         if not (self.newton_tol > 0):
             raise ValueError("newton_tol must be positive")
-
-    @property
-    def dt_floor(self) -> float:
-        return self.dt_min if self.dt_min > 0 else self.dt_init * 2.0 ** -30
 
 
 @dataclass
@@ -361,28 +355,6 @@ def _step_values(
     raise NewtonDiverged(f"no convergence in {MAX_NEWTON_ITERS} iterations")
 
 
-def pme_step(
-    u_prev: ScalarField,
-    t: float,
-    dt: float,
-    problem: PmeProblem,
-    config: PmeConfig,
-) -> ScalarField:
-    """Advance one backward-Euler step from time t to t + dt.
-
-    Raises NewtonDiverged when the nonlinear solve fails and StepTooSmall
-    when dt is already below the configured floor.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if dt < config.dt_floor:
-        raise StepTooSmall(t, dt)
-    u = u_prev.values
-    g = problem.forcing.values if problem.forcing is not None else np.zeros_like(u)
-    u_new, _ = _step_values(u, g, dt, problem.law, problem.grid.spacing, config)
-    return ScalarField(problem.grid, u_new)
-
-
 # -- adaptive driver ---------------------------------------------------------
 
 
@@ -391,7 +363,8 @@ def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
 
     dt halves on Newton failure, grows by 1.2x after three consecutive
     accepted steps (never beyond dt_init), and is clipped to land exactly
-    on every requested snapshot time.
+    on every requested snapshot time.  A step that still fails after
+    MAX_HALVINGS halvings, or below DT_FLOOR * dt_init, raises StepTooSmall.
     """
     grid = problem.grid
     law = problem.law
@@ -436,7 +409,7 @@ def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
                     dt_eff *= 0.5
                     dt = min(dt, dt_eff)
                     streak = 0
-                    if halvings > MAX_HALVINGS or dt_eff < config.dt_floor:
+                    if halvings > MAX_HALVINGS or dt_eff < config.dt_init * DT_FLOOR:
                         raise StepTooSmall(t, dt_eff)
             ut_l1 = float(h2 * np.sum(np.abs(u_new - u)) / dt_eff)
             u = u_new
@@ -464,7 +437,7 @@ def pressure_field(u: ScalarField, law: PowerLaw) -> ScalarField:
     return ScalarField(u.grid, _pressure(u.values, law.exponent))
 
 
-def mass_balance_residual(solution: PmeSolution, problem: PmeProblem) -> list[tuple[float, float]]:
+def mass_balance_residual(solution: PmeSolution) -> list[tuple[float, float]]:
     """Relative conservation defect per accepted step.
 
     r(t) = |mass(t) - mass(0) - accumulated source| scaled by
@@ -485,11 +458,11 @@ def mass_balance_residual(solution: PmeSolution, problem: PmeProblem) -> list[tu
 # -- exact self-similar solution --------------------------------------------
 
 
-def _shape_integral(m: float, n_dim: int, rel_tol: float = 1e-12) -> float:
+def _shape_integral(m: float, n_dim: int) -> float:
     """integral_0^1 (1 - y^2)^(1/(m-1)) y^(n-1) dy by level-doubling quadrature.
 
     Tanh-sinh nodes handle the algebraic endpoint singularity at y = 1;
-    levels double until two successive estimates agree to rel_tol.
+    levels double until two successive estimates agree to rel 1e-12.
     """
     a_exp = 1.0 / (m - 1.0)
 
@@ -508,7 +481,7 @@ def _shape_integral(m: float, n_dim: int, rel_tol: float = 1e-12) -> float:
         w = 0.25 * np.pi * hstep * np.cosh(u) / np.cosh(0.5 * np.pi * su) ** 2
         ok = (y > 0.0) & (y < 1.0)
         est = float(np.sum(f(y[ok]) * w[ok]))
-        if last is not None and abs(est - last) <= rel_tol * abs(est):
+        if last is not None and abs(est - last) <= 1e-12 * abs(est):
             return est
         last = est
     return last

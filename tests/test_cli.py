@@ -73,6 +73,39 @@ f2.radius = 1.0
     assert "config error" in err and "'exponent'" in err
 
 
+def test_benchmark_tracer_wraps_the_solver_layers(tmp_path):
+    # perfbench/tracer.py replaces solver functions by module and name; a
+    # rename leaves its spans empty.  A traced run must still record work in
+    # each layer and write the report an untraced run writes.
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    configs = {
+        "solve-pme": "grid.L = 4.0\ngrid.n = 24\nexponent = 3.0\nhorizon = 0.05\n"
+                     "f.height = 0.5\nf.radius = 1.0\n",
+        "sweep-p": "grid.L = 4.0\ngrid.n = 24\nschedule = 4, 8\nhorizon = 0.05\n"
+                   "snapshot_times = 0.025\nh0.width = 2.0\nh0.curl_max = 0.8\n"
+                   "n_test_fields = 4\nseed = 0\n",
+    }
+    work = {"pme.pcg": "iters", "pme.pointwise": "cells", "pme.step": "newton_iters",
+            "curl2d.curl_solve": "steps"}
+    done = dict.fromkeys(work, 0)
+    for command, text in configs.items():
+        path = write_cfg(tmp_path, text, name=f"{command}.cfg")
+        spans, traced, plain = (tmp_path / f"{command}-{k}" for k in ("spans", "traced", "plain"))
+        proc = subprocess.run(
+            [sys.executable, str(child), "run", "--trace", str(spans), "--",
+             command, "--config", str(path), "--out", str(traced)],
+            capture_output=True, text=True, env={**os.environ, "OMP_NUM_THREADS": "1"},
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for rec in json.loads(spans.read_text())["spans"]:
+            if rec["name"] in work:
+                done[rec["name"]] += rec.get(work[rec["name"]], 0)
+        assert run([command, "--config", str(path), "--out", str(plain)]) == 0
+        assert (traced / "report.json").read_bytes() == (plain / "report.json").read_bytes()
+    assert all(done.values()), done
+
+
 def test_quick_demo_script_runs(tmp_path):
     demo = Path(__file__).resolve().parents[1] / "scripts" / "quick_demo.py"
     proc = subprocess.run(
@@ -93,6 +126,28 @@ def test_duplicate_and_malformed_keys(tmp_path):
         RunConfig.parse(write_cfg(tmp_path, "grid.n 64\n", name="b.cfg"))
     with pytest.raises(ConfigError, match="out of range"):
         RunConfig.parse(write_cfg(tmp_path, "grid.n = 4\n", name="c.cfg"))
+
+
+@pytest.mark.parametrize("line", [
+    "horizon = inf",
+    "pme.dt_init = inf",
+    "grid.L = inf",
+    "f.height = nan",
+    "grid.n = 1e400",
+    "seed = inf",
+    "snapshot_times = 0.01, nan",
+])
+def test_non_finite_value_is_a_config_error(tmp_path, capsys, line):
+    entries = {"grid.L": "4.0", "grid.n": "24", "exponent": "3.0", "horizon": "0.05",
+               "f.height": "0.5", "f.radius": "1.0"}
+    key, value = (part.strip() for part in line.split("="))
+    entries[key] = value
+    path = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in entries.items()))
+    out = tmp_path / "out"
+    assert run(["solve-pme", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {list(entries).index(key) + 1}: " in err and repr(key) in err
+    assert not (out / "report.json").exists()
 
 
 def test_comments_and_values(tmp_path):

@@ -14,9 +14,7 @@ from bean_limit.curl2d import (
     CurlProblem,
     StepTooSmall,
     curl_solve,
-    curl_step,
     current_density,
-    dt_stability,
     energy_budget,
     resistivity_coeff,
     vi_residual,
@@ -36,7 +34,10 @@ from bean_limit.fields import (
     PowerLaw,
     ScalarField,
     VectorField2,
+    abs_pow,
     curl_z,
+    ddx_values,
+    ddy_values,
     divergence,
     from_stream,
     psi_prime,
@@ -45,6 +46,19 @@ from bean_limit.fields import (
 
 def default_h0(g, curl_max=0.8):
     return field_from_stream(g, StreamSpec(kind="bump", width=0.5 * g.half_width, curl_max=curl_max))
+
+
+def cfl_dt(H, p, cfl_safety):
+    """cfl_safety * h^2 / (8 max psi'_{p-1}(w)), the explicit step bound at H."""
+    wmax = float(np.max(np.abs(curl_z(H).values)))
+    return cfl_safety * H.grid.spacing ** 2 / (8.0 * psi_prime(wmax, PowerLaw(p - 1.0)) + 1e-30)
+
+
+def one_step(prob):
+    """The state after curl_solve's single step to the problem's horizon."""
+    sol = curl_solve(prob, CurlConfig())
+    assert sol.diagnostics.dt == [0.0, prob.horizon]
+    return sol.snapshots[-1][1]
 
 
 def test_zero_data_static():
@@ -80,16 +94,16 @@ def test_blowup_guard():
     g = GridSpec(4.0, 32)
     H0 = default_h0(g, curl_max=11.0)
     prob = CurlProblem(grid=g, p=3.0, H0=H0, forcing=None, horizon=0.1)
-    with pytest.raises(BlowUp):
-        curl_step(H0, 0.0, 1e-9, prob)
+    with pytest.raises(BlowUp) as info:
+        curl_solve(prob, CurlConfig())
+    assert info.value.t == 0.0
 
 
 def test_single_step_divergence_exact():
     g = GridSpec(4.0, 48)
     H0 = default_h0(g)
-    prob = CurlProblem(grid=g, p=4.0, H0=H0, forcing=None, horizon=0.1)
-    dt = 0.5 * dt_stability(curl_z(H0).values, 4.0, g.spacing)
-    H1 = curl_step(H0, 0.0, dt, prob)
+    dt = 0.5 * cfl_dt(H0, 4.0, 1.0)
+    H1 = one_step(CurlProblem(grid=g, p=4.0, H0=H0, forcing=None, horizon=dt))
     assert np.max(np.abs(divergence(H1).values)) <= 1e-12
 
 
@@ -97,10 +111,9 @@ def test_energy_identity_per_step():
     g = GridSpec(4.0, 48)
     H0 = default_h0(g)
     p = 4.0
-    prob = CurlProblem(grid=g, p=p, H0=H0, forcing=None, horizon=0.1)
     omega = curl_z(H0).values
-    dt = 0.25 * dt_stability(omega, p, g.spacing)
-    H1 = curl_step(H0, 0.0, dt, prob)
+    dt = 0.25 * cfl_dt(H0, p, 1.0)
+    H1 = one_step(CurlProblem(grid=g, p=p, H0=H0, forcing=None, horizon=dt))
     h2 = g.spacing ** 2
     e0 = h2 * np.sum(H0.comp1.values ** 2 + H0.comp2.values ** 2)
     e1 = h2 * np.sum(H1.comp1.values ** 2 + H1.comp2.values ** 2)
@@ -211,11 +224,24 @@ def test_random_admissible_fields_are_admissible():
         assert np.max(np.abs(divergence(V).values)) <= 1e-10
 
 
-# -- one step kernel: curl_solve against a loop of curl_step -------------------
+# -- one step kernel: curl_solve against a stepped reference ---------------------
+
+
+def reference_step(H, dt, prob):
+    """H + (F - (d(Phi)/dy, -d(Phi)/dx)) dt, Phi = psi_{p-1}(curl_z(H)), in the
+    order of operations of curl2d._StepKernel.step; F = 0 without forcing."""
+    h = H.grid.spacing
+    omega = curl_z(H).values
+    phi = np.copysign(abs_pow(omega, prob.p - 1.0), omega)
+    F = prob.forcing
+    f1, f2 = (F.comp1.values, F.comp2.values) if F is not None else (0.0, 0.0)
+    h1 = H.comp1.values + (f1 - ddy_values(phi, h)) * dt
+    h2 = H.comp2.values + (f2 + ddx_values(phi, h)) * dt
+    return VectorField2(ScalarField(H.grid, h1), ScalarField(H.grid, h2))
 
 
 def stepped_reference(prob, config):
-    """curl_solve's time loop written with the public single-step API."""
+    """curl_solve's time loop written with field operations and reference_step."""
     g = prob.grid
     h2 = g.spacing ** 2
     eps_t = 1e-12 * max(1.0, prob.horizon)
@@ -242,8 +268,8 @@ def stepped_reference(prob, config):
     for target in targets[1:]:
         while t < target - eps_t:
             omega = curl_z(H).values
-            dt = min(dt_stability(omega, prob.p, g.spacing, config.cfl_safety), target - t)
-            H = curl_step(H, t, dt, prob)
+            dt = min(cfl_dt(H, prob.p, config.cfl_safety), target - t)
+            H = reference_step(H, dt, prob)
             diss += dt * (h2 * float(np.sum(np.abs(omega) ** prob.p)))
             fl2 += dt * f_sq
             t = target if target - (t + dt) <= eps_t else t + dt
@@ -253,7 +279,7 @@ def stepped_reference(prob, config):
     return snaps, series
 
 
-def test_curl_solve_is_a_loop_of_curl_step_bit_for_bit():
+def test_curl_solve_matches_the_stepped_reference_bit_for_bit():
     g = GridSpec(4.0, 24)
     H0 = default_h0(g, curl_max=0.9)
     F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=20.0))
@@ -333,14 +359,6 @@ def test_a_nan_curl_raises_blowup():
     with pytest.raises(BlowUp) as info:
         kernel.step(math.nan, 0.5)  # a NaN dt makes every cell NaN
     assert info.value.t == 0.5
-
-
-def test_curl_solve_raises_step_too_small():
-    g = GridSpec(4.0, 24)
-    prob = CurlProblem(grid=g, p=4.0, H0=default_h0(g), forcing=None, horizon=0.1)
-    with pytest.raises(StepTooSmall) as info:
-        curl_solve(prob, CurlConfig(dt_min=0.05))
-    assert info.value.t == 0.0
 
 
 def test_forcing_is_checked_when_the_problem_is_built():
@@ -448,7 +466,6 @@ def test_cfl_dt_is_zero_where_the_power_overflows():
     # as with the numpy-scalar formula, so a march stops with StepTooSmall
     h2 = (8.0 / 48) ** 2
     assert _cfl_dt(9.0, 399.0, h2, 0.9) == 0.0
-    assert dt_stability(np.full((4, 4), 9.0), 400.0, math.sqrt(h2), 0.9) == 0.0
     with np.errstate(over="ignore"):
         assert 0.9 * h2 / (8.0 * psi_prime(9.0, PowerLaw(399.0)) + 1e-30) == 0.0
 

@@ -133,19 +133,24 @@ def test_sweep_m_rejects_supercritical_f():
 
 
 def test_collapse_experiment_smoke():
-    spec = ExperimentSpec(
-        name="tiny-collapse",
-        grid=GridSpec(2.0, 48),
-        schedule=(8.0, 16.0),
-        horizon=1.0,
-        f=BumpSpec(height=1.5, radius=1.4),
-        g=BumpSpec(height=0.3, radius=1.2),
-    )
-    rep = collapse_experiment(spec)
-    assert rep.verdict("d_forced_decreasing")
-    assert rep.verdict("d_free_decreasing")
-    assert rep.verdict("plateau_at_one")
-    assert rep.metrics["mass_rel_defect"] < 0.05
+    # a grids list coarser than grid.n leaves the mass check on grid.n
+    for grids in ((), (32,)):
+        spec = ExperimentSpec(
+            name="tiny-collapse",
+            grid=GridSpec(2.0, 48),
+            schedule=(8.0, 16.0),
+            horizon=1.0,
+            f=BumpSpec(height=1.5, radius=1.4),
+            g=BumpSpec(height=0.3, radius=1.2),
+            grids=grids,
+        )
+        rep = collapse_experiment(spec)
+        assert rep.verdict("d_forced_decreasing")
+        assert rep.verdict("d_free_decreasing")
+        assert rep.verdict("plateau_at_one")
+        assert rep.metrics["mass_rel_defect"] < 0.05
+        assert rep.metrics["mass_check_n"] == 48
+        assert rep.metrics["mass_rel_defect_fine"] == rep.metrics["mass_rel_defect"]
 
 
 def test_collapse_rejects_subcritical_f():

@@ -13,6 +13,7 @@ from bean_limit.fields import GridSpec, PowerLaw, ScalarField, neighbor_sum
 from bean_limit.pme import (
     CG_MAX_ITERS,
     CG_TOL,
+    MAX_HALVINGS,
     NewtonDiverged,
     PmeConfig,
     PmeProblem,
@@ -24,7 +25,6 @@ from bean_limit.pme import (
     mass_balance_residual,
     pcg,
     pme_solve,
-    pme_step,
     pressure_field,
 )
 
@@ -370,11 +370,17 @@ def zero_problem(g, law=LAW3, horizon=1.0):
     return PmeProblem(grid=g, law=law, u0=ScalarField.zeros(g), forcing=None, horizon=horizon)
 
 
+def one_step(u0, dt, law=LAW3):
+    """The state after one backward-Euler step of dt: pme_solve with horizon dt."""
+    prob = PmeProblem(grid=u0.grid, law=law, u0=u0, forcing=None, horizon=dt)
+    sol = pme_solve(prob, PmeConfig(dt_init=dt))
+    assert sol.diagnostics.dt == [0.0, dt]  # one step, no halving
+    return sol.snapshots[-1][1]
+
+
 def test_zero_is_a_fixed_point():
     g = GridSpec(2.0, 32)
-    prob = zero_problem(g)
-    cfg = PmeConfig(dt_init=0.1)
-    u1 = pme_step(ScalarField.zeros(g), 0.0, 0.1, prob, cfg)
+    u1 = one_step(ScalarField.zeros(g), 0.1)
     assert np.all(u1.values == 0.0)
 
 
@@ -383,13 +389,10 @@ def test_constant_plateau_unchanged_in_one_step():
     # sqrt(dt * psi'), so "unchanged" needs cells several depths inside
     g = GridSpec(4.0, 64)
     f = flat_top_field(g, BumpSpec(height=0.9, radius=2.0), cap=0.5)
-    prob = PmeProblem(grid=g, law=LAW3, u0=f, forcing=None, horizon=1.0)
-    dt = 2e-4
-    cfg = PmeConfig(dt_init=dt)
-    u1 = pme_step(f, 0.0, dt, prob, cfg)
+    u1 = one_step(f, 2e-4)
     x, y = g.meshgrid()
     deep = np.sqrt(x ** 2 + y ** 2) < 0.5  # well inside the flat region
-    assert np.max(np.abs(u1.values - f.values)[deep]) <= 10 * cfg.newton_tol
+    assert np.max(np.abs(u1.values - f.values)[deep]) <= 10 * PmeConfig.newton_tol
 
 
 def test_single_step_barenblatt_local_error():
@@ -398,12 +401,10 @@ def test_single_step_barenblatt_local_error():
     # excluded here and covered by the global L1 convergence test
     g = GridSpec(2.0, 128)
     u0 = barenblatt_field(g, 1.0, LAW3, 1.0)
-    prob = PmeProblem(grid=g, law=LAW3, u0=u0, forcing=None, horizon=1.0)
     interior = u0.values >= 0.1
     h2 = g.spacing ** 2
     for dt in (8e-3, 2e-3):
-        cfg = PmeConfig(dt_init=dt)
-        u1 = pme_step(u0, 0.0, dt, prob, cfg)
+        u1 = one_step(u0, dt)
         exact = barenblatt_field(g, 1.0 + dt, LAW3, 1.0)
         linf_int = np.max(np.abs(u1.values - exact.values)[interior])
         assert linf_int <= 1.0 * (dt * dt + h2 * dt)
@@ -411,14 +412,23 @@ def test_single_step_barenblatt_local_error():
         assert l1 <= 0.2 * dt
 
 
-def test_step_too_small_guard():
-    g = GridSpec(2.0, 16)
-    prob = zero_problem(g)
-    cfg = PmeConfig(dt_init=0.1, dt_min=1e-3)
-    with pytest.raises(StepTooSmall):
-        pme_step(ScalarField.zeros(g), 0.0, 1e-4, prob, cfg)
-    with pytest.raises(ValueError):
-        pme_step(ScalarField.zeros(g), 0.0, -0.1, prob, cfg)
+def test_step_too_small_guard(monkeypatch):
+    # a step that never converges is halved MAX_HALVINGS times, and the
+    # next failure ends the run at the time it could not leave
+    calls = []
+
+    def diverging(*args):
+        calls.append(args[2])
+        raise NewtonDiverged("always")
+
+    monkeypatch.setattr(pme, "_step_values", diverging)
+    with pytest.raises(StepTooSmall) as info:
+        pme_solve(zero_problem(GridSpec(2.0, 16)), PmeConfig(dt_init=0.1))
+    assert info.value.t == 0.0
+    assert calls == [0.1 * 0.5 ** k for k in range(MAX_HALVINGS + 1)]
+    for dt_init in (0.0, -0.1):
+        with pytest.raises(ValueError, match="dt_init"):
+            PmeConfig(dt_init=dt_init)
 
 
 # -- full solves -----------------------------------------------------------------
@@ -456,7 +466,7 @@ def test_mass_balance_zero_source():
     u0 = barenblatt_field(g, 1.0, LAW3, 1.0)
     prob = PmeProblem(grid=g, law=LAW3, u0=u0, forcing=None, horizon=0.5)
     sol = pme_solve(prob, PmeConfig(dt_init=0.02))
-    assert max(r for _, r in mass_balance_residual(sol, prob)) <= 1e-8
+    assert max(r for _, r in mass_balance_residual(sol)) <= 1e-8
 
 
 def test_mass_balance_with_patch_source():
@@ -471,7 +481,7 @@ def test_mass_balance_with_patch_source():
     )
     sol = pme_solve(prob, PmeConfig(dt_init=0.02))
     d = sol.diagnostics
-    assert max(r for _, r in mass_balance_residual(sol, prob)) <= 1e-8
+    assert max(r for _, r in mass_balance_residual(sol)) <= 1e-8
     expected_final = c * 28 * g.spacing ** 2 * 0.5
     assert d.mass[-1] == pytest.approx(expected_final, rel=1e-6)
 
@@ -544,7 +554,7 @@ def test_pme_invariants_on_random_bump_data(n, m, heights, radii, center):
     for f in (f1, f2):
         prob = PmeProblem(grid=g, law=PowerLaw(m), u0=f, forcing=source, horizon=0.2)
         sol = pme_solve(prob, config)
-        assert max(r for _, r in mass_balance_residual(sol, prob)) <= 1e-8
+        assert max(r for _, r in mass_balance_residual(sol)) <= 1e-8
         sols.append(sol)
     h2 = g.spacing ** 2
     d0 = h2 * np.sum(np.abs(f1.values - f2.values))
