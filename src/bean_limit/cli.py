@@ -1,20 +1,20 @@
 """Command-line front end.
 
-Subcommands mirror the solver and experiment layer; every run writes
-field dumps for its snapshots, a machine-readable report.json with the
-full configuration echo, and a human-readable summary.txt.  Exit code 0
+Nine subcommands run an experiments driver on an ExperimentSpec; the two
+without an exponent, solve-obstacle and mesa-profile, read the config
+themselves.  Every run writes field dumps, a report.json whose `config`
+echoes the keys the file set, as parsed, and a summary.txt.  Exit code 0
 means every verdict passed, 1 that a verdict failed, 2 flags a
 configuration problem, 3 a solver failure or a failed data check; any
 other exception is a bug and ends with its traceback.  Among the
 configuration problems, caught before any solver runs: a data block the
 subcommand needs and the file does not set, a snapshot time outside
-[0, horizon], and a key the subcommand never reads.
+[0, horizon], repeated metric labels, and a key the subcommand never reads.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from pathlib import Path
 
@@ -22,14 +22,7 @@ import numpy as np
 
 from . import curl2d, obstacle, pme
 from .config import PSOR_ARGS, SPEC_FIELDS, ConfigError, RunConfig
-from .datagen import (
-    BumpSpec,
-    StreamSpec,
-    accumulated_source,
-    bump_field,
-    disk_field,
-    field_from_stream,
-)
+from .datagen import BumpSpec, StreamSpec, accumulated_source, bump_field, disk_field
 from .errors import DomainError, PreconditionFailed, StepTooSmall
 from .experiments import (
     ExperimentSpec,
@@ -37,15 +30,15 @@ from .experiments import (
     barenblatt_convergence,
     collapse_experiment,
     constant_source,
-    curl_config,
     equivalence_check,
     l1_contraction_check,
-    pme_config,
     small_data_check,
+    solve_curl,
+    solve_pme,
     sweep_m_vs_mesa,
     sweep_p,
 )
-from .fields import GridSpec, PowerLaw, ScalarField, boundary_ring_max
+from .fields import GridSpec, ScalarField
 from .io_formats import write_field, write_report
 
 SOLVER_ERRORS = (
@@ -65,11 +58,11 @@ _CURL = ("curl", "snapshot_times")
 # the other blocks and keys of its ExperimentSpec it reads); a name without a
 # dot is a prefix, so "pme" stands for every `pme.*` key.  Drivers are looked
 # up by name when called, so wrappers installed on this module take effect.
-# The `_cmd_*` handlers read the config themselves (solve-pme and solve-curl
-# through an ExperimentSpec); the other drivers get an ExperimentSpec.
+# A subcommand with an exponent key gets an ExperimentSpec; the two without
+# one, the `_cmd_*` handlers, read the config themselves.
 COMMANDS = {
-    "solve-pme": ("_cmd_solve_pme", "exponent", (), ("f", "g", *_PME)),
-    "solve-curl": ("_cmd_solve_curl", "exponent", ("h0",), ("force", *_CURL)),
+    "solve-pme": ("solve_pme", "exponent", (), ("f", "g", *_PME)),
+    "solve-curl": ("solve_curl", "exponent", ("h0",), ("force", *_CURL)),
     "solve-obstacle": ("_cmd_solve_obstacle", None, (), ()),
     "mesa-profile": ("_cmd_mesa_profile", None, ("f",), ()),
     "sweep-p": ("sweep_p", "schedule", ("h0",), ("force", "seed", "n_test_fields", *_CURL)),
@@ -85,13 +78,6 @@ COMMANDS = {
         "barenblatt_convergence", "exponent", (), ("barenblatt", "grids", *_PME),
     ),
 }
-
-# psor_solve's own defaults, which solve-obstacle echoes as resolved.*
-_PSOR_DEFAULTS = {
-    name: inspect.signature(obstacle.psor_solve).parameters[name].default
-    for name in PSOR_ARGS.values()
-}
-
 
 def _grid(cfg: RunConfig) -> GridSpec:
     return GridSpec(cfg.require("grid.L"), cfg.require("grid.n"))
@@ -158,75 +144,6 @@ def _field_writer(out_dir: Path):
     return sink
 
 
-def _cmd_solve_pme(cfg: RunConfig, out_dir: Path) -> Report:
-    spec = _experiment_spec(cfg, "solve-pme")
-    grid = spec.grid
-    u0 = bump_field(grid, spec.f) if spec.f else ScalarField.zeros(grid)
-    forcing = constant_source(grid, bump_field, spec.g)
-    problem = pme.PmeProblem(
-        grid=grid, law=PowerLaw(spec.schedule[0]), u0=u0, forcing=forcing, horizon=spec.horizon
-    )
-    config = pme_config(spec)
-    cfg.check_all_read("solve-pme")
-    sol = pme.pme_solve(problem, config)
-
-    echo = cfg.echo()
-    resolved = dict(dt_init=config.dt_init, newton_tol=config.newton_tol,
-                    max_newton_iters=pme.MAX_NEWTON_ITERS, max_halvings=pme.MAX_HALVINGS)
-    echo.update({f"resolved.{key}": value for key, value in resolved.items()})
-    report = Report(name=spec.name, config=echo)
-    sink = _field_writer(out_dir)
-    trunc = 0.0
-    for t, u in sol.snapshots:
-        sink("u", u, t)
-        report.add_metric("mass", float(grid.spacing ** 2 * np.sum(u.values)), t)
-        report.add_metric("sup", float(np.max(np.abs(u.values))), t)
-        trunc = max(trunc, boundary_ring_max(u))
-    residual = max(r for _, r in pme.mass_balance_residual(sol))
-    report.add_metric("mass_residual_max", residual)
-    report.add_metric("boundary_max", trunc)
-    report.add_verdict("mass_balance_ok", residual <= 1e-8, ["mass_residual_max"])
-    report.add_verdict("truncation_ok", trunc <= 1e-8, ["boundary_max"])
-    return report
-
-
-def _cmd_solve_curl(cfg: RunConfig, out_dir: Path) -> Report:
-    spec = _experiment_spec(cfg, "solve-curl")
-    grid = spec.grid
-    H0 = field_from_stream(grid, spec.h0_stream)
-    forcing = constant_source(grid, field_from_stream, spec.forcing_stream)
-    problem = curl2d.CurlProblem(
-        grid=grid, p=spec.schedule[0], H0=H0, forcing=forcing, horizon=spec.horizon
-    )
-    config = curl_config(spec)
-    cfg.check_all_read("solve-curl")
-    sol = curl2d.curl_solve(problem, config)
-
-    echo = cfg.echo()
-    echo["resolved.cfl_safety"] = config.cfl_safety
-    report = Report(name=spec.name, config=echo)
-    sink = _field_writer(out_dir)
-    trunc = 0.0
-    for t, H, omega, J in sol.snapshots:
-        sink("h1", H.comp1, t)
-        sink("h2", H.comp2, t)
-        sink("omega", omega, t)
-        sink("J", J, t)
-        report.add_metric("l2_H", float(np.sqrt(grid.spacing ** 2 * np.sum(
-            H.comp1.values ** 2 + H.comp2.values ** 2))), t)
-        trunc = max(trunc, boundary_ring_max(H.comp1), boundary_ring_max(H.comp2))
-    drift = max(sol.diagnostics.div_drift)
-    report.add_metric("div_drift_max", drift)
-    budget = curl2d.energy_budget(sol)
-    ratio = max(lhs / bound for _, lhs, bound in budget if bound > 0)
-    report.add_metric("energy_ratio", ratio)
-    report.add_metric("boundary_max", trunc)
-    report.add_verdict("div_drift_ok", drift <= 1e-10, ["div_drift_max"])
-    report.add_verdict("energy_budget_ok", ratio <= 1.05, ["energy_ratio"])
-    report.add_verdict("truncation_ok", trunc <= 1e-8, ["boundary_max"])
-    return report
-
-
 def _obstacle_datum(cfg: RunConfig, grid: GridSpec) -> ScalarField:
     kind = cfg.get("q.kind", "disk")
     if kind == "disk":
@@ -243,13 +160,11 @@ def _obstacle_datum(cfg: RunConfig, grid: GridSpec) -> ScalarField:
 def _cmd_solve_obstacle(cfg: RunConfig, out_dir: Path) -> Report:
     grid = _grid(cfg)
     q = _obstacle_datum(cfg, grid)
-    settings = {**_PSOR_DEFAULTS, **cfg.pick(PSOR_ARGS)}
+    settings = cfg.pick(PSOR_ARGS)
     name = cfg.get("experiment", "solve-obstacle")
     cfg.check_all_read("solve-obstacle")
     vi = obstacle.psor_solve(obstacle.ObstacleData(q), **settings)
-    echo = cfg.echo()
-    echo.update({f"resolved.{key}": value for key, value in settings.items()})
-    report = Report(name=name, config=echo)
+    report = Report(name=name)
     sink = _field_writer(out_dir)
     sink("q", q, 0.0)
     sink("w", vi.w, 0.0)
@@ -284,7 +199,7 @@ def _cmd_mesa_profile(cfg: RunConfig, out_dir: Path) -> Report:
     name = cfg.get("experiment", "mesa-profile")
     cfg.check_all_read("mesa-profile")
     u_limit, mask, vi = obstacle.mesa_profile(f, G, **settings)
-    report = Report(name=name, config=cfg.echo())
+    report = Report(name=name)
     sink = _field_writer(out_dir)
     sink("u_limit", u_limit, t)
     sink("w", vi.w, t)
@@ -305,11 +220,11 @@ def _cmd_mesa_profile(cfg: RunConfig, out_dir: Path) -> Report:
 
 
 def _dispatch(command: str, cfg: RunConfig, out_dir: Path) -> Report:
-    driver, _, blocks, _ = COMMANDS[command]
+    driver, key, blocks, _ = COMMANDS[command]
     for prefix in blocks:
         if not cfg.has_block(prefix):
             raise ConfigError(f"{command} needs the data block {prefix}.*, which is not set")
-    if driver.startswith("_cmd_"):
+    if key is None:
         return globals()[driver](cfg, out_dir)
     spec = _experiment_spec(cfg, command)
     cfg.check_all_read(command)
@@ -342,7 +257,7 @@ def run(argv) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 
-    write_report(out_dir, report)
+    write_report(out_dir, report, cfg.echo())
     print(f"wrote {out_dir}/report.json ({'PASS' if report.passed() else 'FAIL'})")
     return 0 if report.passed() else 1
 

@@ -307,3 +307,10 @@ def energy_budget(solution: CurlSolution) -> list[tuple[float, float, float]]:
         bound = (e0 + fl2) * math.exp(t)
         out.append((t, lhs, bound))
     return out
+
+
+def energy_ratio(solution: CurlSolution) -> float:
+    """max lhs / bound of the energy budget over the times with bound > 0; 0 without
+    one, since then E(0) = 0 and there is no forcing, so H stays 0."""
+    budget = energy_budget(solution)
+    return max((lhs / bound for _, lhs, bound in budget if bound > 0), default=0.0)

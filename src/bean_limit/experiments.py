@@ -1,4 +1,4 @@
-"""Experiment drivers for the large-exponent limit claims.
+"""Experiment drivers: single solver runs and the large-exponent limit studies.
 
 Every driver consumes an ExperimentSpec, runs the relevant solvers, and
 returns a Report whose verdicts are computed from the recorded metrics
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curl2d import CurlConfig, CurlProblem, curl_solve, energy_budget, vi_residual
+from .curl2d import CurlConfig, CurlProblem, curl_solve, energy_ratio, vi_residual
 from .datagen import (
     BumpSpec,
     StreamSpec,
@@ -59,12 +59,13 @@ class Verdict:
 @dataclass
 class Report:
     name: str
-    config: dict
     metrics: dict[str, float] = field(default_factory=dict)
     verdicts: list[Verdict] = field(default_factory=list)
 
     def add_metric(self, name: str, value: float, exponent: float | None = None) -> str:
         key = f"{name}@{exponent:g}" if exponent is not None else name
+        if key in self.metrics:
+            raise ValueError(f"metric {key!r} is already recorded")
         self.metrics[key] = float(value)
         return key
 
@@ -102,7 +103,6 @@ class ExperimentSpec:
     psor_tol: float = 1e-12
     seed: int = 0
     n_test_fields: int = 20
-    deltas: tuple[float, ...] = (0.05, 0.1, 0.2)
     grids: tuple[int, ...] = ()
     barenblatt_t0: float = 1.0
     barenblatt_mass: float = 1.0
@@ -117,9 +117,16 @@ class ExperimentSpec:
         if not (self.horizon > 0):
             raise ValueError("horizon must be positive")
         try:
-            snapshot_targets(self.snapshot_times, self.horizon)
+            targets, _ = snapshot_targets(self.snapshot_times, self.horizon)
         except ValueError as exc:
             raise ValueError(f"snapshot_times: {exc}") from None
+        # the drivers label metrics by exponent, snapshot time and grid size
+        for name, values in (("schedule", self.schedule), ("snapshot_times", targets),
+                             ("grids", self.grids)):
+            labels = [f"{x:g}" for x in values]
+            repeated = sorted({s for s in labels if labels.count(s) > 1})
+            if repeated:
+                raise ValueError(f"{name}: more than one entry is labelled {', '.join(repeated)}")
 
 
 def _l1_distance(a: ScalarField, b: ScalarField) -> float:
@@ -200,6 +207,10 @@ def require_radial_monotone_data(f: ScalarField, g: ScalarField | None, m: float
 # -- experiment drivers ------------------------------------------------------
 
 
+# the thresholds delta of the saturation measures mu[delta] = |{|curl H| >= 1 + delta}|
+MU_DELTAS = (0.05, 0.1, 0.2)
+
+
 def _no_dumps(name: str, field: ScalarField, t: float):
     """The sink of a driver run that writes no field dumps."""
 
@@ -234,10 +245,66 @@ def _run_pme(
     return sol
 
 
+def solve_pme(spec: ExperimentSpec, sink=_no_dumps) -> Report:
+    """One PME run from f (zero without it) under the source g: mass and sup
+    at every snapshot, the mass-balance residual and the boundary values."""
+    grid = spec.grid
+    u0 = bump_field(grid, spec.f) if spec.f else ScalarField.zeros(grid)
+    forcing = constant_source(grid, bump_field, spec.g)
+    problem = PmeProblem(
+        grid=grid, law=PowerLaw(spec.schedule[0]), u0=u0, forcing=forcing, horizon=spec.horizon
+    )
+    sol = pme_solve(problem, pme_config(spec))
+    report = Report(name=spec.name)
+    trunc = 0.0
+    for t, u in sol.snapshots:
+        sink("u", u, t)
+        report.add_metric("mass", float(grid.spacing ** 2 * np.sum(u.values)), t)
+        report.add_metric("sup", float(np.max(np.abs(u.values))), t)
+        trunc = max(trunc, boundary_ring_max(u))
+    residual = max(r for _, r in mass_balance_residual(sol))
+    report.add_metric("mass_residual_max", residual)
+    report.add_metric("boundary_max", trunc)
+    report.add_verdict("mass_balance_ok", residual <= 1e-8, ["mass_residual_max"])
+    report.add_verdict("truncation_ok", trunc <= 1e-8, ["boundary_max"])
+    return report
+
+
+def solve_curl(spec: ExperimentSpec, sink=_no_dumps) -> Report:
+    """One curl run from the h0 stream under the force stream: the field
+    norm at every snapshot, divergence drift, energy budget and boundary values."""
+    grid = spec.grid
+    H0 = field_from_stream(grid, spec.h0_stream)
+    forcing = constant_source(grid, field_from_stream, spec.forcing_stream)
+    problem = CurlProblem(
+        grid=grid, p=spec.schedule[0], H0=H0, forcing=forcing, horizon=spec.horizon
+    )
+    sol = curl_solve(problem, curl_config(spec))
+    report = Report(name=spec.name)
+    trunc = 0.0
+    for t, H, omega, J in sol.snapshots:
+        sink("h1", H.comp1, t)
+        sink("h2", H.comp2, t)
+        sink("omega", omega, t)
+        sink("J", J, t)
+        report.add_metric("l2_H", float(np.sqrt(grid.spacing ** 2 * np.sum(
+            H.comp1.values ** 2 + H.comp2.values ** 2))), t)
+        trunc = max(trunc, boundary_ring_max(H.comp1), boundary_ring_max(H.comp2))
+    drift = max(sol.diagnostics.div_drift)
+    ratio = energy_ratio(sol)
+    report.add_metric("div_drift_max", drift)
+    report.add_metric("energy_ratio", ratio)
+    report.add_metric("boundary_max", trunc)
+    report.add_verdict("div_drift_ok", drift <= 1e-10, ["div_drift_max"])
+    report.add_verdict("energy_budget_ok", ratio <= 1.05, ["energy_ratio"])
+    report.add_verdict("truncation_ok", trunc <= 1e-8, ["boundary_max"])
+    return report
+
+
 def sweep_p(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     """Curl runs over the exponent schedule: saturation measures and
     variational-inequality residuals against random admissible test fields."""
-    report = Report(name=spec.name, config=dataclasses.asdict(spec))
+    report = Report(name=spec.name)
     grid = spec.grid
     h = grid.spacing
     H0 = field_from_stream(grid, spec.h0_stream)
@@ -250,7 +317,7 @@ def sweep_p(spec: ExperimentSpec, sink=_no_dumps) -> Report:
         random_admissible_field(grid, rng) for _ in range(spec.n_test_fields)
     ]
 
-    mu_keys: dict[float, list[str]] = {d: [] for d in spec.deltas}
+    mu_keys: dict[float, list[str]] = {d: [] for d in MU_DELTAS}
     vi_keys: list[str] = []
     bound_keys: list[str] = []
     div_keys: list[str] = []
@@ -262,7 +329,7 @@ def sweep_p(spec: ExperimentSpec, sink=_no_dumps) -> Report:
         _, H_final, omega_final, _ = sol.snapshots[-1]
         sink(f"omega_p{p:g}", omega_final, spec.horizon)
         wabs = np.abs(omega_final.values)
-        for d in spec.deltas:
+        for d in MU_DELTAS:
             mu = float(h * h * np.count_nonzero(wabs >= 1.0 + d))
             mu_keys[d].append(report.add_metric(f"mu[{d:g}]", mu, p))
         report.add_metric("sup_omega", float(np.max(wabs)), p)
@@ -282,8 +349,7 @@ def sweep_p(spec: ExperimentSpec, sink=_no_dumps) -> Report:
         vi_keys.append(report.add_metric("vi_abs_max", vi_abs, p))
         bound_keys.append(report.add_metric("vi_bound_defect", vi_bound_defect, p))
         div_keys.append(report.add_metric("div_drift", max(sol.diagnostics.div_drift), p))
-        budget = energy_budget(sol)
-        worst_ratio = max(lhs / bound for _, lhs, bound in budget if bound > 0)
+        worst_ratio = energy_ratio(sol)
         report.add_metric("energy_ratio", worst_ratio, p)
         energy_ok = energy_ok and worst_ratio <= 1.05
         trunc_worst = max(
@@ -295,16 +361,13 @@ def sweep_p(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     report.add_metric("boundary_max", trunc_worst)
     report.add_metric("grid_h2", h * h)
 
-    for d in spec.deltas:
+    for d in MU_DELTAS:
         series = [report.metrics[k] for k in mu_keys[d]]
         report.add_verdict(f"mu[{d:g}]_non_increasing", _non_increasing(series), mu_keys[d])
-    mu01 = [report.metrics[k] for k in mu_keys[0.1]] if 0.1 in spec.deltas else None
-    if mu01 is not None:
-        report.add_verdict(
-            "mu[0.1]_halved",
-            mu01[-1] <= 0.5 * mu01[0] + h * h,
-            mu_keys[0.1] + ["grid_h2"],
-        )
+    mu01 = [report.metrics[k] for k in mu_keys[0.1]]
+    report.add_verdict(
+        "mu[0.1]_halved", mu01[-1] <= 0.5 * mu01[0] + h * h, mu_keys[0.1] + ["grid_h2"]
+    )
     vi_series = [report.metrics[k] for k in vi_keys]
     report.add_verdict("vi_abs_max_decreasing", _strictly_decreasing(vi_series), vi_keys)
     report.add_verdict(
@@ -329,7 +392,7 @@ def sweep_p(spec: ExperimentSpec, sink=_no_dumps) -> Report:
 def sweep_m_vs_mesa(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     """Scalar runs over the exponent schedule against the obstacle-problem
     limit profile; also records the pressure bound."""
-    report = Report(name=spec.name, config=dataclasses.asdict(spec))
+    report = Report(name=spec.name)
     grid = spec.grid
     f = bump_field(grid, spec.f)
     g = constant_source(grid, bump_field, spec.g)
@@ -384,7 +447,7 @@ def sweep_m_vs_mesa(spec: ExperimentSpec, sink=_no_dumps) -> Report:
 def collapse_experiment(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     """Super-critical data: distance of short-horizon runs (with and without
     forcing) to the instantaneous-collapse projection, per exponent."""
-    report = Report(name=spec.name, config=dataclasses.asdict(spec))
+    report = Report(name=spec.name)
     grid = spec.grid
     f = bump_field(grid, spec.f)
     if float(np.max(f.values)) <= 1.0:
@@ -456,7 +519,7 @@ def collapse_experiment(spec: ExperimentSpec, sink=_no_dumps) -> Report:
 def small_data_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     """Sub-critical data: the final state approaches datum plus accumulated
     source as the exponent grows."""
-    report = Report(name=spec.name, config=dataclasses.asdict(spec))
+    report = Report(name=spec.name)
     grid = spec.grid
     f = bump_field(grid, spec.f)
     g = constant_source(grid, bump_field, spec.g)
@@ -495,7 +558,7 @@ def equivalence_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     """Cross-validation of the vector solver against the scalar reduction:
     the curl of the vector run must match the scalar run driven by the
     discrete curl of the data, with discrepancy vanishing under refinement."""
-    report = Report(name=spec.name, config=dataclasses.asdict(spec))
+    report = Report(name=spec.name)
     p = spec.schedule[0]
     if p > 16:
         raise PreconditionFailed("equivalence check is limited to p <= 16")
@@ -553,7 +616,7 @@ def equivalence_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
 def l1_contraction_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     """Two runs with shared source: distances contract in L1 and ordered
     data stay ordered."""
-    report = Report(name=spec.name, config=dataclasses.asdict(spec))
+    report = Report(name=spec.name)
     grid = spec.grid
     m = spec.schedule[0]
     f1 = bump_field(grid, spec.f)
@@ -590,7 +653,7 @@ def l1_contraction_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
 def barenblatt_convergence(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     """Exact-solution study: L1 error against the self-similar profile under
     simultaneous grid and step refinement, plus the mass-balance residual."""
-    report = Report(name=spec.name, config=dataclasses.asdict(spec))
+    report = Report(name=spec.name)
     m = spec.schedule[0]
     law = PowerLaw(m)
     grids = spec.grids or (spec.grid.n,)

@@ -25,8 +25,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 8:
             raise ValueError(f"grid needs n >= 8 cells per side, got {self.n}")
-        if not (self.half_width > 0):
-            raise ValueError(f"grid half-width must be positive, got {self.half_width}")
+        if not (0 < self.half_width < np.inf):
+            raise ValueError(f"grid half-width must be positive and finite, got {self.half_width}")
 
     @property
     def spacing(self) -> float:

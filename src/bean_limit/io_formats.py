@@ -55,10 +55,14 @@ def read_field(path) -> tuple[ScalarField, float, str]:
     match = _HEADER_RE.match(lines[0])
     if match is None:
         raise FieldFormatError(f"{path}: line 1: malformed header {lines[0]!r}")
-    L = float(match["L"])
-    n = int(match["n"])
-    t = float(match["t"])
-    name = match["name"]
+    try:
+        grid = GridSpec(float(match["L"]), int(match["n"]))
+        t = float(match["t"])
+        if not np.isfinite(t):
+            raise ValueError(f"time {t} is not finite")
+    except ValueError as exc:
+        raise FieldFormatError(f"{path}: line 1: {exc}") from exc
+    n, name = grid.n, match["name"]
     if len(lines) < n + 1:
         raise FieldFormatError(f"{path}: line {len(lines)}: expected {n} data rows, file ends early")
     rows = []
@@ -71,6 +75,8 @@ def read_field(path) -> tuple[ScalarField, float, str]:
             )
         try:
             rows.append([float(p) for p in parts])
+            if not np.all(np.isfinite(rows[-1])):
+                raise ValueError("non-finite value")
         except ValueError as exc:
             raise FieldFormatError(f"{path}: line {lineno}: {exc}") from exc
     for lineno, line in enumerate(lines[n + 1:], start=n + 2):
@@ -78,29 +84,24 @@ def read_field(path) -> tuple[ScalarField, float, str]:
             raise FieldFormatError(
                 f"{path}: line {lineno}: unexpected content after the {n} data rows"
             )
-    field = ScalarField(GridSpec(L, n), np.array(rows))
+    field = ScalarField(grid, np.array(rows))
     return field, t, name
 
 
-def write_report(out_dir, report: Report) -> None:
+def write_report(out_dir, report: Report, config: dict) -> None:
+    """report.json, with `config` as its config echo, and summary.txt."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "name": report.name,
-        "config": report.config,
+        "config": config,
         "metrics": report.metrics,
         "verdicts": [dataclasses.asdict(v) for v in report.verdicts],
     }
     (out_dir / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
     (out_dir / "summary.txt").write_text(summary_text(report))
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def summary_text(report: Report) -> str:

@@ -110,15 +110,7 @@ def monotonicity_check(solution: PmeSolution) -> Report:
     f = solution.snapshots[0][1]
     require_radial_monotone_data(f, problem.forcing, problem.law.exponent)
 
-    report = Report(
-        name="monotonicity-check",
-        config={
-            "m": problem.law.exponent,
-            "horizon": problem.horizon,
-            "grid_n": problem.grid.n,
-            "grid_L": problem.grid.half_width,
-        },
-    )
+    report = Report(name="monotonicity-check")
     radial_defect = max(outward_monotone_defect(u) for _, u in solution.snapshots)
     time_defect = 0.0
     for (_, u_a), (_, u_b) in zip(solution.snapshots, solution.snapshots[1:]):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bean_limit
-from bean_limit.cli import run
+from bean_limit.cli import COMMANDS, run
 from bean_limit.config import ConfigError, RunConfig
 from bean_limit.fields import GridSpec, ScalarField
 from bean_limit.io_formats import FieldFormatError, read_field, write_field
@@ -190,6 +190,17 @@ def test_field_read_errors_name_the_line(tmp_path):
     lines[3] = "1,2,3"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FieldFormatError, match="line 4"):
+        read_field(path)
+    # header values a grid or a time cannot take, and a non-finite value
+    write_field(path, ScalarField.zeros(g), 0.0, "u")
+    header, *rows = path.read_text().splitlines()
+    for old, new in [("L=1 ", "L=inf "), ("t=0 ", "t=nan "), ("L=1 ", "L=abc "),
+                     ("L=1 ", "L=-1 "), ("n=8 ", "n=3 ")]:
+        path.write_text("\n".join([header.replace(old, new), *rows]) + "\n")
+        with pytest.raises(FieldFormatError, match="line 1"):
+            read_field(path)
+    path.write_text("\n".join([header, rows[0], "nan" + rows[1][1:], *rows[2:]]) + "\n")
+    with pytest.raises(FieldFormatError, match="line 3"):
         read_field(path)
 
 
@@ -577,3 +588,58 @@ g.radius = 1.7
     u_limit, _, _ = read_field(tmp_path / "mesa" / "u_limit_000.csv")
     mesa, _, _ = read_field(tmp_path / "sweep" / "mesa_000.csv")
     assert u_limit.values.tobytes() == mesa.values.tobytes()
+
+
+# subcommand -> a small config it runs to a report
+ECHO_CONFIGS = {
+    "solve-pme": SCALAR_BASE + "exponent = 3.0\n" + F_BLOCK,
+    "solve-curl": SCALAR_BASE + "exponent = 4.0\n" + H0_BLOCK,
+    "solve-obstacle": "grid.L = 4.0\ngrid.n = 24\nq.inside = 0.5\nq.outside = -1.0\n"
+                      "q.radius = 1.0\npsor.relaxation = 1.88\n",
+    "mesa-profile": "grid.L = 4.0\ngrid.n = 24\nhorizon = 1.0\nf.height = 0.55\nf.radius = 1.5\n",
+    "sweep-p": SWEEP_BASE + H0_BLOCK + "snapshot_times = 0.025\nn_test_fields = 4\nseed = 0\n",
+    "sweep-m": SWEEP_BASE + F_BLOCK + "g.height = 0.7\ng.radius = 1.7\n",
+    "collapse": SWEEP_BASE + "f.height = 1.2\nf.radius = 1.0\n",
+    "small-data": SWEEP_BASE + F_BLOCK,
+    "equivalence": SCALAR_BASE + "exponent = 4\n" + H0_BLOCK,
+    "contraction": SCALAR_BASE + "exponent = 4\n" + F_BLOCK + "f2.height = 0.6\nf2.radius = 1.0\n",
+    "barenblatt-convergence": SCALAR_BASE + "exponent = 3\npme.dt_init = 0.005\n",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_report_config_echoes_the_file(tmp_path, command):
+    path = write_cfg(tmp_path, "experiment = echo\n" + ECHO_CONFIGS[command])
+    out = tmp_path / "out"
+    assert run([command, "--config", str(path), "--out", str(out)]) in (0, 1)
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"] == json.loads(json.dumps(RunConfig.parse(path).echo()))
+
+
+def test_solve_curl_from_a_zero_field_passes_the_energy_check(tmp_path):
+    path = write_cfg(tmp_path, SCALAR_BASE + "exponent = 4.0\nh0.width = 1.5\nh0.amplitude = 0.0\n")
+    out = tmp_path / "out"
+    assert run(["solve-curl", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["metrics"]["energy_ratio"] == 0.0
+    assert all(v["passed"] for v in report["verdicts"])
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("contraction", ECHO_CONFIGS["contraction"] + "snapshot_times = 0.02500001, 0.02500002\n",
+     "snapshot_times"),
+    # labelled as the horizon, 0.05
+    ("contraction", ECHO_CONFIGS["contraction"] + "snapshot_times = 0.04999999\n",
+     "snapshot_times"),
+    ("small-data", SCALAR_BASE + F_BLOCK + "schedule = 4.0000001, 4.0000002\n", "schedule"),
+    ("barenblatt-convergence", ECHO_CONFIGS["barenblatt-convergence"] + "grids = 24, 24\n",
+     "grids"),
+])
+def test_entries_that_label_metrics_alike_are_a_config_error(tmp_path, capsys, command, text,
+                                                              field):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, text)
+    assert run([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}: " in err
+    assert not out.exists()

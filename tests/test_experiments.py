@@ -42,13 +42,34 @@ def test_spec_validation():
 
 
 def test_report_verdicts_reference_metrics():
-    r = Report(name="t", config={})
+    r = Report(name="t")
     r.add_metric("a", 1.0)
     r.add_verdict("ok", True, ["a"])
     with pytest.raises(ValueError):
         r.add_verdict("bad", True, ["missing"])
     assert r.passed()
     assert r.verdict("ok")
+
+
+def test_report_refuses_to_overwrite_a_metric():
+    r = Report(name="t")
+    r.add_metric("d", 1.0, 0.02500001)
+    with pytest.raises(ValueError, match="already recorded"):
+        r.add_metric("d", 2.0, 0.02500002)
+    assert r.metrics == {"d@0.025": 1.0}
+
+
+def test_spec_rejects_entries_that_label_metrics_alike():
+    g = GridSpec(4.0, 32)
+    for fields, name in [
+        (dict(schedule=(4.0000001, 4.0000002)), "schedule"),
+        (dict(snapshot_times=(0.02500001, 0.02500002)), "snapshot_times"),
+        (dict(snapshot_times=(0.09999999,)), "snapshot_times"),
+        (dict(grids=(32, 32)), "grids"),
+    ]:
+        spec = dict(name="x", grid=g, schedule=(4.0,), horizon=0.1) | fields
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            ExperimentSpec(**spec)
 
 
 def test_data_hypothesis_helpers():
