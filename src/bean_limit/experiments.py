@@ -369,7 +369,12 @@ def sweep_p(spec: ExperimentSpec, sink=_no_dumps) -> Report:
         "mu[0.1]_halved", mu01[-1] <= 0.5 * mu01[0] + h * h, mu_keys[0.1] + ["grid_h2"]
     )
     vi_series = [report.metrics[k] for k in vi_keys]
-    report.add_verdict("vi_abs_max_decreasing", _strictly_decreasing(vi_series), vi_keys)
+    # H = 0 is exact, with every residual exactly 0: a pair of zeros passes
+    report.add_verdict(
+        "vi_abs_max_decreasing",
+        all(b < a or a == b == 0.0 for a, b in zip(vi_series, vi_series[1:])),
+        vi_keys,
+    )
     report.add_verdict(
         "vi_onesided_ok",
         all(report.metrics[k] <= 1e-9 for k in bound_keys),

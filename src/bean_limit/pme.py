@@ -9,6 +9,8 @@ the nonlinearity psi_inv is mild.  The per-cell system
 is driven to a small max-norm residual by damped Newton; the inner
 linear solves use Jacobi-preconditioned conjugate gradients on the
 five-point stencil, matrix free, and a CG iteration allocates nothing.
+Each solve stops at the accuracy the outer max-norm test can see
+(inexact Newton), never tighter than CG_TOL.
 The powers of u go through fields.abs_pow and fields.pow_into, which
 skip the cells where the power rounds to +0; at large m those are most
 of the grid.
@@ -42,7 +44,9 @@ POINTWISE_MAX_ITERS = 80  # scalar Newton cap in _pointwise_exact; reaching it r
 MAX_NEWTON_ITERS = 50  # damped Newton cap per step; reaching it raises NewtonDiverged
 MAX_HALVINGS = 20  # dt halvings per step in pme_solve before StepTooSmall
 DT_FLOOR = 2.0 ** -30  # a halved dt below DT_FLOOR * dt_init raises StepTooSmall
-CG_TOL = 1e-12  # relative residual target of the inner CG solves
+CG_TOL = 1e-12  # floor of the inner CG solves' relative residual target
+CG_FORCING_CAP = 0.1  # loosest relative residual target of an inner CG solve
+CG_NEWTON_SHARE = 0.1  # share of newton_tol a CG residual may add to the next residual
 CG_MAX_ITERS = 20000  # inner CG iteration cap
 
 
@@ -242,10 +246,25 @@ def _pointwise_exact(v: np.ndarray, rhs: np.ndarray, dt: float, m: float, h2: fl
 
 
 def _newton_direction(
-    res: np.ndarray, v: np.ndarray, inv_m: float, dt: float, h2: float
+    res: np.ndarray,
+    res_norm: float,
+    v: np.ndarray,
+    inv_m: float,
+    dt: float,
+    h2: float,
+    newton_tol: float,
 ) -> np.ndarray | None:
     """Newton increment dv from (diag_phi + dt A) dv = -res by Jacobi-PCG;
     None when CG finds the Jacobian indefinite.
+
+    CG stops at the accuracy the outer test can see.  Through the row
+    identity du = -res + dt lap5(dv), a CG residual r reaches the next
+    Newton residual as -dt A diag(1/diag_phi) r to first order, a map of
+    max-norm gain at most K = (8 dt/h^2) / min(diag_phi).  The target
+    rtol = CG_NEWTON_SHARE newton_tol / (K |res|_2) keeps that part below
+    CG_NEWTON_SHARE newton_tol; it is clipped to [CG_TOL, CG_FORCING_CAP].
+    While psi' is huge (super-critical m, before the collapse is done) K
+    is too, and rtol is CG_TOL.
 
     The operator and the preconditioner each write into one buffer, freed
     before the line search, where a step's memory peaks.  Both round as
@@ -256,6 +275,8 @@ def _newton_direction(
     """
     diag_phi = inv_m * np.maximum(np.abs(v), JACOBIAN_FLOOR) ** (inv_m - 1.0)
     diag_jac = diag_phi + dt * 4.0 / h2
+    gain = 8.0 * dt / h2 / float(np.min(diag_phi))
+    rtol = max(CG_TOL, min(CG_FORCING_CAP, CG_NEWTON_SHARE * newton_tol / (gain * res_norm)))
     nsum, jw, z = np.empty_like(v), np.empty_like(v), np.empty_like(v)
 
     def apply_jac(w: np.ndarray) -> np.ndarray:
@@ -268,7 +289,7 @@ def _newton_direction(
         return np.divide(r, diag_jac, out=z)
 
     try:
-        return pcg(apply_jac, -res, apply_minv, CG_TOL, CG_MAX_ITERS)
+        return pcg(apply_jac, -res, apply_minv, rtol, CG_MAX_ITERS)
     except NewtonDiverged:
         return None
 
@@ -321,7 +342,7 @@ def _step_values(
         # land exactly on the kink at u = 0 (the degeneracy makes crossings
         # expensive, and nonnegative data should stay nonnegative).
         newton_ok = False
-        delta_v = _newton_direction(res, v, inv_m, dt, h2)
+        delta_v = _newton_direction(res, math.sqrt(merit), v, inv_m, dt, h2, config.newton_tol)
         if delta_v is not None:
             delta_u = dt * lap5_values(delta_v, h) - res
             alpha = 1.0

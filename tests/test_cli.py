@@ -625,6 +625,17 @@ def test_solve_curl_from_a_zero_field_passes_the_energy_check(tmp_path):
     assert all(v["passed"] for v in report["verdicts"])
 
 
+def test_sweep_p_from_a_zero_field_passes_every_verdict(tmp_path):
+    # unforced H0 = 0 stays 0, the exact solution: every VI residual is 0
+    path = write_cfg(tmp_path, SWEEP_BASE + "h0.width = 1.5\nh0.amplitude = 0.0\n"
+                     "snapshot_times = 0.025\nn_test_fields = 4\nseed = 0\n")
+    out = tmp_path / "out"
+    assert run(["sweep-p", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["metrics"]["vi_abs_max@4"] == report["metrics"]["vi_abs_max@8"] == 0.0
+    assert all(v["passed"] for v in report["verdicts"])
+
+
 @pytest.mark.parametrize("command, text, field", [
     ("contraction", ECHO_CONFIGS["contraction"] + "snapshot_times = 0.02500001, 0.02500002\n",
      "snapshot_times"),
