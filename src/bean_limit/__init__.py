@@ -3,18 +3,13 @@ reduction, and the critical-state (obstacle) limit."""
 
 from .fields import (
     GridSpec,
-    Norms,
     PowerLaw,
     ScalarField,
     VectorField2,
     curl_z,
     divergence,
     from_stream,
-    laplacian5,
-    norms,
     psi,
-    psi_inv,
-    psi_prime,
 )
 from .pme import (
     NewtonDiverged,
@@ -25,7 +20,6 @@ from .pme import (
     barenblatt_field,
     mass_balance_residual,
     pme_solve,
-    pressure_field,
 )
 from .obstacle import (
     NotConverged,
@@ -41,8 +35,6 @@ from .curl2d import (
     CurlProblem,
     CurlSolution,
     curl_solve,
-    current_density,
-    resistivity_coeff,
     vi_residual,
 )
 from .errors import DomainError, PreconditionFailed, StepTooSmall

@@ -26,7 +26,6 @@ from .fields import (
     GridSpec,
     ScalarField,
     VectorField2,
-    abs_pow,
     curl_z,
     divergence,
     pow_into,
@@ -242,19 +241,6 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
 
 
 # -- diagnostics on solutions -----------------------------------------------
-
-
-def current_density(H: VectorField2) -> ScalarField:
-    """Magnitude of the out-of-plane curl."""
-    w = curl_z(H)
-    return ScalarField(H.grid, np.abs(w.values))
-
-
-def resistivity_coeff(omega: ScalarField, p: float) -> ScalarField:
-    """Effective resistivity |w|^(p-2); localizes onto the saturated set."""
-    if not (p > 2):
-        raise ValueError("p must exceed 2")
-    return ScalarField(omega.grid, abs_pow(omega.values, p - 2.0))
 
 
 def vi_residual(solution: CurlSolution, V: VectorField2) -> list[tuple[float, float]]:

@@ -53,11 +53,6 @@ def bump_field(grid: GridSpec, spec: BumpSpec) -> ScalarField:
     return ScalarField(grid, bump_values(grid, spec))
 
 
-def flat_top_field(grid: GridSpec, spec: BumpSpec, cap: float) -> ScalarField:
-    """Bump clipped at `cap`, flat near the center."""
-    return ScalarField(grid, np.minimum(bump_values(grid, spec), cap))
-
-
 def disk_field(grid: GridSpec, inside: float, outside: float, radius: float,
                center: tuple[float, float] = (0.0, 0.0)) -> ScalarField:
     x, y = grid.meshgrid()

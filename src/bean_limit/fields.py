@@ -10,7 +10,6 @@ as zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,11 +60,6 @@ class ScalarField:
         object.__setattr__(self, "values", vals)
 
     @staticmethod
-    def from_function(grid: GridSpec, fn) -> "ScalarField":
-        x, y = grid.meshgrid()
-        return ScalarField(grid, fn(x, y))
-
-    @staticmethod
     def zeros(grid: GridSpec) -> "ScalarField":
         return ScalarField(grid, np.zeros((grid.n, grid.n)))
 
@@ -98,12 +92,6 @@ class PowerLaw:
     def __post_init__(self):
         if not (self.exponent > 1):
             raise ValueError(f"power-law exponent must exceed 1, got {self.exponent}")
-
-
-class Norms(NamedTuple):
-    l1: float
-    l2: float
-    linf: float
 
 
 # -- raw-array stencils (zero ghost cells) ----------------------------------
@@ -139,6 +127,7 @@ def neighbor_sum(a: np.ndarray) -> np.ndarray:
 
 
 def lap5_values(a: np.ndarray, h: float) -> np.ndarray:
+    """Five-point Laplacian with zero ghost cells; exact on quadratics."""
     out = neighbor_sum(a)
     out -= 4.0 * a
     out *= 1.0 / (h * h)
@@ -201,11 +190,6 @@ def ddy_values(a: np.ndarray, h: float) -> np.ndarray:
 
 
 # -- field-level operators ---------------------------------------------------
-
-
-def laplacian5(u: ScalarField) -> ScalarField:
-    """Five-point Laplacian with zero ghost cells; exact on quadratics."""
-    return ScalarField(u.grid, lap5_values(u.values, u.grid.spacing))
 
 
 def curl_z(H: VectorField2) -> ScalarField:
@@ -291,31 +275,6 @@ def psi(s, law: PowerLaw):
     s = np.asarray(s, dtype=float)
     out = np.sign(s) * abs_pow(s, law.exponent)
     return out if out.ndim else float(out)
-
-
-def psi_prime(s, law: PowerLaw):
-    """Derivative m |s|^(m-1); zero at the origin since m > 1."""
-    s = np.asarray(s, dtype=float)
-    out = law.exponent * np.abs(s) ** (law.exponent - 1.0)
-    return out if out.ndim else float(out)
-
-
-def psi_inv(v, law: PowerLaw):
-    """Inverse map sign(v) |v|^(1/m)."""
-    v = np.asarray(v, dtype=float)
-    out = np.sign(v) * abs_pow(v, 1.0 / law.exponent)
-    return out if out.ndim else float(out)
-
-
-def norms(u: ScalarField) -> Norms:
-    """Cell-weighted L1, L2 and max norms (weight h^2 per cell)."""
-    h2 = u.grid.spacing ** 2
-    vals = u.values
-    return Norms(
-        l1=float(h2 * np.sum(np.abs(vals))),
-        l2=float(np.sqrt(h2 * np.sum(vals * vals))),
-        linf=float(np.max(np.abs(vals))) if vals.size else 0.0,
-    )
 
 
 def boundary_ring_max(u: ScalarField) -> float:

@@ -61,10 +61,6 @@ class ViSolution:
         object.__setattr__(self, "noncoincidence_mask", mask)
 
 
-def _auto_relaxation(n: int) -> float:
-    return 2.0 / (1.0 + math.sin(math.pi / n))
-
-
 def _vi_residuals(w: np.ndarray, q: np.ndarray, h: float, mask_tol: float) -> ViResiduals:
     interior = np.zeros(w.shape, dtype=bool)
     interior[1:-1, 1:-1] = True
@@ -81,7 +77,7 @@ def _vi_residuals(w: np.ndarray, q: np.ndarray, h: float, mask_tol: float) -> Vi
 
 def psor_solve(
     data: ObstacleData,
-    relaxation: float = 1.5,
+    relaxation: float | None = None,
     tol: float = 1e-12,
     max_sweeps: int | None = None,
 ) -> ViSolution:
@@ -89,14 +85,18 @@ def psor_solve(
 
     Sweeps stop once the largest cell update falls below `tol` and the
     complementarity residuals meet their targets; NotConverged signals
-    ill-scaled data or an exhausted sweep budget (default 200 * n).
+    ill-scaled data or an exhausted sweep budget (default 200 * n).  The
+    relaxation defaults to 2 / (1 + sin(pi/n)), optimal SOR for the
+    five-point Laplacian on n cells per side.
     """
+    grid = data.q.grid
+    n = grid.n
+    if relaxation is None:
+        relaxation = 2.0 / (1.0 + math.sin(math.pi / n))
     if not (0.0 < relaxation < 2.0):
         raise ValueError(f"relaxation must lie in (0, 2), got {relaxation}")
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    grid = data.q.grid
-    n = grid.n
     h = grid.spacing
     h2 = h * h
     q = data.q.values
@@ -156,8 +156,7 @@ def _limit_profile(
     """Obstacle solve with q = datum - 1; the limit is 1 on the
     noncoincidence set and the datum elsewhere."""
     q = ScalarField(grid, datum - 1.0)
-    omega = relaxation if relaxation is not None else _auto_relaxation(grid.n)
-    vi = psor_solve(ObstacleData(q), relaxation=omega, tol=tol)
+    vi = psor_solve(ObstacleData(q), relaxation=relaxation, tol=tol)
     mask = vi.noncoincidence_mask
     return ScalarField(grid, np.where(mask, 1.0, datum)), mask, vi
 

@@ -2,9 +2,9 @@
 
 Each backward-Euler step is solved in the transformed variable
 v = psi_m(u), where the linear part is symmetric positive definite and
-the nonlinearity psi_inv is mild.  The per-cell system
+the inverse map psi_m^-1(v) = sign(v) |v|^(1/m) is mild.  The per-cell system
 
-    psi_inv(v) - dt * lap5(v) = u_prev + dt * g
+    psi_m^-1(v) - dt * lap5(v) = u_prev + dt * g
 
 is driven to a small max-norm residual by damped Newton; the inner
 linear solves use Jacobi-preconditioned conjugate gradients on the
@@ -39,7 +39,7 @@ from .fields import (
     support_margin_ok,
 )
 
-JACOBIAN_FLOOR = 1e-12  # |v| floor inside the psi_inv derivative, caps the diagonal
+JACOBIAN_FLOOR = 1e-12  # |v| floor inside the derivative of psi_m^-1, caps the diagonal
 POINTWISE_MAX_ITERS = 80  # scalar Newton cap in _pointwise_exact; reaching it raises
 MAX_NEWTON_ITERS = 50  # damped Newton cap per step; reaching it raises NewtonDiverged
 MAX_HALVINGS = 20  # dt halvings per step in pme_solve before StepTooSmall
@@ -453,11 +453,6 @@ def _pressure(u: np.ndarray, m: float) -> np.ndarray:
     return m / (m - 1.0) * abs_pow(u, m - 1.0)
 
 
-def pressure_field(u: ScalarField, law: PowerLaw) -> ScalarField:
-    """Pressure variable m/(m-1) |u|^(m-1)."""
-    return ScalarField(u.grid, _pressure(u.values, law.exponent))
-
-
 def mass_balance_residual(solution: PmeSolution) -> list[tuple[float, float]]:
     """Relative conservation defect per accepted step.
 
@@ -479,67 +474,32 @@ def mass_balance_residual(solution: PmeSolution) -> list[tuple[float, float]]:
 # -- exact self-similar solution --------------------------------------------
 
 
-def _shape_integral(m: float, n_dim: int) -> float:
-    """integral_0^1 (1 - y^2)^(1/(m-1)) y^(n-1) dy by level-doubling quadrature.
+def barenblatt_eval(x, t: float, law: PowerLaw, mass: float):
+    """Self-similar compactly supported exact solution in 2-d with total mass `mass`.
 
-    Tanh-sinh nodes handle the algebraic endpoint singularity at y = 1;
-    levels double until two successive estimates agree to rel 1e-12.
-    """
-    a_exp = 1.0 / (m - 1.0)
-
-    def f(y: np.ndarray) -> np.ndarray:
-        core = np.clip(1.0 - y * y, 0.0, None) ** a_exp
-        return core * y ** (n_dim - 1)
-
-    # map (0,1) -> tanh-sinh abscissae: y = 0.5*(1 + tanh(pi/2 sinh(u)))
-    last = None
-    for level in range(4, 13):
-        hstep = 6.0 / 2 ** level
-        k = np.arange(-(2 ** level), 2 ** level + 1)
-        u = k * hstep
-        su = np.sinh(u)
-        y = 0.5 * (1.0 + np.tanh(0.5 * np.pi * su))
-        w = 0.25 * np.pi * hstep * np.cosh(u) / np.cosh(0.5 * np.pi * su) ** 2
-        ok = (y > 0.0) & (y < 1.0)
-        est = float(np.sum(f(y[ok]) * w[ok]))
-        if last is not None and abs(est - last) <= 1e-12 * abs(est):
-            return est
-        last = est
-    return last
-
-
-def barenblatt_eval(x, t: float, law: PowerLaw, n_dim: int, mass: float):
-    """Self-similar compactly supported exact solution with total mass `mass`.
-
-    `x` is a scalar radius-coordinate for n_dim=1 or an (..., 2) stack /
-    pair of coordinate arrays for n_dim=2.  The profile normalization is
-    fixed so that the spatial integral equals `mass` for every t > 0
-    (unit-sphere surface measure 2 in 1-d, 2*pi in 2-d).
+    `x` is an (..., 2) stack or pair of coordinate arrays.  The profile
+    normalization uses the shape integral
+    int_0^1 (1 - y^2)^(1/(m-1)) y dy = (m-1)/(2m), so that the spatial
+    integral equals `mass` for every t > 0.
     """
     if t <= 0:
         raise ValueError("Barenblatt profile needs t > 0")
-    if n_dim not in (1, 2):
-        raise ValueError("n_dim must be 1 or 2")
     if not (mass > 0):
         raise ValueError("mass must be positive")
     m = law.exponent
-    denom = n_dim * (m - 1.0) + 2.0
-    alpha = n_dim / denom
+    denom = 2.0 * (m - 1.0) + 2.0
+    alpha = 2.0 / denom
     beta = 1.0 / denom
     # profile curvature constant; the extra 1/m is required for the profile
     # to satisfy u_t = lap(u^m) (checked by the PDE-residual test)
     kcoef = (m - 1.0) / (2.0 * m * denom)
-    w_n = 2.0 if n_dim == 1 else 2.0 * np.pi
-    shape = _shape_integral(m, n_dim)
-    xi0 = (mass * kcoef ** (0.5 * n_dim) / (w_n * shape)) ** ((m - 1.0) / denom)
+    shape = (m - 1.0) / (2.0 * m)
+    xi0 = (mass * kcoef / (2.0 * np.pi * shape)) ** ((m - 1.0) / denom)
 
     x = np.asarray(x, dtype=float)
-    if n_dim == 1:
-        r2 = x * x
-    else:
-        if x.shape[-1] != 2:
-            raise ValueError("2-d evaluation expects points with a trailing axis of size 2")
-        r2 = np.sum(x * x, axis=-1)
+    if x.shape[-1] != 2:
+        raise ValueError("evaluation expects points with a trailing axis of size 2")
+    r2 = np.sum(x * x, axis=-1)
     bracket = xi0 ** 2 - kcoef * r2 * t ** (-2.0 * beta)
     out = t ** (-alpha) * np.clip(bracket, 0.0, None) ** (1.0 / (m - 1.0))
     return out if out.ndim else float(out)
@@ -548,4 +508,4 @@ def barenblatt_eval(x, t: float, law: PowerLaw, n_dim: int, mass: float):
 def barenblatt_field(grid: GridSpec, t: float, law: PowerLaw, mass: float) -> ScalarField:
     x, y = grid.meshgrid()
     pts = np.stack([x, y], axis=-1)
-    return ScalarField(grid, barenblatt_eval(pts, t, law, 2, mass))
+    return ScalarField(grid, barenblatt_eval(pts, t, law, mass))

@@ -3,7 +3,7 @@
 `radial_obstacle_oracle` solves the radial complementarity problem on a
 fine 1-d mesh, as a reference for the 2-d obstacle solver;
 `monotonicity_check` audits a radial PME run for radial and temporal
-monotonicity.
+monotonicity; `flat_top_field` is test data with a plateau.
 """
 
 import math
@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bean_limit.datagen import BumpSpec, bump_values
 from bean_limit.experiments import Report, outward_monotone_defect, require_radial_monotone_data
+from bean_limit.fields import GridSpec, ScalarField
 from bean_limit.obstacle import NotConverged
 from bean_limit.pme import PmeSolution
 
@@ -120,3 +122,8 @@ def monotonicity_check(solution: PmeSolution) -> Report:
     report.add_verdict("radially_non_increasing", radial_defect <= 1e-8, ["radial_defect_max"])
     report.add_verdict("time_monotone", time_defect <= 1e-8, ["time_defect_max"])
     return report
+
+
+def flat_top_field(grid: GridSpec, spec: BumpSpec, cap: float) -> ScalarField:
+    """Bump clipped at `cap`, flat near the center."""
+    return ScalarField(grid, np.minimum(bump_values(grid, spec), cap))

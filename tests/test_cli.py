@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +11,10 @@ import numpy as np
 import pytest
 
 import bean_limit
+from bean_limit import experiments, obstacle
 from bean_limit.cli import COMMANDS, run
 from bean_limit.config import ConfigError, RunConfig
+from bean_limit.datagen import disk_field
 from bean_limit.fields import GridSpec, ScalarField
 from bean_limit.io_formats import FieldFormatError, read_field, write_field
 
@@ -283,6 +288,24 @@ psor.relaxation = 1.88
     assert all(v["passed"] for v in report["verdicts"])
 
 
+def test_solve_obstacle_relaxes_at_the_optimal_sor_factor_by_default(tmp_path):
+    path = write_cfg(tmp_path, """
+grid.L = 4.0
+grid.n = 48
+q.kind = disk
+q.inside = 0.5
+q.outside = -1.0
+q.radius = 1.0
+""")
+    out = tmp_path / "out"
+    assert run(["solve-obstacle", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    q = disk_field(GridSpec(4.0, 48), inside=0.5, outside=-1.0, radius=1.0)
+    omega = 2.0 / (1.0 + math.sin(math.pi / 48))
+    vi = obstacle.psor_solve(obstacle.ObstacleData(q), relaxation=omega)
+    assert report["metrics"]["sweeps"] == vi.iterations
+
+
 def test_mesa_profile_subcommand(tmp_path):
     path = write_cfg(tmp_path, """
 grid.L = 4.0
@@ -529,6 +552,38 @@ def test_reference_configs_set_only_keys_their_subcommand_reads():
     assert checked == 10
 
 
+# names kept public without a caller in src/: the reader of the field dumps
+UNCALLED_BY_DESIGN = {"read_field"}
+
+
+def test_every_public_name_has_a_caller_in_src():
+    # a reference is a Name, an Attribute's attr or a string constant equal
+    # to the name (the driver names in cli.COMMANDS), outside the name's own
+    # definition; docstrings and the re-exports of __init__.py do not count
+    trees = [ast.parse(p.read_text()) for p in sorted(Path(bean_limit.__file__).parent.glob("*.py"))
+             if p.name != "__init__.py"]
+    public, inside, refs = set(), {}, []
+    for tree in trees:
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and ast.get_docstring(node) is not None}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.add(node.name)
+                inside.setdefault(node.name, set()).update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((node.id, id(node)))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, id(node)))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings):
+                refs.append((node.value, id(node)))
+    called = {name for name, node in refs if node not in inside.get(name, ())}
+    uncalled = sorted(public - called - UNCALLED_BY_DESIGN)
+    assert not uncalled, f"public names no code in src/ calls: {', '.join(uncalled)}"
+
+
 SWEEP_BASE = SCALAR_BASE + "schedule = 4, 8\n"
 H0_BLOCK = "h0.width = 1.5\nh0.curl_max = 0.5\n"
 
@@ -634,6 +689,43 @@ def test_sweep_p_from_a_zero_field_passes_every_verdict(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["metrics"]["vi_abs_max@4"] == report["metrics"]["vi_abs_max@8"] == 0.0
     assert all(v["passed"] for v in report["verdicts"])
+
+
+@pytest.mark.parametrize("command, text, metric", [
+    ("small-data", SWEEP_BASE + "f.height = 0.0\nf.radius = 1.0\n", "d"),
+    ("sweep-m", SWEEP_BASE + "f.height = 0.0\nf.radius = 1.0\n", "e"),
+    ("equivalence", SCALAR_BASE + "exponent = 4\ngrids = 16, 24\n"
+     "h0.width = 1.5\nh0.amplitude = 0.0\n", "rel_l2_max"),
+])
+def test_exact_zero_data_pass_every_verdict(tmp_path, command, text, metric):
+    # u = 0 (H = 0 for equivalence) is the exact answer at every exponent and
+    # grid: each distance is exactly 0, and a pair of zeros counts as decreasing
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert run([command, "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    series = [v for k, v in report["metrics"].items() if k.startswith(f"{metric}@")]
+    assert series == [0.0, 0.0]
+    assert all(v["passed"] for v in report["verdicts"])
+
+
+def test_equivalence_against_a_zero_scalar_run_fails_its_verdict(tmp_path, monkeypatch):
+    # a nonzero curl against a zero scalar field is no match: relative
+    # distance inf and a failed verdict, not a division by zero
+    pme_solve = experiments.pme_solve
+
+    def zeroed(problem, config):
+        sol = pme_solve(problem, config)
+        zero = ScalarField.zeros(problem.grid)
+        return dataclasses.replace(sol, snapshots=[(t, zero) for t, _ in sol.snapshots])
+
+    monkeypatch.setattr(experiments, "pme_solve", zeroed)
+    path = write_cfg(tmp_path, SCALAR_BASE + "exponent = 4\n" + H0_BLOCK)
+    out = tmp_path / "out"
+    assert run(["equivalence", "--config", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["metrics"]["rel_l2_max@24"] == math.inf
+    assert not any(v["passed"] for v in report["verdicts"] if v["name"] == "rel_l2_below_5h")
 
 
 @pytest.mark.parametrize("command, text, field", [

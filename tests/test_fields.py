@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bean_limit.curl2d import resistivity_coeff
 from bean_limit.fields import (
     DiffPlan,
     GridSpec,
@@ -18,17 +17,14 @@ from bean_limit.fields import (
     ddy_values,
     divergence,
     from_stream,
-    laplacian5,
+    lap5_values,
     neighbor_sum,
     neighbor_sum_into,
-    norms,
     pow_into,
     psi,
-    psi_inv,
-    psi_prime,
     support_margin_ok,
 )
-from bean_limit.pme import pressure_field
+from bean_limit.pme import _pressure
 
 
 def grid(n=16, L=1.0):
@@ -70,15 +66,14 @@ def test_vector_field_grid_mismatch():
 
 def test_laplacian_constant_interior_zero():
     g = grid()
-    u = ScalarField(g, np.full((16, 16), 3.7))
-    lap = laplacian5(u).values
+    lap = lap5_values(np.full((16, 16), 3.7), g.spacing)
     assert np.all(lap[1:-1, 1:-1] == 0.0)
 
 
 def test_laplacian_exact_on_quadratic():
     g = grid(32, 1.5)
-    u = ScalarField.from_function(g, lambda x, y: x ** 2 + y ** 2)
-    lap = laplacian5(u).values
+    x, y = g.meshgrid()
+    lap = lap5_values(x ** 2 + y ** 2, g.spacing)
     assert np.allclose(lap[1:-1, 1:-1], 4.0, atol=1e-11)
 
 
@@ -86,7 +81,6 @@ def test_laplacian_matches_bruteforce_stencil():
     rng = np.random.default_rng(7)
     g = grid(8)
     vals = rng.standard_normal((8, 8))
-    u = ScalarField(g, vals)
     h2 = g.spacing ** 2
     expected = np.zeros((8, 8))
     for j in range(8):
@@ -97,7 +91,7 @@ def test_laplacian_matches_bruteforce_stencil():
             s = vals[j - 1, i] if j > 0 else 0.0
             n = vals[j + 1, i] if j < 7 else 0.0
             expected[j, i] = (w + e + s + n - 4 * c) / h2
-    assert np.allclose(laplacian5(u).values, expected, atol=1e-12)
+    assert np.allclose(lap5_values(vals, g.spacing), expected, atol=1e-12)
 
 
 def test_laplacian_symmetric_summation_by_parts():
@@ -107,11 +101,9 @@ def test_laplacian_symmetric_summation_by_parts():
     b = np.zeros((24, 24))
     a[3:-3, 3:-3] = rng.standard_normal((18, 18))
     b[3:-3, 3:-3] = rng.standard_normal((18, 18))
-    u = ScalarField(g, a)
-    v = ScalarField(g, b)
     h2 = g.spacing ** 2
-    lhs = h2 * np.sum(b * laplacian5(u).values)
-    rhs = h2 * np.sum(a * laplacian5(v).values)
+    lhs = h2 * np.sum(b * lap5_values(a, g.spacing))
+    rhs = h2 * np.sum(a * lap5_values(b, g.spacing))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -256,9 +248,10 @@ def test_curl_of_stream_matches_laplacian_under_refinement():
     errs = []
     for n in (32, 64):
         g = GridSpec(4.0, n)
-        phi = ScalarField.from_function(g, lambda x, y: np.exp(-x ** 2 - y ** 2))
+        x, y = g.meshgrid()
+        phi = ScalarField(g, np.exp(-x ** 2 - y ** 2))
         H = from_stream(phi)
-        two_path = curl_z(H).values + laplacian5(phi).values
+        two_path = curl_z(H).values + lap5_values(phi.values, g.spacing)
         errs.append(np.max(np.abs(two_path[2:-2, 2:-2])))
     assert errs[1] <= errs[0] / 3.0  # second order in h
 
@@ -270,30 +263,12 @@ def test_psi_direct_values():
     law = PowerLaw(3.0)
     assert psi(2.0, law) == pytest.approx(8.0)
     assert psi(-2.0, law) == pytest.approx(-8.0)
-    assert psi_inv(8.0, law) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("m", [1.5, 2.0, 8.0, 64.0, 96.0])
 def test_psi_degenerate_at_origin(m):
     law = PowerLaw(m)
     assert psi(0.0, law) == 0.0
-    assert psi_prime(0.0, law) == 0.0
-    assert psi_inv(0.0, law) == 0.0
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    s=st.floats(-100.0, 100.0, allow_nan=False),
-    m=st.floats(1.01, 96.0, allow_nan=False),
-)
-def test_psi_round_trip(s, m):
-    from hypothesis import assume
-
-    law = PowerLaw(m)
-    v = psi(s, law)
-    # |s|^m below the normal floating range underflows and cannot round-trip
-    assume(s == 0.0 or abs(v) >= 2.3e-308)
-    assert abs(psi_inv(v, law) - s) <= 1e-12 * (1.0 + abs(s))
 
 
 @settings(max_examples=100, deadline=None)
@@ -307,7 +282,6 @@ def test_psi_odd_and_monotone(a, b, m):
     assert psi(-a, law) == pytest.approx(-psi(a, law), abs=1e-300)
     if a < b:
         assert psi(a, law) <= psi(b, law)
-    assert psi_prime(a, law) >= 0.0
 
 
 POW_EXPONENTS = [1 / 96, 1 / 3, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 31.0, 63.0, 95.0, 96.0]
@@ -367,15 +341,11 @@ def test_power_maps_match_their_formulas_bit_for_bit(m):
     u[rng.random(u.shape) < 0.3] = 0.0
     u[rng.random(u.shape) < 0.3] = -0.0
     u[0, :4] = [5e-324, -5e-324, 2.0 ** (-1100.0 / m), -(2.0 ** (-1100.0 / (m - 1.0)))]
-    law, p = PowerLaw(m), m + 1.0
-    field = ScalarField(GridSpec(1.0, 16), u)
+    law = PowerLaw(m)
     assert same_bits(psi(u, law), np.sign(u) * np.abs(u) ** m)
-    assert same_bits(psi_inv(u, law), np.sign(u) * np.abs(u) ** (1.0 / m))
-    assert same_bits(pressure_field(field, law).values, m / (m - 1.0) * np.abs(u) ** (m - 1.0))
-    assert same_bits(resistivity_coeff(field, p).values, np.abs(u) ** (p - 2.0))
+    assert same_bits(_pressure(u, m), m / (m - 1.0) * np.abs(u) ** (m - 1.0))
     for s in (0.0, -0.0, 5e-324, 0.3, -1.7):
         assert same_bits(psi(s, law), np.sign(s) * np.abs(np.float64(s)) ** m)
-        assert same_bits(psi_inv(s, law), np.sign(s) * np.abs(np.float64(s)) ** (1.0 / m))
 
 
 def test_powerlaw_validation():
@@ -383,25 +353,7 @@ def test_powerlaw_validation():
         PowerLaw(1.0)
 
 
-# -- norms ---------------------------------------------------------------------
-
-
-def test_norms_of_ones():
-    g = GridSpec(1.0, 20)
-    n = norms(ScalarField(g, np.ones((20, 20))))
-    assert n.l1 == pytest.approx(4.0)
-    assert n.l2 == pytest.approx(2.0)
-    assert n.linf == 1.0
-
-
-def test_norms_zero_and_indicator():
-    g = GridSpec(1.0, 16)
-    z = norms(ScalarField.zeros(g))
-    assert z == (0.0, 0.0, 0.0)
-    vals = np.zeros((16, 16))
-    vals[4:7, 5:9] = 1.0  # 12 cells
-    n = norms(ScalarField(g, vals))
-    assert n.l1 == pytest.approx(12 * g.spacing ** 2)
+# -- support ---------------------------------------------------------------------
 
 
 def test_boundary_and_support_helpers():

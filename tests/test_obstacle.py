@@ -17,7 +17,7 @@ from bean_limit.obstacle import (
     psor_solve,
 )
 
-from oracles import radial_obstacle_oracle
+from oracles import flat_top_field, radial_obstacle_oracle
 
 
 def auto_omega(n):
@@ -210,8 +210,6 @@ def test_mesa_small_data_is_identity():
 
 def test_mesa_plateau_contains_saturated_ball():
     g = GridSpec(4.0, 64)
-    from bean_limit.datagen import flat_top_field
-
     f = flat_top_field(g, BumpSpec(height=1.4, radius=1.5), cap=1.0)
     gsrc = bump_field(g, BumpSpec(height=0.3, radius=1.5))
     G = ScalarField(g, 0.5 * gsrc.values)

@@ -6,10 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bean_limit.datagen import BumpSpec, bump_field, flat_top_field
+from bean_limit.datagen import BumpSpec, bump_field
 from bean_limit.errors import DomainError
 from bean_limit import cli, obstacle, pme
-from bean_limit.fields import GridSpec, PowerLaw, ScalarField, lap5_values, neighbor_sum, psi
+from bean_limit.fields import (
+    GridSpec,
+    PowerLaw,
+    ScalarField,
+    boundary_ring_max,
+    lap5_values,
+    neighbor_sum,
+    psi,
+)
 from bean_limit.pme import (
     CG_MAX_ITERS,
     CG_TOL,
@@ -19,45 +27,42 @@ from bean_limit.pme import (
     PmeProblem,
     StepTooSmall,
     _pointwise_exact,
-    _shape_integral,
+    _pressure,
     barenblatt_eval,
     barenblatt_field,
     mass_balance_residual,
     pcg,
     pme_solve,
-    pressure_field,
 )
+
+from oracles import flat_top_field
 
 LAW3 = PowerLaw(3.0)
 
 
-def beta_closed_form(m, n):
-    a = 1.0 / (m - 1.0)
-    return math.gamma(n / 2) * math.gamma(a + 1) / (2 * math.gamma(n / 2 + a + 1))
-
-
-# -- quadrature and exact solution ---------------------------------------------
-
-
-@pytest.mark.parametrize("m", [1.5, 2.0, 3.0, 8.0, 33.7, 96.0])
-@pytest.mark.parametrize("n_dim", [1, 2])
-def test_shape_integral_matches_beta_function(m, n_dim):
-    q = _shape_integral(m, n_dim)
-    b = beta_closed_form(m, n_dim)
-    assert abs(q - b) <= 1e-10 * abs(b)
+# -- exact solution --------------------------------------------------------------
 
 
 def test_barenblatt_outside_support_is_zero():
-    val = barenblatt_eval(np.array([50.0, 0.0]), 1.0, LAW3, 2, 1.0)
+    val = barenblatt_eval(np.array([50.0, 0.0]), 1.0, LAW3, 1.0)
     assert val == 0.0
 
 
 def test_barenblatt_mass_constant_in_time():
-    g = GridSpec(2.0, 512)
-    for t in (1.0, 2.0, 4.0):
-        f = barenblatt_field(g, t, LAW3, 1.0)
-        mass = g.spacing ** 2 * np.sum(f.values)
-        assert abs(mass - 1.0) <= 5e-3
+    # the cell sum is the midpoint rule: O(h^2) inside the support, and the
+    # error sits in the cells the support edge cuts.  At large m the profile
+    # tends to a disk's indicator, whose cell count misses pi R^2 / h^2 by
+    # O((R/h)^(2/3)) cells, a relative (h/R)^(4/3) of about 3e-3 at
+    # m = 33.7 (R/h about 80); smaller m put less mass at the edge.  5e-3
+    # still catches a shape integral off by 0.5%.  The box at m = 1.5 is
+    # wider because its support is.
+    for m, L in ((1.5, 6.0), (3.0, 2.0), (8.0, 2.0), (33.7, 2.0)):
+        g = GridSpec(L, 512)
+        for t in (1.0, 2.0, 4.0):
+            f = barenblatt_field(g, t, PowerLaw(m), 1.0)
+            assert boundary_ring_max(f) == 0.0  # the support fits in the box
+            mass = g.spacing ** 2 * np.sum(f.values)
+            assert abs(mass - 1.0) <= 5e-3, (m, t)
 
 
 def test_barenblatt_self_similarity_identity():
@@ -67,8 +72,8 @@ def test_barenblatt_self_similarity_identity():
         x = rng.uniform(-2, 2, 2)
         t = rng.uniform(0.5, 3.0)
         lam = rng.uniform(0.5, 3.0)
-        lhs = barenblatt_eval(x, lam * t, LAW3, 2, 1.0)
-        rhs = lam ** (-2.0 / k) * barenblatt_eval(x * lam ** (-1.0 / k), t, LAW3, 2, 1.0)
+        lhs = barenblatt_eval(x, lam * t, LAW3, 1.0)
+        rhs = lam ** (-2.0 / k) * barenblatt_eval(x * lam ** (-1.0 / k), t, LAW3, 1.0)
         assert abs(lhs - rhs) <= 1e-10
 
 
@@ -652,10 +657,8 @@ def test_zero_datum_accumulates_the_source():
 
 
 def test_pressure_field_values():
-    g = GridSpec(1.0, 16)
-    assert np.all(pressure_field(ScalarField.zeros(g), PowerLaw(5.0)).values == 0.0)
-    ones = ScalarField(g, np.ones((16, 16)))
-    assert np.allclose(pressure_field(ones, PowerLaw(2.0)).values, 2.0)
+    assert np.all(_pressure(np.zeros((16, 16)), 5.0) == 0.0)
+    assert np.allclose(_pressure(np.ones((16, 16)), 2.0), 2.0)
 
 
 def test_pressure_bounded_on_subcritical_run():
