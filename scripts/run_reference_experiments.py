@@ -5,8 +5,9 @@ Usage:
     python scripts/run_reference_experiments.py [--out OUTDIR] [--only NAME ...]
 
 Each run writes its artifacts under OUTDIR/<name>/ (field dumps,
-report.json, summary.txt).  The Barenblatt study and the collapse study
-take a couple of minutes each; everything else finishes in seconds.
+report.json, summary.txt).  On a 2-core Xeon the Barenblatt study takes
+about 25 s and the collapse study about 15 s; everything else finishes in
+under 5 s each.
 """
 
 import argparse

@@ -18,7 +18,6 @@ from .pme import (
     PmeSolution,
     barenblatt_eval,
     barenblatt_field,
-    mass_balance_residual,
     pme_solve,
 )
 from .obstacle import (

@@ -81,13 +81,27 @@ class CurlConfig:
 
 @dataclass
 class CurlDiagnostics:
+    """The times of the steps, index 0 the initial state, and two maxima
+    over the states at those times.
+
+    div_drift_max is the largest max |div H|.  energy_ratio is the largest
+    lhs / bound of the discrete energy inequality over the times with
+    bound > 0.  The scheme satisfies E(t) + 2 * integral of dissipation =
+    E(0) + 2 * integral of <F, H> up to the explicit-Euler injection, with
+    E = h^2 sum |H|^2 and dissipation h^2 sum |w|^p, so with Cauchy-Schwarz
+    and Gronwall
+
+        lhs(t) = E(t) + 2 * diss(t) <= (E(0) + integral |F|^2) * e^t = bound(t).
+
+    The integrals sum dt times the value at the start of each step.
+    energy_ratio <= 1.05 also caps the energy-plus-dissipation budget
+    sup_t E + diss by 1.05 max_t bound.  It is 0 without a time with
+    bound > 0: then E(0) = 0 and there is no forcing, so H stays 0.
+    """
+
     times: list[float] = field(default_factory=list)
-    l2_H: list[float] = field(default_factory=list)
-    curl_lp: list[float] = field(default_factory=list)   # h^2 sum |w|^p
-    div_drift: list[float] = field(default_factory=list)
-    dt: list[float] = field(default_factory=list)
-    dissipation_cum: list[float] = field(default_factory=list)  # sum dt * h^2 sum |w|^p
-    forcing_l2_cum: list[float] = field(default_factory=list)   # sum dt * h^2 sum |F|^2
+    div_drift_max: float = 0.0
+    energy_ratio: float = 0.0
 
 
 @dataclass
@@ -123,7 +137,7 @@ class _StepKernel:
     H is a (2, n, n) array with H[0] = h1 and H[1] = h2, updated in place.
     `differentiate` fills the x- and y-differences of both components;
     they give the curl that drives the next step and the divergence of H.
-    `step` is one whole step, and appends the new state to `diag`; it
+    `step` is one whole step, and folds the new state into `diag`; it
     evaluates one pow, |w|^(p-1) by pow_into, which serves the flux and,
     times |w|, the dissipation sum |w|^p.
     """
@@ -145,7 +159,7 @@ class _StepKernel:
         self.f1, self.f2 = _forcing_arrays(forcing)
         self.forcing_sq = float(self.h2 * np.sum(self.f1 * self.f1 + self.f2 * self.f2))
         self.diag = CurlDiagnostics()
-        self.dissipation = self.forcing_l2 = 0.0
+        self.dissipation = self.forcing_l2 = self.e0 = 0.0
 
     def differentiate(self) -> float:
         """Differences and curl of H; returns max |curl|."""
@@ -163,32 +177,30 @@ class _StepKernel:
             raise BlowUp(t, self.wmax)
         return self.wmax
 
-    def record(self, t: float, dt: float) -> None:
-        """Append the diagnostics of H at t, which has just been differentiated;
-        its curl_lp is appended by the next `step`, or by the caller."""
+    def record(self, t: float) -> None:
+        """Fold H at t, which has just been differentiated, into the
+        diagnostics; the first state recorded is the initial one."""
         d, work = self.diag, self.work
         np.multiply(self.H, self.H, self.incr)
         np.add(self.incr0, self.incr1, self.incr0)
         np.add(self.dx0, self.dy1, work)
         np.absolute(work, work)
+        l2h = math.sqrt(self.h2 * float(np.add.reduce(self.incr0, None)))
+        if not d.times:
+            self.e0 = l2h ** 2
         d.times.append(t)
-        d.l2_H.append(math.sqrt(self.h2 * float(np.add.reduce(self.incr0, None))))
-        d.div_drift.append(float(np.maximum.reduce(work, None)))
-        d.dt.append(dt)
-        d.dissipation_cum.append(self.dissipation)
-        d.forcing_l2_cum.append(self.forcing_l2)
-
-    def curl_power_sum(self) -> float:
-        """h^2 sum |w|^p of the last differentiated state; leaves |w|^(p-1) in flux."""
-        pow_into(self.wabs, self.e, self.flux, self.live)
-        np.multiply(self.flux, self.wabs, self.work)
-        return self.h2 * float(np.add.reduce(self.work, None))
+        d.div_drift_max = max(d.div_drift_max, float(np.maximum.reduce(work, None)))
+        bound = (self.e0 + self.forcing_l2) * math.exp(t)
+        if bound > 0:
+            d.energy_ratio = max(d.energy_ratio, (l2h ** 2 + 2.0 * self.dissipation) / bound)
 
     def step(self, dt: float, t: float) -> float:
         """H += dt * (F - (d(Phi)/dy, -d(Phi)/dx)), Phi = psi_{p-1}(w) of the
         last differentiated state, to time t; then differentiate, check and
         record the new state.  Returns its max |curl|."""
-        lp = self.curl_power_sum()
+        pow_into(self.wabs, self.e, self.flux, self.live)
+        np.multiply(self.flux, self.wabs, self.work)
+        lp = self.h2 * float(np.add.reduce(self.work, None))  # h^2 sum |w|^p
         np.copysign(self.flux, self.omega, self.flux)
         for plan in self.diff_flux:
             plan()
@@ -197,12 +209,11 @@ class _StepKernel:
         self.dt[()] = dt
         np.multiply(self.incr, self.dt, self.incr)
         np.add(self.H, self.incr, self.H)
-        self.diag.curl_lp.append(lp)
         self.dissipation += dt * lp
         self.forcing_l2 += dt * self.forcing_sq
         self.differentiate()
         self.check_blowup(t)
-        self.record(t, dt)
+        self.record(t)
         return self.wmax
 
 
@@ -224,7 +235,7 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
         Hf = VectorField2(ScalarField(grid, H[0]), ScalarField(grid, H[1]))
         return (t_now, Hf, ScalarField(grid, kernel.omega), ScalarField(grid, kernel.wabs))
 
-    kernel.record(0.0, 0.0)
+    kernel.record(0.0)
     snapshots = [snap(0.0)]
     t = 0.0
     for target in targets:
@@ -235,7 +246,6 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
             t = target if target - (t + dt) <= eps_t else t + dt
             wmax = kernel.step(dt, t)
         snapshots.append(snap(target))
-    kernel.diag.curl_lp.append(kernel.curl_power_sum())
 
     return CurlSolution(problem, snapshots, kernel.diag)
 
@@ -271,32 +281,3 @@ def vi_residual(solution: CurlSolution, V: VectorField2) -> list[tuple[float, fl
         r = h2 * float(np.sum((f1 - ht1) * d1 + (f2 - ht2) * d2))
         out.append((t_now, r))
     return out
-
-
-def energy_budget(solution: CurlSolution) -> list[tuple[float, float, float]]:
-    """Series (t, lhs, bound) for the discrete energy inequality.
-
-    The scheme satisfies E(t) + 2 * integral of dissipation = E(0) +
-    2 * integral of <F, H> up to the explicit-Euler injection, so with
-    Cauchy-Schwarz and Gronwall
-
-        E(t) + 2 * diss(t) <= (E(0) + integral |F|^2) * e^t =: bound(t).
-
-    lhs <= 1.05 * bound at every time also caps the energy-plus-dissipation
-    budget sup_t E + diss by max_t bound.
-    """
-    d = solution.diagnostics
-    e0 = d.l2_H[0] ** 2
-    out = []
-    for t, l2h, diss, fl2 in zip(d.times, d.l2_H, d.dissipation_cum, d.forcing_l2_cum):
-        lhs = l2h ** 2 + 2.0 * diss
-        bound = (e0 + fl2) * math.exp(t)
-        out.append((t, lhs, bound))
-    return out
-
-
-def energy_ratio(solution: CurlSolution) -> float:
-    """max lhs / bound of the energy budget over the times with bound > 0; 0 without
-    one, since then E(0) = 0 and there is no forcing, so H stays 0."""
-    budget = energy_budget(solution)
-    return max((lhs / bound for _, lhs, bound in budget if bound > 0), default=0.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curl2d import CurlConfig, CurlProblem, curl_solve, energy_ratio, vi_residual
+from .curl2d import CurlConfig, CurlProblem, curl_solve, vi_residual
 from .datagen import (
     BumpSpec,
     StreamSpec,
@@ -42,7 +42,6 @@ from .pme import (
     PmeProblem,
     PmeSolution,
     barenblatt_field,
-    mass_balance_residual,
     pme_solve,
 )
 
@@ -116,6 +115,8 @@ class ExperimentSpec:
             raise ValueError(f"exponents are capped at {EXPONENT_CAP}")
         if not (self.horizon > 0):
             raise ValueError("horizon must be positive")
+        if self.n_test_fields < 1:
+            raise ValueError("n_test_fields must be at least 1")
         try:
             targets, _ = snapshot_targets(self.snapshot_times, self.horizon)
         except ValueError as exc:
@@ -264,7 +265,7 @@ def solve_pme(spec: ExperimentSpec, sink=_no_dumps) -> Report:
         report.add_metric("mass", float(grid.spacing ** 2 * np.sum(u.values)), t)
         report.add_metric("sup", float(np.max(np.abs(u.values))), t)
         trunc = max(trunc, boundary_ring_max(u))
-    residual = max(r for _, r in mass_balance_residual(sol))
+    residual = sol.diagnostics.mass_residual_max
     report.add_metric("mass_residual_max", residual)
     report.add_metric("boundary_max", trunc)
     report.add_verdict("mass_balance_ok", residual <= 1e-8, ["mass_residual_max"])
@@ -292,8 +293,8 @@ def solve_curl(spec: ExperimentSpec, sink=_no_dumps) -> Report:
         report.add_metric("l2_H", float(np.sqrt(grid.spacing ** 2 * np.sum(
             H.comp1.values ** 2 + H.comp2.values ** 2))), t)
         trunc = max(trunc, boundary_ring_max(H.comp1), boundary_ring_max(H.comp2))
-    drift = max(sol.diagnostics.div_drift)
-    ratio = energy_ratio(sol)
+    drift = sol.diagnostics.div_drift_max
+    ratio = sol.diagnostics.energy_ratio
     report.add_metric("div_drift_max", drift)
     report.add_metric("energy_ratio", ratio)
     report.add_metric("boundary_max", trunc)
@@ -350,8 +351,8 @@ def sweep_p(spec: ExperimentSpec, sink=_no_dumps) -> Report:
         report.add_metric("vi_max", vi_max, p)
         vi_keys.append(report.add_metric("vi_abs_max", vi_abs, p))
         bound_keys.append(report.add_metric("vi_bound_defect", vi_bound_defect, p))
-        div_keys.append(report.add_metric("div_drift", max(sol.diagnostics.div_drift), p))
-        worst_ratio = energy_ratio(sol)
+        div_keys.append(report.add_metric("div_drift", sol.diagnostics.div_drift_max, p))
+        worst_ratio = sol.diagnostics.energy_ratio
         report.add_metric("energy_ratio", worst_ratio, p)
         energy_ok = energy_ok and worst_ratio <= 1.05
         trunc_worst = max(
@@ -416,11 +417,9 @@ def sweep_m_vs_mesa(spec: ExperimentSpec, sink=_no_dumps) -> Report:
         sol = _run_pme(spec, m, f, g, sink, f"u_m{m:g}")
         u_final = sol.snapshots[-1][1]
         e_keys.append(report.add_metric("e", _l1_distance(u_final, mesa), m))
-        p_keys.append(report.add_metric("pressure_max", max(sol.diagnostics.pressure_max), m))
-        report.add_metric("sup_u", max(sol.diagnostics.sup_norm), m)
-        report.add_metric(
-            "mass_residual_max", max(r for _, r in mass_balance_residual(sol)), m
-        )
+        p_keys.append(report.add_metric("pressure_max", sol.diagnostics.pressure_max, m))
+        report.add_metric("sup_u", sol.diagnostics.sup_max, m)
+        report.add_metric("mass_residual_max", sol.diagnostics.mass_residual_max, m)
         trunc_worst = max(trunc_worst, boundary_ring_max(u_final))
     report.add_metric("boundary_max", trunc_worst)
 
@@ -542,7 +541,7 @@ def small_data_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
         d_keys.append(report.add_metric("d", _l1_distance(u_final, target), m))
         report.add_metric(
             "sup_bound_defect",
-            max(0.0, max(sol.diagnostics.sup_norm) - M),
+            max(0.0, sol.diagnostics.sup_max - M),
             m,
         )
     d_series = [report.metrics[k] for k in d_keys]
@@ -677,11 +676,7 @@ def barenblatt_convergence(spec: ExperimentSpec, sink=_no_dumps) -> Report:
         sink(f"exact_n{n}", exact, spec.horizon)
         err_keys.append(report.add_metric("l1_error", _l1_distance(sol.snapshots[-1][1], exact), n))
         mass_keys.append(
-            report.add_metric(
-                "mass_residual_max",
-                max(r for _, r in mass_balance_residual(sol)),
-                n,
-            )
+            report.add_metric("mass_residual_max", sol.diagnostics.mass_residual_max, n)
         )
     errs = [report.metrics[k] for k in err_keys]
     orders = [

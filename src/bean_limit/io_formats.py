@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -89,17 +90,21 @@ def read_field(path) -> tuple[ScalarField, float, str]:
 
 
 def write_report(out_dir, report: Report, config: dict) -> None:
-    """report.json, with `config` as its config echo, and summary.txt."""
+    """report.json, with `config` as its config echo, and summary.txt.
+
+    report.json is strict JSON: a non-finite metric is written as null.
+    summary.txt prints it as inf or nan.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "name": report.name,
         "config": config,
-        "metrics": report.metrics,
+        "metrics": {k: v if math.isfinite(v) else None for k, v in report.metrics.items()},
         "verdicts": [dataclasses.asdict(v) for v in report.verdicts],
     }
     (out_dir / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
     (out_dir / "summary.txt").write_text(summary_text(report))
 

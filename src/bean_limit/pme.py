@@ -91,16 +91,23 @@ class PmeConfig:
 
 @dataclass
 class PmeDiagnostics:
-    """Per accepted step time series; index 0 is the initial state."""
+    """The times of the accepted steps, index 0 the initial state, and
+    maxima over the states at those times.
+
+    mass_residual_max is the largest relative conservation defect
+    |mass(t) - mass(0) - source| / (|mass(0)| + |source| + 1e-30); the
+    source term in the scale keeps the ratio meaningful for runs started
+    from zero data.  The source integral sums dt * h^2 sum(g) over the
+    accepted steps, the scheme's own quadrature, so for interior-supported
+    data the defect measures only the Newton convergence defect.
+    sup_max is the largest max |u|, pressure_max the largest max of the
+    pressure m/(m-1) |u|^(m-1).
+    """
 
     times: list[float] = field(default_factory=list)
-    mass: list[float] = field(default_factory=list)
-    sup_norm: list[float] = field(default_factory=list)
-    pressure_max: list[float] = field(default_factory=list)
-    dt: list[float] = field(default_factory=list)
-    newton_iters: list[int] = field(default_factory=list)
-    ut_l1: list[float] = field(default_factory=list)
-    source_mass_cum: list[float] = field(default_factory=list)
+    mass_residual_max: float = 0.0
+    sup_max: float = 0.0
+    pressure_max: float = 0.0
 
 
 @dataclass
@@ -303,6 +310,8 @@ def _step_values(
     config: PmeConfig,
 ) -> tuple[np.ndarray, int]:
     """One backward-Euler step on raw arrays; returns (u_new, newton_iters).
+    pme_solve keeps only u_new; the count is for wrappers that measure
+    work, such as perfbench/tracer.py.
 
     The Newton linearization is formed in the transformed increment
     dv = psi'(u) du, whose system matrix diag((1/m)|v|^(1/m-1)) + dt * A
@@ -403,18 +412,17 @@ def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
     source_mass = 0.0
 
     diag = PmeDiagnostics()
+    m0 = float(h2 * np.sum(u))
 
-    def record(t_now, u_now, dt_used, iters, ut_l1):
+    def record(t_now, u_now):
+        src = source_mass
+        defect = abs(float(h2 * np.sum(u_now)) - m0 - src) / (abs(m0) + abs(src) + 1e-30)
         diag.times.append(t_now)
-        diag.mass.append(float(h2 * np.sum(u_now)))
-        diag.sup_norm.append(float(np.max(np.abs(u_now))))
-        diag.pressure_max.append(float(np.max(_pressure(u_now, m))))
-        diag.dt.append(dt_used)
-        diag.newton_iters.append(iters)
-        diag.ut_l1.append(ut_l1)
-        diag.source_mass_cum.append(source_mass)
+        diag.mass_residual_max = max(diag.mass_residual_max, defect)
+        diag.sup_max = max(diag.sup_max, float(np.max(np.abs(u_now))))
+        diag.pressure_max = max(diag.pressure_max, float(np.max(_pressure(u_now, m))))
 
-    record(0.0, u, 0.0, 0, 0.0)
+    record(0.0, u)
     snapshots: list[tuple[float, ScalarField]] = [(0.0, ScalarField(grid, u.copy()))]
 
     for target in targets:
@@ -423,7 +431,7 @@ def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
             halvings = 0
             while True:
                 try:
-                    u_new, iters = _step_values(u, g, dt_eff, law, h, config)
+                    u, _ = _step_values(u, g, dt_eff, law, h, config)
                     break
                 except NewtonDiverged:
                     halvings += 1
@@ -432,15 +440,13 @@ def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
                     streak = 0
                     if halvings > MAX_HALVINGS or dt_eff < config.dt_init * DT_FLOOR:
                         raise StepTooSmall(t, dt_eff)
-            ut_l1 = float(h2 * np.sum(np.abs(u_new - u)) / dt_eff)
-            u = u_new
             source_mass += dt_eff * g_mass
             t = target if target - (t + dt_eff) <= eps_t else t + dt_eff
             streak += 1
             if streak >= 3:
                 dt = min(dt * 1.2, config.dt_init)
                 streak = 0
-            record(t, u, dt_eff, iters, ut_l1)
+            record(t, u)
         snapshots.append((target, ScalarField(grid, u.copy())))
 
     return PmeSolution(problem, snapshots, diag)
@@ -451,24 +457,6 @@ def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
 
 def _pressure(u: np.ndarray, m: float) -> np.ndarray:
     return m / (m - 1.0) * abs_pow(u, m - 1.0)
-
-
-def mass_balance_residual(solution: PmeSolution) -> list[tuple[float, float]]:
-    """Relative conservation defect per accepted step.
-
-    r(t) = |mass(t) - mass(0) - accumulated source| scaled by
-    |mass(0)| + |accumulated source| + 1e-30; the source term in the
-    scale keeps the ratio meaningful for runs started from zero data.
-    The source integral sums dt * h^2 sum(g) over the accepted steps, the
-    scheme's own quadrature, so for interior-supported data the residual
-    measures only the Newton convergence defect.
-    """
-    d = solution.diagnostics
-    m0 = d.mass[0]
-    return [
-        (t, abs(mass - m0 - src) / (abs(m0) + abs(src) + 1e-30))
-        for t, mass, src in zip(d.times, d.mass, d.source_mass_cum)
-    ]
 
 
 # -- exact self-similar solution --------------------------------------------

@@ -40,6 +40,14 @@ def test_spec_validation():
         ExperimentSpec(name="x", grid=g, schedule=(8.0,), horizon=-1.0)
 
 
+def test_spec_rejects_a_run_without_test_fields():
+    # sweep_p's variational-inequality verdicts need at least one test
+    # field; without one they would pass on no evidence
+    with pytest.raises(ValueError, match="n_test_fields"):
+        ExperimentSpec(name="x", grid=GridSpec(4.0, 16), schedule=(4.0, 8.0), horizon=0.05,
+                       n_test_fields=0)
+
+
 def test_report_verdicts_reference_metrics():
     r = Report(name="t")
     r.add_metric("a", 1.0)

@@ -28,9 +28,9 @@ from bean_limit.pme import (
     StepTooSmall,
     _pointwise_exact,
     _pressure,
+    _step_values,
     barenblatt_eval,
     barenblatt_field,
-    mass_balance_residual,
     pcg,
     pme_solve,
 )
@@ -314,22 +314,29 @@ def step_with_cg_targets(monkeypatch, u0, forcing, dt, law, floor_only):
     """One pme_solve step of dt, its CG solves at the targets the rule asks
     for, or all at CG_TOL.  Checks the final residual against newton_tol;
     returns the Newton iterations and, per solve, (max |res|, asked target)."""
-    solves = []
+    solves, newton_iters = [], []
 
     def recording_pcg(apply_op, b, apply_minv, rtol, max_iters):
         solves.append((float(np.max(np.abs(b))), rtol))
         return pcg(apply_op, b, apply_minv, CG_TOL if floor_only else rtol, max_iters)
 
+    def recording_step_values(*args):
+        u, iters = _step_values(*args)
+        newton_iters.append(iters)
+        return u, iters
+
     monkeypatch.setattr(pme, "pcg", recording_pcg)
+    monkeypatch.setattr(pme, "_step_values", recording_step_values)
     prob = PmeProblem(grid=u0.grid, law=law, u0=u0, forcing=forcing, horizon=dt)
     config = PmeConfig(dt_init=dt)
     sol = pme_solve(prob, config)
-    assert sol.diagnostics.dt == [0.0, dt]  # one step, no halving
+    assert sol.diagnostics.times == [0.0, dt]  # one step, no halving
+    assert len(newton_iters) == 1
     u1 = sol.snapshots[-1][1].values
     rhs = u0.values + dt * (0.0 if forcing is None else forcing.values)
     res = u1 - dt * lap5_values(psi(u1, law), u0.grid.spacing) - rhs
     assert float(np.max(np.abs(res))) <= config.newton_tol
-    return sol.diagnostics.newton_iters[-1], solves
+    return newton_iters[0], solves
 
 
 def test_cg_target_rule_keeps_the_newton_iterations(monkeypatch):
@@ -431,7 +438,7 @@ def one_step(u0, dt, law=LAW3):
     """The state after one backward-Euler step of dt: pme_solve with horizon dt."""
     prob = PmeProblem(grid=u0.grid, law=law, u0=u0, forcing=None, horizon=dt)
     sol = pme_solve(prob, PmeConfig(dt_init=dt))
-    assert sol.diagnostics.dt == [0.0, dt]  # one step, no halving
+    assert sol.diagnostics.times == [0.0, dt]  # one step, no halving
     return sol.snapshots[-1][1]
 
 
@@ -497,7 +504,8 @@ def test_zero_run_stays_zero():
     assert [t for t, _ in sol.snapshots] == [0.0, 0.5, 1.0]
     for _, f in sol.snapshots:
         assert np.all(f.values == 0.0)
-    assert all(m == 0.0 for m in sol.diagnostics.mass)
+    d = sol.diagnostics
+    assert d.mass_residual_max == d.sup_max == d.pressure_max == 0.0
 
 
 def test_snapshot_validation():
@@ -518,12 +526,22 @@ def test_barenblatt_run_error_decreases_with_resolution():
     assert errs[1] < errs[0] / 1.6
 
 
+def snapshot_mass_defect(sol):
+    """max over the snapshots of |mass(t) - mass(0) - t h^2 sum g|, relative
+    to |mass(0)| + |t h^2 sum g| + 1e-30."""
+    h2 = sol.problem.grid.spacing ** 2
+    g_mass = 0.0 if sol.problem.forcing is None else h2 * np.sum(sol.problem.forcing.values)
+    m0 = h2 * np.sum(sol.snapshots[0][1].values)
+    return max(abs(h2 * np.sum(u.values) - m0 - t * g_mass) / (abs(m0) + abs(t * g_mass) + 1e-30)
+               for t, u in sol.snapshots)
+
+
 def test_mass_balance_zero_source():
     g = GridSpec(2.0, 64)
     u0 = barenblatt_field(g, 1.0, LAW3, 1.0)
     prob = PmeProblem(grid=g, law=LAW3, u0=u0, forcing=None, horizon=0.5)
-    sol = pme_solve(prob, PmeConfig(dt_init=0.02))
-    assert max(r for _, r in mass_balance_residual(sol)) <= 1e-8
+    sol = pme_solve(prob, PmeConfig(dt_init=0.02, snapshot_times=(0.1, 0.25)))
+    assert snapshot_mass_defect(sol) <= sol.diagnostics.mass_residual_max <= 1e-8
 
 
 def test_mass_balance_with_patch_source():
@@ -537,10 +555,11 @@ def test_mass_balance_with_patch_source():
         forcing=src, horizon=0.5,
     )
     sol = pme_solve(prob, PmeConfig(dt_init=0.02))
-    d = sol.diagnostics
-    assert max(r for _, r in mass_balance_residual(sol)) <= 1e-8
+    assert sol.diagnostics.mass_residual_max <= 1e-8
+    assert snapshot_mass_defect(sol) <= 1e-8
     expected_final = c * 28 * g.spacing ** 2 * 0.5
-    assert d.mass[-1] == pytest.approx(expected_final, rel=1e-6)
+    final_mass = g.spacing ** 2 * np.sum(sol.snapshots[-1][1].values)
+    assert final_mass == pytest.approx(expected_final, rel=1e-6)
 
 
 def test_nonnegativity_preserved():
@@ -560,7 +579,7 @@ def test_sup_norm_comparison_bound():
     prob = PmeProblem(grid=g, law=PowerLaw(8.0), u0=f, forcing=gb, horizon=T)
     sol = pme_solve(prob, PmeConfig(dt_init=0.01))
     M = 0.7 + T * 0.4
-    assert max(sol.diagnostics.sup_norm) <= M + 1e-6
+    assert sol.diagnostics.sup_max <= M + 1e-6
 
 
 def test_l1_contraction_and_ordering():
@@ -611,7 +630,7 @@ def test_pme_invariants_on_random_bump_data(n, m, heights, radii, center):
     for f in (f1, f2):
         prob = PmeProblem(grid=g, law=PowerLaw(m), u0=f, forcing=source, horizon=0.2)
         sol = pme_solve(prob, config)
-        assert max(r for _, r in mass_balance_residual(sol)) <= 1e-8
+        assert sol.diagnostics.mass_residual_max <= 1e-8
         sols.append(sol)
     h2 = g.spacing ** 2
     d0 = h2 * np.sum(np.abs(f1.values - f2.values))
@@ -666,18 +685,23 @@ def test_pressure_bounded_on_subcritical_run():
     f = bump_field(g, BumpSpec(height=0.9, radius=1.5))
     prob = PmeProblem(grid=g, law=PowerLaw(8.0), u0=f, forcing=None, horizon=0.5)
     sol = pme_solve(prob, PmeConfig(dt_init=0.01))
-    assert max(sol.diagnostics.pressure_max) <= 2.1
+    assert sol.diagnostics.pressure_max <= 2.1
 
 
 def test_time_derivative_diagnostic_is_bounded():
     g = GridSpec(4.0, 48)
     f = bump_field(g, BumpSpec(height=0.8, radius=1.5))
+    # a snapshot after every step of dt_init, so that the difference of
+    # consecutive snapshots is the step's u_t
     prob = PmeProblem(grid=g, law=LAW3, u0=f, forcing=None, horizon=0.5)
-    sol = pme_solve(prob, PmeConfig(dt_init=0.01))
-    d = sol.diagnostics
-    series = [t * v for t, v in zip(d.times, d.ut_l1)]
+    every_step = tuple(k / 100 for k in range(1, 50))
+    sol = pme_solve(prob, PmeConfig(dt_init=0.01, snapshot_times=every_step))
+    assert len(sol.diagnostics.times) == len(sol.snapshots) == 51
+    h2 = g.spacing ** 2
+    series = [t * h2 * np.sum(np.abs(u.values - u_prev.values)) / (t - t_prev)
+              for (t_prev, u_prev), (t, u) in zip(sol.snapshots, sol.snapshots[1:])]
     assert all(np.isfinite(series))
-    assert max(series) <= 100.0 * d.mass[0]
+    assert max(series) <= 100.0 * h2 * np.sum(f.values)
 
 
 def test_problem_checks_the_source_when_built():
