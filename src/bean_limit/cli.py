@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import curl2d, obstacle, pme
-from .config import PSOR_ARGS, SPEC_FIELDS, ConfigError, RunConfig
+from .config import SPEC_FIELDS, ConfigError, RunConfig
 from .datagen import BumpSpec, StreamSpec, accumulated_source, bump_field, disk_field
 from .errors import DomainError, PreconditionFailed, StepTooSmall
 from .experiments import (
@@ -66,11 +66,9 @@ COMMANDS = {
     "solve-obstacle": ("_cmd_solve_obstacle", None, (), ()),
     "mesa-profile": ("_cmd_mesa_profile", None, ("f",), ()),
     "sweep-p": ("sweep_p", "schedule", ("h0",), ("force", "seed", "n_test_fields", *_CURL)),
-    "sweep-m": ("sweep_m_vs_mesa", "schedule", ("f",), ("g", "psor.tol", *_PME)),
+    "sweep-m": ("sweep_m_vs_mesa", "schedule", ("f",), ("g", *_PME)),
     # the runs to 1/m set their own first step and record only their final state
-    "collapse": (
-        "collapse_experiment", "schedule", ("f",), ("g", "psor.tol", "grids", "pme.newton_tol"),
-    ),
+    "collapse": ("collapse_experiment", "schedule", ("f",), ("g", "grids")),
     "small-data": ("small_data_check", "schedule", ("f",), ("g", *_PME)),
     "equivalence": ("equivalence_check", "exponent", ("h0",), ("force", "grids", *_CURL, *_PME)),
     "contraction": ("l1_contraction_check", "exponent", ("f", "f2"), ("g", *_PME)),
@@ -160,10 +158,10 @@ def _obstacle_datum(cfg: RunConfig, grid: GridSpec) -> ScalarField:
 def _cmd_solve_obstacle(cfg: RunConfig, out_dir: Path) -> Report:
     grid = _grid(cfg)
     q = _obstacle_datum(cfg, grid)
-    settings = cfg.pick(PSOR_ARGS)
+    relaxation = cfg.get("psor.relaxation")
     name = cfg.get("experiment", "solve-obstacle")
     cfg.check_all_read("solve-obstacle")
-    vi = obstacle.psor_solve(obstacle.ObstacleData(q), **settings)
+    vi = obstacle.psor_solve(obstacle.ObstacleData(q), relaxation)
     report = Report(name=name)
     sink = _field_writer(out_dir)
     sink("q", q, 0.0)
@@ -195,10 +193,9 @@ def _cmd_mesa_profile(cfg: RunConfig, out_dir: Path) -> Report:
     t = cfg.require("horizon")
     f = bump_field(grid, _bump(cfg, "f"))
     G = accumulated_source(constant_source(grid, bump_field, _bump(cfg, "g")), t, grid)
-    settings = cfg.pick(PSOR_ARGS)
     name = cfg.get("experiment", "mesa-profile")
     cfg.check_all_read("mesa-profile")
-    u_limit, mask, vi = obstacle.mesa_profile(f, G, **settings)
+    u_limit, mask, vi = obstacle.mesa_profile(f, G)
     report = Report(name=name)
     sink = _field_writer(out_dir)
     sink("u_limit", u_limit, t)

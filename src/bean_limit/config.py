@@ -60,10 +60,8 @@ KEY_TABLE = {
     "grids": (_as_int_list, lambda xs: all(n >= 8 for n in xs), "grid sizes for refinement studies"),
     "n_test_fields": (_as_int, _positive, "number of random admissible test fields"),
     "pme.dt_init": (float, _positive, "initial implicit step"),
-    "pme.newton_tol": (float, _positive, "Newton max-norm residual target"),
     "curl.cfl_safety": (float, lambda x: 0 < x <= 1, "explicit stability safety factor"),
     "psor.relaxation": (float, lambda x: 0 < x < 2, "projected SOR relaxation"),
-    "psor.tol": (float, _positive, "projected SOR update tolerance"),
     "f.height": (float, None, "initial bump height"),
     "f.radius": (float, _positive, "initial bump radius"),
     "f.center_x": (float, None, "initial bump center x"),
@@ -107,15 +105,10 @@ SPEC_FIELDS = {
     "n_test_fields": "n_test_fields",
     "grids": "grids",
     "pme.dt_init": "dt_init",
-    "pme.newton_tol": "newton_tol",
     "curl.cfl_safety": "cfl_safety",
-    "psor.tol": "psor_tol",
     "barenblatt.t0": "barenblatt_t0",
     "barenblatt.mass": "barenblatt_mass",
 }
-
-# key -> keyword of the obstacle solves (psor_solve, mesa_profile)
-PSOR_ARGS = {"psor.relaxation": "relaxation", "psor.tol": "tol"}
 
 
 class RunConfig:

@@ -53,10 +53,9 @@ def bump_field(grid: GridSpec, spec: BumpSpec) -> ScalarField:
     return ScalarField(grid, bump_values(grid, spec))
 
 
-def disk_field(grid: GridSpec, inside: float, outside: float, radius: float,
-               center: tuple[float, float] = (0.0, 0.0)) -> ScalarField:
+def disk_field(grid: GridSpec, inside: float, outside: float, radius: float) -> ScalarField:
     x, y = grid.meshgrid()
-    r2 = (x - center[0]) ** 2 + (y - center[1]) ** 2
+    r2 = x ** 2 + y ** 2
     return ScalarField(grid, np.where(r2 < radius ** 2, inside, outside))
 
 

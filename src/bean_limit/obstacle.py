@@ -10,8 +10,8 @@ even) and then the black ones (i + j odd).  The five-point stencil only
 couples cells of opposite colour, so each colour is two strided-slice
 updates (its two row parities), reading the neighbours as shifted
 strided slices of the same array.  Sweeps stop once the largest cell
-update falls below `tol` and the complementarity residuals meet their
-targets.
+update falls below UPDATE_TOL and the complementarity residuals meet
+their targets.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .fields import GridSpec, ScalarField, lap5_values
 FEASIBILITY_TOL = 1e-10    # allowed negativity of -lap5(w) - q
 COMPLEMENTARITY_TOL = 1e-10
 INACTIVE_RESIDUAL_TOL = 1e-10  # |−lap5(w) − q| target on cells with w > mask_tol
+UPDATE_TOL = 1e-12  # largest cell update of a sweep before the residuals are tested
+SWEEPS_PER_SIDE = 200  # sweep budget: SWEEPS_PER_SIDE * n sweeps on n cells per side
 
 
 class NotConverged(RuntimeError):
@@ -62,31 +64,23 @@ class ViSolution:
 
 
 def _vi_residuals(w: np.ndarray, q: np.ndarray, h: float, mask_tol: float) -> ViResiduals:
-    interior = np.zeros(w.shape, dtype=bool)
-    interior[1:-1, 1:-1] = True
-    r = -lap5_values(w, h) - q
-    ri = r[interior]
-    wi = w[interior]
+    ri = (-lap5_values(w, h) - q)[1:-1, 1:-1]
+    wi = w[1:-1, 1:-1]
     inactive = wi > mask_tol
     return ViResiduals(
-        complementarity_max=float(np.max(np.abs(wi * ri))) if wi.size else 0.0,
-        feasibility_min=float(np.min(ri)) if ri.size else 0.0,
+        complementarity_max=float(np.max(np.abs(wi * ri))),
+        feasibility_min=float(np.min(ri)),
         inactive_residual_max=float(np.max(np.abs(ri[inactive]))) if inactive.any() else 0.0,
     )
 
 
-def psor_solve(
-    data: ObstacleData,
-    relaxation: float | None = None,
-    tol: float = 1e-12,
-    max_sweeps: int | None = None,
-) -> ViSolution:
+def psor_solve(data: ObstacleData, relaxation: float | None = None) -> ViSolution:
     """Projected SOR for the obstacle problem against the zero obstacle.
 
-    Sweeps stop once the largest cell update falls below `tol` and the
-    complementarity residuals meet their targets; NotConverged signals
-    ill-scaled data or an exhausted sweep budget (default 200 * n).  The
-    relaxation defaults to 2 / (1 + sin(pi/n)), optimal SOR for the
+    Sweeps stop once the largest cell update falls below UPDATE_TOL and
+    the complementarity residuals meet their targets; NotConverged signals
+    ill-scaled data or an exhausted sweep budget of SWEEPS_PER_SIDE * n.
+    The relaxation defaults to 2 / (1 + sin(pi/n)), optimal SOR for the
     five-point Laplacian on n cells per side.
     """
     grid = data.q.grid
@@ -95,13 +89,10 @@ def psor_solve(
         relaxation = 2.0 / (1.0 + math.sin(math.pi / n))
     if not (0.0 < relaxation < 2.0):
         raise ValueError(f"relaxation must lie in (0, 2), got {relaxation}")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
     h = grid.spacing
     h2 = h * h
     q = data.q.values
-    if max_sweeps is None:
-        max_sweeps = 200 * n
+    max_sweeps = SWEEPS_PER_SIDE * n
 
     w = np.zeros((n, n))
     omega = relaxation
@@ -122,7 +113,7 @@ def psor_solve(
             new = np.maximum(0.0, wc + omega * (target - wc))
             max_update = max(max_update, float(np.max(np.abs(new - wc))))
             wc[...] = new
-        if max_update < tol:
+        if max_update < UPDATE_TOL:
             mask_tol = 1e-9 * max(1.0, float(np.max(w)))
             res = _vi_residuals(w, q, h, mask_tol)
             if (
@@ -130,11 +121,9 @@ def psor_solve(
                 and res.complementarity_max <= COMPLEMENTARITY_TOL
                 and res.inactive_residual_max <= INACTIVE_RESIDUAL_TOL
             ):
-                mask = w > mask_tol
-                mask[0, :] = mask[-1, :] = mask[:, 0] = mask[:, -1] = False
                 return ViSolution(
                     w=ScalarField(grid, w),
-                    noncoincidence_mask=mask,
+                    noncoincidence_mask=w > mask_tol,
                     residuals=res,
                     iterations=sweeps,
                     mask_tol=mask_tol,
@@ -150,23 +139,16 @@ def _check_nonnegative(field: ScalarField, name: str):
         raise DomainError(f"{name} must be nonnegative")
 
 
-def _limit_profile(
-    datum: np.ndarray, grid: GridSpec, relaxation: float | None, tol: float
-) -> tuple[ScalarField, np.ndarray, ViSolution]:
+def _limit_profile(datum: np.ndarray, grid: GridSpec) -> tuple[ScalarField, np.ndarray, ViSolution]:
     """Obstacle solve with q = datum - 1; the limit is 1 on the
     noncoincidence set and the datum elsewhere."""
     q = ScalarField(grid, datum - 1.0)
-    vi = psor_solve(ObstacleData(q), relaxation=relaxation, tol=tol)
+    vi = psor_solve(ObstacleData(q))
     mask = vi.noncoincidence_mask
     return ScalarField(grid, np.where(mask, 1.0, datum)), mask, vi
 
 
-def mesa_profile(
-    f: ScalarField,
-    G: ScalarField,
-    relaxation: float | None = None,
-    tol: float = 1e-12,
-) -> tuple[ScalarField, np.ndarray, ViSolution]:
+def mesa_profile(f: ScalarField, G: ScalarField) -> tuple[ScalarField, np.ndarray, ViSolution]:
     """Large-exponent limit profile from datum f and accumulated source G.
 
     Solves the obstacle problem with q = f + G - 1 and returns the limit
@@ -180,12 +162,10 @@ def mesa_profile(
         raise DomainError("mesa profile requires max |f| <= 1")
     _check_nonnegative(f, "f")
     _check_nonnegative(G, "G")
-    return _limit_profile(f.values + G.values, f.grid, relaxation, tol)
+    return _limit_profile(f.values + G.values, f.grid)
 
 
-def collapse_profile(
-    f: ScalarField, tol: float = 1e-12
-) -> tuple[ScalarField, np.ndarray, ViSolution]:
+def collapse_profile(f: ScalarField) -> tuple[ScalarField, np.ndarray, ViSolution]:
     """Instantaneous-collapse projection of possibly super-critical data.
 
     Solves the t = 0 obstacle problem with q = f - 1; the result equals 1
@@ -194,4 +174,4 @@ def collapse_profile(
     it with the noncoincidence mask and the obstacle solution.
     """
     _check_nonnegative(f, "f")
-    return _limit_profile(f.values, f.grid, None, tol)
+    return _limit_profile(f.values, f.grid)

@@ -39,6 +39,7 @@ from .fields import (
     support_margin_ok,
 )
 
+NEWTON_TOL = 1e-10  # max-norm residual target of each backward-Euler step
 JACOBIAN_FLOOR = 1e-12  # |v| floor inside the derivative of psi_m^-1, caps the diagonal
 POINTWISE_MAX_ITERS = 80  # scalar Newton cap in _pointwise_exact; reaching it raises
 MAX_NEWTON_ITERS = 50  # damped Newton cap per step; reaching it raises NewtonDiverged
@@ -46,7 +47,7 @@ MAX_HALVINGS = 20  # dt halvings per step in pme_solve before StepTooSmall
 DT_FLOOR = 2.0 ** -30  # a halved dt below DT_FLOOR * dt_init raises StepTooSmall
 CG_TOL = 1e-12  # floor of the inner CG solves' relative residual target
 CG_FORCING_CAP = 0.1  # loosest relative residual target of an inner CG solve
-CG_NEWTON_SHARE = 0.1  # share of newton_tol a CG residual may add to the next residual
+CG_NEWTON_SHARE = 0.1  # share of NEWTON_TOL a CG residual may add to the next residual
 CG_MAX_ITERS = 20000  # inner CG iteration cap
 
 
@@ -79,14 +80,11 @@ class PmeProblem:
 @dataclass(frozen=True)
 class PmeConfig:
     dt_init: float
-    newton_tol: float = 1e-10
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not (self.dt_init > 0):
             raise ValueError("dt_init must be positive")
-        if not (self.newton_tol > 0):
-            raise ValueError("newton_tol must be positive")
 
 
 @dataclass
@@ -307,11 +305,12 @@ def _step_values(
     dt: float,
     law: PowerLaw,
     h: float,
-    config: PmeConfig,
+    newton_tol: float,
 ) -> tuple[np.ndarray, int]:
-    """One backward-Euler step on raw arrays; returns (u_new, newton_iters).
-    pme_solve keeps only u_new; the count is for wrappers that measure
-    work, such as perfbench/tracer.py.
+    """One backward-Euler step on raw arrays, to a max-norm residual of
+    newton_tol; returns (u_new, newton_iters).  pme_solve passes
+    NEWTON_TOL and keeps only u_new; the count is for wrappers that
+    measure work, such as perfbench/tracer.py.
 
     The Newton linearization is formed in the transformed increment
     dv = psi'(u) du, whose system matrix diag((1/m)|v|^(1/m-1)) + dt * A
@@ -337,7 +336,7 @@ def _step_values(
 
     for it in range(MAX_NEWTON_ITERS):
         linf = float(np.max(np.abs(res)))
-        if linf <= config.newton_tol:
+        if linf <= newton_tol:
             return u, it
         if linf < 0.9 * best_linf:
             best_linf = linf
@@ -351,7 +350,7 @@ def _step_values(
         # land exactly on the kink at u = 0 (the degeneracy makes crossings
         # expensive, and nonnegative data should stay nonnegative).
         newton_ok = False
-        delta_v = _newton_direction(res, math.sqrt(merit), v, inv_m, dt, h2, config.newton_tol)
+        delta_v = _newton_direction(res, math.sqrt(merit), v, inv_m, dt, h2, newton_tol)
         if delta_v is not None:
             delta_u = dt * lap5_values(delta_v, h) - res
             alpha = 1.0
@@ -380,7 +379,7 @@ def _step_values(
         if math.isfinite(merit_pol) and (not newton_ok or merit_pol < merit):
             u, v, res, merit = u_pol, v_pol, res_pol, merit_pol
 
-    if float(np.max(np.abs(res))) <= config.newton_tol:
+    if float(np.max(np.abs(res))) <= newton_tol:
         return u, MAX_NEWTON_ITERS
     raise NewtonDiverged(f"no convergence in {MAX_NEWTON_ITERS} iterations")
 
@@ -431,7 +430,7 @@ def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
             halvings = 0
             while True:
                 try:
-                    u, _ = _step_values(u, g, dt_eff, law, h, config)
+                    u, _ = _step_values(u, g, dt_eff, law, h, NEWTON_TOL)
                     break
                 except NewtonDiverged:
                     halvings += 1

@@ -49,6 +49,22 @@ def test_unknown_key_exit_code(tmp_path, capsys):
     assert "grdi.n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, name, line", [
+    ("solve-pme", "pme.cfg", "pme.newton_tol = 1e-6"),
+    ("sweep-m", "sweep_m.cfg", "psor.tol = 1e-4"),
+])
+def test_solver_tolerance_keys_are_unknown(tmp_path, capsys, command, name, line):
+    # the Newton and PSOR tolerances are the constants pme.NEWTON_TOL and
+    # obstacle.UPDATE_TOL, which the report verdicts' thresholds assume
+    text = (Path(__file__).resolve().parents[1] / "configs" / name).read_text()
+    path = write_cfg(tmp_path, text + line + "\n")
+    out = tmp_path / "out"
+    assert run([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown configuration key" in err and repr(line.split(" = ")[0]) in err
+    assert not out.exists()
+
+
 def test_module_entry_point_runs_the_cli(tmp_path):
     # `python -m bean_limit.cli` must reach main(), not import and exit 0
     path = write_cfg(tmp_path, "grdi.n = 64\n")
@@ -90,9 +106,12 @@ def test_benchmark_tracer_wraps_the_solver_layers(tmp_path):
         "sweep-p": "grid.L = 4.0\ngrid.n = 24\nschedule = 4, 8\nhorizon = 0.05\n"
                    "snapshot_times = 0.025\nh0.width = 2.0\nh0.curl_max = 0.8\n"
                    "n_test_fields = 4\nseed = 0\n",
+        "solve-obstacle": "grid.L = 4.0\ngrid.n = 24\nq.inside = 0.5\nq.outside = -1.0\n"
+                          "q.radius = 1.0\n",
     }
     work = {"pme.pcg": "iters", "pme.pointwise": "cells", "pme.step": "newton_iters",
-            "pme.pme_solve": "accepted_steps", "curl2d.curl_solve": "steps"}
+            "pme.pme_solve": "accepted_steps", "curl2d.curl_solve": "steps",
+            "obstacle.psor": "sweeps"}
     done = dict.fromkeys(work, 0)
     for command, text in configs.items():
         path = write_cfg(tmp_path, text, name=f"{command}.cfg")
@@ -481,9 +500,7 @@ snapshot_times = 0.25, 2.0
     assert sorted(p.name for p in out.glob("u_*.csv")) == ["u_000.csv", "u_001.csv", "u_002.csv"]
 
 
-def test_key_the_subcommand_never_reads_is_a_config_error(tmp_path, capsys, monkeypatch):
-    import bean_limit.obstacle as obstacle
-
+def test_key_the_subcommand_never_reads_is_a_config_error(tmp_path, capsys):
     mesa = """
 grid.L = 4.0
 grid.n = 32
@@ -502,18 +519,12 @@ output_dir = unused-under-out
                      "q.radius = 1.0\nhorizon = 1.0\n", name="obstacle.cfg")
     assert run(["solve-obstacle", "--config", str(path), "--out", str(out)]) == 2
     assert "solve-obstacle" in capsys.readouterr().err
-    # mesa-profile hands psor.relaxation to the obstacle solve
-    seen = []
-    psor_solve = obstacle.psor_solve
-
-    def recording(data, relaxation, tol):
-        seen.append(relaxation)
-        return psor_solve(data, relaxation, tol)
-
-    monkeypatch.setattr(obstacle, "psor_solve", recording)
+    # mesa-profile relaxes at the optimal factor, as sweep-m does
     path = write_cfg(tmp_path, mesa + "psor.relaxation = 1.7\n")
-    assert run(["mesa-profile", "--config", str(path), "--out", str(out)]) == 0
-    assert seen == [1.7]
+    assert run(["mesa-profile", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "mesa-profile does not use" in err and "'psor.relaxation'" in err
+    assert not out.exists()
 
 
 def reference_runs():
@@ -537,20 +548,37 @@ def test_reference_runs_cover_every_config_and_subcommand():
     assert {command for command, _ in runs} == set(COMMANDS)
 
 
-def test_reference_configs_set_only_keys_their_subcommand_reads():
-    from bean_limit.cli import COMMANDS, _experiment_spec
+def test_reference_configs_set_only_keys_their_subcommand_reads(tmp_path):
+    from bean_limit.cli import COMMANDS, _dispatch, _experiment_spec
 
     runs, root = reference_runs()
     checked = 0
     for command, name in runs:
-        if COMMANDS[command][1] is None:  # solve-obstacle and mesa-profile build no spec
-            continue
         cfg = RunConfig.parse(root / "configs" / name)
         cfg.get("output_dir")  # `run` reads it for every subcommand
-        _experiment_spec(cfg, command)
+        if COMMANDS[command][1] is None:  # solve-obstacle and mesa-profile read as they run
+            _dispatch(command, cfg, tmp_path / name)
+        else:
+            _experiment_spec(cfg, command)
         cfg.check_all_read(command)
         checked += 1
-    assert checked == 10
+    assert checked == 12
+
+
+def test_key_tables_agree():
+    # a knob removed from one table and not the others leaves a key that
+    # parses and feeds nothing, or a spec field no key can set
+    from bean_limit.config import KEY_TABLE, SPEC_FIELDS
+
+    spec_fields = {f.name for f in dataclasses.fields(experiments.ExperimentSpec)}
+    assert set(SPEC_FIELDS) <= set(KEY_TABLE)
+    assert set(SPEC_FIELDS.values()) <= spec_fields
+    # a name in COMMANDS is a key, or a prefix without a dot that some key starts with
+    for command, (_, key, blocks, others) in COMMANDS.items():
+        for name in filter(None, (key, *blocks, *others)):
+            assert name in KEY_TABLE or (
+                "." not in name and any(k.startswith(name + ".") for k in KEY_TABLE)
+            ), (command, name)
 
 
 # names kept public without a caller in src/: the reader of the field dumps
@@ -592,8 +620,8 @@ H0_BLOCK = "h0.width = 1.5\nh0.curl_max = 0.5\n"
 # subcommand -> (config, the keys it sets that the subcommand's driver ignores)
 IGNORED_KEYS = {
     "sweep-p": (
-        SWEEP_BASE + H0_BLOCK + F_BLOCK + "barenblatt.t0 = 2.0\npsor.tol = 1e-6\n",
-        ["barenblatt.t0", "f.height", "f.radius", "psor.tol"],
+        SWEEP_BASE + H0_BLOCK + F_BLOCK + "barenblatt.t0 = 2.0\npsor.relaxation = 1.5\n",
+        ["barenblatt.t0", "f.height", "f.radius", "psor.relaxation"],
     ),
     "collapse": (
         SWEEP_BASE + "f.height = 1.2\nf.radius = 1.0\npme.dt_init = 0.01\n"
@@ -605,8 +633,8 @@ IGNORED_KEYS = {
         ["curl.cfl_safety", "h0.curl_max", "h0.width", "n_test_fields"],
     ),
     "barenblatt-convergence": (
-        SCALAR_BASE + "exponent = 3\n" + F_BLOCK + "psor.tol = 1e-6\n",
-        ["f.height", "f.radius", "psor.tol"],
+        SCALAR_BASE + "exponent = 3\n" + F_BLOCK + "psor.relaxation = 1.5\n",
+        ["f.height", "f.radius", "psor.relaxation"],
     ),
     "small-data": (
         SWEEP_BASE + F_BLOCK + "grids = 24, 32\nf2.height = 0.3\nf2.radius = 1.0\n",

@@ -48,6 +48,14 @@ def test_spec_rejects_a_run_without_test_fields():
                        n_test_fields=0)
 
 
+def test_spec_rejects_a_first_step_that_is_not_positive():
+    # dt_init = 0.0 once read as unset and ran with horizon / steps
+    for dt_init in (0.0, -0.01):
+        with pytest.raises(ValueError, match="dt_init"):
+            ExperimentSpec(name="x", grid=GridSpec(4.0, 16), schedule=(4.0,), horizon=0.5,
+                           dt_init=dt_init)
+
+
 def test_report_verdicts_reference_metrics():
     r = Report(name="t")
     r.add_metric("a", 1.0)

@@ -22,6 +22,7 @@ from bean_limit.pme import (
     CG_MAX_ITERS,
     CG_TOL,
     MAX_HALVINGS,
+    NEWTON_TOL,
     NewtonDiverged,
     PmeConfig,
     PmeProblem,
@@ -312,7 +313,7 @@ def test_bench_collapse_work_count(tmp_path, monkeypatch):
 
 def step_with_cg_targets(monkeypatch, u0, forcing, dt, law, floor_only):
     """One pme_solve step of dt, its CG solves at the targets the rule asks
-    for, or all at CG_TOL.  Checks the final residual against newton_tol;
+    for, or all at CG_TOL.  Checks the final residual against NEWTON_TOL;
     returns the Newton iterations and, per solve, (max |res|, asked target)."""
     solves, newton_iters = [], []
 
@@ -328,14 +329,13 @@ def step_with_cg_targets(monkeypatch, u0, forcing, dt, law, floor_only):
     monkeypatch.setattr(pme, "pcg", recording_pcg)
     monkeypatch.setattr(pme, "_step_values", recording_step_values)
     prob = PmeProblem(grid=u0.grid, law=law, u0=u0, forcing=forcing, horizon=dt)
-    config = PmeConfig(dt_init=dt)
-    sol = pme_solve(prob, config)
+    sol = pme_solve(prob, PmeConfig(dt_init=dt))
     assert sol.diagnostics.times == [0.0, dt]  # one step, no halving
     assert len(newton_iters) == 1
     u1 = sol.snapshots[-1][1].values
     rhs = u0.values + dt * (0.0 if forcing is None else forcing.values)
     res = u1 - dt * lap5_values(psi(u1, law), u0.grid.spacing) - rhs
-    assert float(np.max(np.abs(res))) <= config.newton_tol
+    assert float(np.max(np.abs(res))) <= NEWTON_TOL
     return newton_iters[0], solves
 
 
@@ -456,7 +456,7 @@ def test_constant_plateau_unchanged_in_one_step():
     u1 = one_step(f, 2e-4)
     x, y = g.meshgrid()
     deep = np.sqrt(x ** 2 + y ** 2) < 0.5  # well inside the flat region
-    assert np.max(np.abs(u1.values - f.values)[deep]) <= 10 * PmeConfig.newton_tol
+    assert np.max(np.abs(u1.values - f.values)[deep]) <= 10 * NEWTON_TOL
 
 
 def test_single_step_barenblatt_local_error():
@@ -616,9 +616,9 @@ def test_l1_contraction_and_ordering():
 def test_pme_invariants_on_random_bump_data(n, m, heights, radii, center):
     # every bump vanishes beyond radius 1.0 + 0.4 * sqrt(2) < 1.5, inside
     # the L/4 margin.  Each step is an L1 contraction, and each computed
-    # step leaves a residual of at most newton_tol per cell, which moves u
-    # by at most (2L)^2 newton_tol in L1; over two runs that adds
-    # 2 steps (2L)^2 newton_tol to the relative bound of
+    # step leaves a residual of at most NEWTON_TOL per cell, which moves u
+    # by at most (2L)^2 NEWTON_TOL in L1; over two runs that adds
+    # 2 steps (2L)^2 NEWTON_TOL to the relative bound of
     # experiments.l1_contraction_check
     L = 2.0
     g = GridSpec(L, n)
@@ -635,7 +635,7 @@ def test_pme_invariants_on_random_bump_data(n, m, heights, radii, center):
     h2 = g.spacing ** 2
     d0 = h2 * np.sum(np.abs(f1.values - f2.values))
     steps = max(len(sol.diagnostics.times) - 1 for sol in sols)
-    bound = d0 * (1 + 1e-6) + 2 * steps * (2 * L) ** 2 * config.newton_tol
+    bound = d0 * (1 + 1e-6) + 2 * steps * (2 * L) ** 2 * NEWTON_TOL
     for (_, u1), (_, u2) in zip(sols[0].snapshots[1:], sols[1].snapshots[1:]):
         assert h2 * np.sum(np.abs(u1.values - u2.values)) <= bound
         assert np.max(u1.values - u2.values) <= 1e-8  # f1 <= f2 stays ordered
