@@ -84,11 +84,7 @@ def _grid(cfg: RunConfig) -> GridSpec:
 def _bump(cfg: RunConfig, prefix: str) -> BumpSpec | None:
     if not cfg.has_block(prefix):
         return None
-    return BumpSpec(
-        height=cfg.require(f"{prefix}.height"),
-        radius=cfg.require(f"{prefix}.radius"),
-        center=tuple(cfg.get(f"{prefix}.center_{a}", c) for a, c in zip("xy", BumpSpec.center)),
-    )
+    return BumpSpec(height=cfg.require(f"{prefix}.height"), radius=cfg.require(f"{prefix}.radius"))
 
 
 def _stream(cfg: RunConfig, prefix: str) -> StreamSpec | None:
@@ -96,8 +92,7 @@ def _stream(cfg: RunConfig, prefix: str) -> StreamSpec | None:
         return None
     return StreamSpec(
         width=cfg.require(f"{prefix}.width"),
-        center=tuple(cfg.get(f"{prefix}.center_{a}", c) for a, c in zip("xy", StreamSpec.center)),
-        **cfg.pick({f"{prefix}.{name}": name for name in ("kind", "amplitude", "curl_max")}),
+        **cfg.pick({f"{prefix}.{name}": name for name in ("amplitude", "curl_max")}),
     )
 
 
@@ -142,22 +137,14 @@ def _field_writer(out_dir: Path):
     return sink
 
 
-def _obstacle_datum(cfg: RunConfig, grid: GridSpec) -> ScalarField:
-    kind = cfg.get("q.kind", "disk")
-    if kind == "disk":
-        return disk_field(
-            grid,
-            inside=cfg.require("q.inside"),
-            outside=cfg.require("q.outside"),
-            radius=cfg.require("q.radius"),
-        )
-    bump = bump_field(grid, BumpSpec(height=cfg.require("q.height"), radius=cfg.require("q.radius")))
-    return ScalarField(grid, bump.values - cfg.get("q.offset", 0.0))
-
-
 def _cmd_solve_obstacle(cfg: RunConfig, out_dir: Path) -> Report:
     grid = _grid(cfg)
-    q = _obstacle_datum(cfg, grid)
+    q = disk_field(
+        grid,
+        inside=cfg.require("q.inside"),
+        outside=cfg.require("q.outside"),
+        radius=cfg.require("q.radius"),
+    )
     relaxation = cfg.get("psor.relaxation")
     name = cfg.get("experiment", "solve-obstacle")
     cfg.check_all_read("solve-obstacle")
@@ -175,14 +162,18 @@ def _cmd_solve_obstacle(cfg: RunConfig, out_dir: Path) -> Report:
     report.add_metric("sweeps", float(vi.iterations))
     report.add_verdict("w_nonnegative", report.metrics["w_min"] >= 0.0, ["w_min"])
     report.add_verdict(
-        "complementarity_ok", vi.residuals.complementarity_max <= 1e-10, ["complementarity_max"]
+        "complementarity_ok",
+        vi.residuals.complementarity_max <= obstacle.COMPLEMENTARITY_TOL,
+        ["complementarity_max"],
     )
     report.add_verdict(
-        "feasibility_ok", vi.residuals.feasibility_min >= -1e-10, ["feasibility_min"]
+        "feasibility_ok",
+        vi.residuals.feasibility_min >= -obstacle.FEASIBILITY_TOL,
+        ["feasibility_min"],
     )
     report.add_verdict(
         "inactive_residual_ok",
-        vi.residuals.inactive_residual_max <= 1e-9,
+        vi.residuals.inactive_residual_max <= obstacle.INACTIVE_RESIDUAL_TOL,
         ["inactive_residual_max"],
     )
     return report
@@ -211,7 +202,9 @@ def _cmd_mesa_profile(cfg: RunConfig, out_dir: Path) -> Report:
         ["u_min", "u_max"],
     )
     report.add_verdict(
-        "complementarity_ok", vi.residuals.complementarity_max <= 1e-10, ["complementarity_max"]
+        "complementarity_ok",
+        vi.residuals.complementarity_max <= obstacle.COMPLEMENTARITY_TOL,
+        ["complementarity_max"],
     )
     return report
 

@@ -53,9 +53,9 @@ KEY_TABLE = {
     ),
     "schedule": (
         _as_float_list,
-        lambda xs: len(xs) > 0 and all(b > a for a, b in zip(xs, xs[1:]))
+        lambda xs: len(xs) > 1 and all(b > a for a, b in zip(xs, xs[1:]))
         and all(map(_exponent_ok, xs)),
-        f"increasing exponent list, capped at {EXPONENT_CAP}",
+        f"increasing list of at least two exponents, capped at {EXPONENT_CAP}",
     ),
     "grids": (_as_int_list, lambda xs: all(n >= 8 for n in xs), "grid sizes for refinement studies"),
     "n_test_fields": (_as_int, _positive, "number of random admissible test fields"),
@@ -64,34 +64,19 @@ KEY_TABLE = {
     "psor.relaxation": (float, lambda x: 0 < x < 2, "projected SOR relaxation"),
     "f.height": (float, None, "initial bump height"),
     "f.radius": (float, _positive, "initial bump radius"),
-    "f.center_x": (float, None, "initial bump center x"),
-    "f.center_y": (float, None, "initial bump center y"),
     "f2.height": (float, None, "second bump height"),
     "f2.radius": (float, _positive, "second bump radius"),
-    "f2.center_x": (float, None, "second bump center x"),
-    "f2.center_y": (float, None, "second bump center y"),
     "g.height": (float, None, "source bump height"),
     "g.radius": (float, _positive, "source bump radius"),
-    "g.center_x": (float, None, "source bump center x"),
-    "g.center_y": (float, None, "source bump center y"),
-    "h0.kind": (str, lambda s: s in ("bump", "gaussian"), "initial stream shape"),
     "h0.amplitude": (float, None, "initial stream amplitude"),
     "h0.width": (float, _positive, "initial stream width"),
-    "h0.center_x": (float, None, "initial stream center x"),
-    "h0.center_y": (float, None, "initial stream center y"),
     "h0.curl_max": (float, _positive, "rescale initial field to this curl max"),
-    "force.kind": (str, lambda s: s in ("bump", "gaussian"), "forcing stream shape"),
     "force.amplitude": (float, None, "forcing stream amplitude"),
     "force.width": (float, _positive, "forcing stream width"),
-    "force.center_x": (float, None, "forcing stream center x"),
-    "force.center_y": (float, None, "forcing stream center y"),
     "force.curl_max": (float, _positive, "rescale forcing to this curl max"),
-    "q.kind": (str, lambda s: s in ("disk", "bump"), "obstacle datum shape"),
     "q.inside": (float, None, "disk datum value inside"),
     "q.outside": (float, None, "disk datum value outside"),
-    "q.radius": (float, _positive, "obstacle datum radius"),
-    "q.height": (float, None, "bump datum height"),
-    "q.offset": (float, None, "constant subtracted from the bump datum"),
+    "q.radius": (float, _positive, "disk datum radius"),
     "barenblatt.t0": (float, _positive, "profile start time"),
     "barenblatt.mass": (float, _positive, "profile total mass"),
 }

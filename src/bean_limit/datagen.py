@@ -2,9 +2,8 @@
 
 Scalar data use the compactly supported profile h * (1 - (r/R)^2)^2,
 which is C1, radially strictly decreasing inside its support, and exactly
-zero outside.  Stream potentials use the C3 profile (1 - (r/R)^2)^4 (or a
-gaussian), optionally rescaled so the resulting discrete curl has a
-prescribed max.
+zero outside.  Stream potentials use the C3 profile (1 - (r/R)^2)^4,
+optionally rescaled so the resulting discrete curl has a prescribed max.
 """
 
 from __future__ import annotations
@@ -30,15 +29,11 @@ class BumpSpec:
 
 @dataclass(frozen=True)
 class StreamSpec:
-    kind: str = "bump"           # "bump" (compact, power 4) or "gaussian"
     amplitude: float = 1.0
     width: float = 1.0
-    center: tuple[float, float] = (0.0, 0.0)
     curl_max: float | None = None  # rescale so max |curl_z(from_stream)| equals this
 
     def __post_init__(self):
-        if self.kind not in ("bump", "gaussian"):
-            raise ValueError(f"unknown stream kind {self.kind!r}")
         if not (self.width > 0):
             raise ValueError("stream width must be positive")
 
@@ -61,11 +56,8 @@ def disk_field(grid: GridSpec, inside: float, outside: float, radius: float) -> 
 
 def stream_field(grid: GridSpec, spec: StreamSpec) -> ScalarField:
     x, y = grid.meshgrid()
-    r2 = (x - spec.center[0]) ** 2 + (y - spec.center[1]) ** 2
-    if spec.kind == "bump":
-        vals = spec.amplitude * np.clip(1.0 - r2 / spec.width ** 2, 0.0, None) ** 4
-    else:
-        vals = spec.amplitude * np.exp(-r2 / spec.width ** 2)
+    r2 = x ** 2 + y ** 2
+    vals = spec.amplitude * np.clip(1.0 - r2 / spec.width ** 2, 0.0, None) ** 4
     phi = ScalarField(grid, vals)
     if spec.curl_max is not None:
         peak = float(np.max(np.abs(curl_z(from_stream(phi)).values)))

@@ -36,7 +36,7 @@ from .fields import (
     psi,
     snapshot_targets,
 )
-from .obstacle import collapse_profile, mesa_profile
+from .obstacle import COMPLEMENTARITY_TOL, collapse_profile, mesa_profile
 from .pme import (
     PmeConfig,
     PmeProblem,
@@ -432,7 +432,7 @@ def sweep_m_vs_mesa(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     )
     report.add_verdict(
         "mesa_complementarity_ok",
-        report.metrics["mesa_complementarity"] <= 1e-10,
+        report.metrics["mesa_complementarity"] <= COMPLEMENTARITY_TOL,
         ["mesa_complementarity"],
     )
     report.add_verdict(
@@ -656,7 +656,9 @@ def barenblatt_convergence(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     report = Report(name=spec.name)
     m = spec.schedule[0]
     law = PowerLaw(m)
-    grids = spec.grids or (spec.grid.n,)
+    grids = spec.grids
+    if len(grids) < 2:
+        raise PreconditionFailed(f"the convergence study needs at least two grids, got {len(grids)}")
     L = spec.grid.half_width
     t0 = spec.barenblatt_t0
     mass = spec.barenblatt_mass
@@ -683,15 +685,9 @@ def barenblatt_convergence(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     ]
     for (n1, n2), order in zip(zip(grids, grids[1:]), orders):
         report.add_metric(f"order[{n1}->{n2}]", order)
-    if orders:
-        report.add_metric("order_min", min(orders))
+    report.add_metric("order_min", min(orders))
     report.add_verdict("errors_decreasing", _decreasing(errs), err_keys)
-    if orders:
-        report.add_verdict(
-            "order_at_least_0.8",
-            min(orders) >= 0.8,
-            ["order_min"],
-        )
+    report.add_verdict("order_at_least_0.8", min(orders) >= 0.8, ["order_min"])
     report.add_verdict(
         "mass_balance_ok",
         all(report.metrics[k] <= 1e-8 for k in mass_keys),

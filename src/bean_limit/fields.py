@@ -289,7 +289,5 @@ def support_margin_ok(u: ScalarField) -> bool:
     c = np.abs(grid.cell_centers())
     limit = 0.75 * grid.half_width
     outside = (c[None, :] > limit) | (c[:, None] > limit)
-    if not outside.any():
-        return True
     scale = max(1.0, float(np.max(np.abs(u.values))))
     return float(np.max(np.abs(u.values[outside]))) <= 1e-12 * scale

@@ -98,8 +98,8 @@ def saturation_forced():
         schedule=(4.0, 8.0, 16.0, 32.0),
         horizon=0.3,
         snapshot_times=tuple(0.03 * k for k in range(1, 10)),
-        h0_stream=StreamSpec(kind="bump", width=2.0, curl_max=0.9),
-        forcing_stream=StreamSpec(kind="bump", width=2.0, curl_max=20.0),
+        h0_stream=StreamSpec(width=2.0, curl_max=0.9),
+        forcing_stream=StreamSpec(width=2.0, curl_max=20.0),
         seed=0,
     )
     return sweep_p(spec)
@@ -113,7 +113,7 @@ def saturation_relax():
         schedule=(4.0, 8.0, 16.0, 32.0),
         horizon=0.3,
         snapshot_times=tuple(0.03 * k for k in range(1, 10)),
-        h0_stream=StreamSpec(kind="bump", width=2.0, curl_max=1.0),
+        h0_stream=StreamSpec(width=2.0, curl_max=1.0),
         seed=0,
     )
     return sweep_p(spec)
@@ -127,8 +127,8 @@ def equivalence_report():
         schedule=(4.0,),
         horizon=0.5,
         snapshot_times=(0.125, 0.25, 0.375),
-        h0_stream=StreamSpec(kind="bump", width=1.0, curl_max=0.8),
-        forcing_stream=StreamSpec(kind="bump", width=1.2, curl_max=0.5),
+        h0_stream=StreamSpec(width=1.0, curl_max=0.8),
+        forcing_stream=StreamSpec(width=1.2, curl_max=0.5),
         grids=(64, 128),
         dt_init=0.005,
     )

@@ -56,12 +56,61 @@ def test_unknown_key_exit_code(tmp_path, capsys):
 def test_solver_tolerance_keys_are_unknown(tmp_path, capsys, command, name, line):
     # the Newton and PSOR tolerances are the constants pme.NEWTON_TOL and
     # obstacle.UPDATE_TOL, which the report verdicts' thresholds assume
+    assert_unknown_key(tmp_path, capsys, command, name, line)
+
+
+def assert_unknown_key(tmp_path, capsys, command, name, line):
+    """Running `command` on configs/`name` plus `line` is exit 2 naming the key."""
     text = (Path(__file__).resolve().parents[1] / "configs" / name).read_text()
     path = write_cfg(tmp_path, text + line + "\n")
     out = tmp_path / "out"
     assert run([command, "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "unknown configuration key" in err and repr(line.split(" = ")[0]) in err
+    assert not out.exists()
+
+
+# data block -> a reference run that reads it
+BLOCK_RUNS = {
+    "f": ("contraction", "contraction.cfg"),
+    "f2": ("contraction", "contraction.cfg"),
+    "g": ("contraction", "contraction.cfg"),
+    "h0": ("solve-curl", "curl.cfg"),
+    "force": ("solve-curl", "curl.cfg"),
+    "q": ("solve-obstacle", "obstacle.cfg"),
+}
+
+
+@pytest.mark.parametrize("line", [
+    *(f"{block}.center_{axis} = 0.5" for block in ("f", "f2", "g", "h0", "force") for axis in "xy"),
+    "h0.kind = gaussian",
+    "force.kind = bump",
+    "q.kind = disk",
+    "q.height = 1.0",
+    "q.offset = 0.1",
+])
+def test_data_shape_keys_are_unknown(tmp_path, capsys, line):
+    # bumps and streams sit at the origin, every stream is the compact
+    # (1 - r^2/w^2)^4 profile and the obstacle datum is a disk
+    assert_unknown_key(tmp_path, capsys, *BLOCK_RUNS[line.split(".")[0]], line)
+
+
+@pytest.mark.parametrize("command, name", [
+    ("sweep-p", "sweep_p.cfg"),
+    ("sweep-m", "sweep_m.cfg"),
+    ("small-data", "small_data.cfg"),
+    ("collapse", "collapse.cfg"),
+])
+def test_schedule_of_one_exponent_is_a_config_error(tmp_path, capsys, command, name):
+    # every subcommand with a schedule judges trends across it, which one
+    # point cannot show
+    text = (Path(__file__).resolve().parents[1] / "configs" / name).read_text()
+    lines = [line for line in text.splitlines() if not line.startswith("schedule")]
+    path = write_cfg(tmp_path, "\n".join(lines) + "\nschedule = 8\n")
+    out = tmp_path / "out"
+    assert run([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'schedule'" in err
     assert not out.exists()
 
 
@@ -294,7 +343,6 @@ def test_solve_obstacle_subcommand(tmp_path):
     path = write_cfg(tmp_path, """
 grid.L = 4.0
 grid.n = 48
-q.kind = disk
 q.inside = 0.5
 q.outside = -1.0
 q.radius = 1.0
@@ -312,7 +360,6 @@ def test_solve_obstacle_relaxes_at_the_optimal_sor_factor_by_default(tmp_path):
     path = write_cfg(tmp_path, """
 grid.L = 4.0
 grid.n = 48
-q.kind = disk
 q.inside = 0.5
 q.outside = -1.0
 q.radius = 1.0
@@ -581,6 +628,27 @@ def test_key_tables_agree():
             ), (command, name)
 
 
+# keys no reference config sets, and why each stays a key
+UNSET_BY_REFERENCE = {
+    "output_dir": "a deployment path; the reference script passes --out",
+    "curl.cfl_safety": "p = 60 and 64 runs need 0.5 to stay stable",
+    "h0.amplitude": "tests run zero data through solve-curl, sweep-p and equivalence",
+    "force.amplitude": "one _stream rule reads h0.* and force.* alike",
+}
+
+
+def test_every_key_is_set_by_a_reference_config():
+    # a key no reference run sets is a knob nothing exercises: make it a
+    # constant, or give the reason it stays above
+    from bean_limit.config import KEY_TABLE
+
+    root = Path(__file__).resolve().parents[1]
+    used = set().union(*(RunConfig.parse(p).entries for p in (root / "configs").glob("*.cfg")))
+    assert set(UNSET_BY_REFERENCE) <= set(KEY_TABLE)
+    unset = sorted(set(KEY_TABLE) - used - set(UNSET_BY_REFERENCE))
+    assert not unset, f"keys no configs/*.cfg sets: {', '.join(unset)}"
+
+
 # names kept public without a caller in src/: the reader of the field dumps
 UNCALLED_BY_DESIGN = {"read_field"}
 
@@ -687,7 +755,7 @@ ECHO_CONFIGS = {
     "small-data": SWEEP_BASE + F_BLOCK,
     "equivalence": SCALAR_BASE + "exponent = 4\n" + H0_BLOCK,
     "contraction": SCALAR_BASE + "exponent = 4\n" + F_BLOCK + "f2.height = 0.6\nf2.radius = 1.0\n",
-    "barenblatt-convergence": SCALAR_BASE + "exponent = 3\npme.dt_init = 0.005\n",
+    "barenblatt-convergence": SCALAR_BASE + "exponent = 3\npme.dt_init = 0.005\ngrids = 16, 24\n",
 }
 
 
@@ -769,7 +837,7 @@ def test_equivalence_against_a_zero_scalar_run_fails_its_verdict(tmp_path, monke
     ("contraction", ECHO_CONFIGS["contraction"] + "snapshot_times = 0.04999999\n",
      "snapshot_times"),
     ("small-data", SCALAR_BASE + F_BLOCK + "schedule = 4.0000001, 4.0000002\n", "schedule"),
-    ("barenblatt-convergence", ECHO_CONFIGS["barenblatt-convergence"] + "grids = 24, 24\n",
+    ("barenblatt-convergence", SCALAR_BASE + "exponent = 3\npme.dt_init = 0.005\ngrids = 24, 24\n",
      "grids"),
 ])
 def test_entries_that_label_metrics_alike_are_a_config_error(tmp_path, capsys, command, text,

@@ -41,7 +41,7 @@ from bean_limit.fields import (
 
 
 def default_h0(g, curl_max=0.8):
-    return field_from_stream(g, StreamSpec(kind="bump", width=0.5 * g.half_width, curl_max=curl_max))
+    return field_from_stream(g, StreamSpec(width=0.5 * g.half_width, curl_max=curl_max))
 
 
 def psi_prime(w, m):
@@ -126,7 +126,7 @@ def test_energy_identity_per_step():
 def test_divergence_drift_over_run():
     g = GridSpec(4.0, 48)
     H0 = default_h0(g)
-    F = field_from_stream(g, StreamSpec(kind="bump", width=1.8, curl_max=2.0))
+    F = field_from_stream(g, StreamSpec(width=1.8, curl_max=2.0))
     prob = CurlProblem(grid=g, p=6.0, H0=H0, forcing=F, horizon=0.2)
     sol = curl_solve(prob, CurlConfig(snapshot_times=(0.1,)))
     assert sol.diagnostics.div_drift_max <= 1e-10
@@ -152,7 +152,7 @@ def test_odd_symmetry_exact():
 def test_energy_budget_holds():
     g = GridSpec(4.0, 48)
     H0 = default_h0(g)
-    F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=3.0))
+    F = field_from_stream(g, StreamSpec(width=2.0, curl_max=3.0))
     prob = CurlProblem(grid=g, p=4.0, H0=H0, forcing=F, horizon=0.3)
     sol = curl_solve(prob, CurlConfig())
     assert 0.0 < sol.diagnostics.energy_ratio <= 1.05
@@ -185,7 +185,7 @@ def test_vi_residual_rejects_inadmissible_fields():
     H0 = default_h0(g)
     prob = CurlProblem(grid=g, p=4.0, H0=H0, forcing=None, horizon=0.1)
     sol = curl_solve(prob, CurlConfig())
-    V_bad = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=1.5))
+    V_bad = field_from_stream(g, StreamSpec(width=2.0, curl_max=1.5))
     with pytest.raises(DomainError):
         vi_residual(sol, V_bad)
     x, _ = g.meshgrid()
@@ -256,7 +256,7 @@ def stepped_reference(prob, config):
 def test_curl_solve_matches_the_stepped_reference_bit_for_bit():
     g = GridSpec(4.0, 24)
     H0 = default_h0(g, curl_max=0.9)
-    F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=20.0))
+    F = field_from_stream(g, StreamSpec(width=2.0, curl_max=20.0))
     prob = CurlProblem(grid=g, p=8.0, H0=H0, forcing=F, horizon=0.05)
     config = CurlConfig(snapshot_times=(0.02,))
     sol = curl_solve(prob, config)
@@ -282,7 +282,7 @@ def test_curl_solve_matches_the_stepped_reference_bit_for_bit():
 
 def test_curl_solve_raises_blowup_mid_run():
     g = GridSpec(4.0, 24)
-    F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=400.0))
+    F = field_from_stream(g, StreamSpec(width=2.0, curl_max=400.0))
     prob = CurlProblem(grid=g, p=3.0, H0=default_h0(g), forcing=F, horizon=1.0)
     with pytest.raises(BlowUp) as info:
         curl_solve(prob, CurlConfig())
@@ -293,7 +293,7 @@ def test_curl_solve_raises_blowup_on_the_final_state():
     # the run above, stopped at the time it blew up: its last step lifts
     # max |curl| past the guard, and there is no next step to see it
     g = GridSpec(4.0, 24)
-    F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=400.0))
+    F = field_from_stream(g, StreamSpec(width=2.0, curl_max=400.0))
 
     def solve(horizon):
         prob = CurlProblem(grid=g, p=3.0, H0=default_h0(g), forcing=F, horizon=horizon)
@@ -331,7 +331,7 @@ def test_forcing_is_checked_when_the_problem_is_built():
     with pytest.raises(DomainError, match="not divergence free"):
         CurlProblem(grid=g, p=4.0, H0=default_h0(g), forcing=bad, horizon=0.05)
     other = GridSpec(4.0, 32)
-    F = field_from_stream(other, StreamSpec(kind="bump", width=1.5, curl_max=0.5))
+    F = field_from_stream(other, StreamSpec(width=1.5, curl_max=0.5))
     with pytest.raises(ValueError, match="grid"):
         CurlProblem(grid=g, p=4.0, H0=default_h0(g), forcing=F, horizon=0.05)
 
@@ -389,7 +389,7 @@ def test_kernel_curl_and_divergence_match_curl_z_and_divergence_bit_for_bit():
     # the kernel differentiates through plans bound once; after each step
     # its curl and its div_drift are those of curl_z and divergence
     g = GridSpec(4.0, 24)
-    F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=20.0))
+    F = field_from_stream(g, StreamSpec(width=2.0, curl_max=20.0))
     H0 = default_h0(g, curl_max=0.9)
     H = np.stack((H0.comp1.values, H0.comp2.values))
     H[:, :2, :] = -0.0
@@ -437,7 +437,7 @@ def test_cfl_dt_is_zero_where_the_power_overflows():
     # the first step lands on t = 0.1 with max |curl| near 8, and 8^398
     # overflows
     g = GridSpec(4.0, 24)
-    F = field_from_stream(g, StreamSpec(kind="bump", width=2.0, curl_max=80.0))
+    F = field_from_stream(g, StreamSpec(width=2.0, curl_max=80.0))
     prob = CurlProblem(grid=g, p=400.0, H0=default_h0(g), forcing=F, horizon=0.2)
     with pytest.raises(StepTooSmall) as info:
         curl_solve(prob, CurlConfig(snapshot_times=(0.1,)))

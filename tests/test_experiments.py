@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bean_limit import experiments
 from bean_limit.datagen import (
     BumpSpec,
     StreamSpec,
@@ -106,7 +107,7 @@ def small_sweep_spec(**over):
         schedule=(4.0, 8.0),
         horizon=0.05,
         snapshot_times=(0.025,),
-        h0_stream=StreamSpec(kind="bump", width=2.0, curl_max=0.8),
+        h0_stream=StreamSpec(width=2.0, curl_max=0.8),
         n_test_fields=4,
         seed=0,
     )
@@ -127,7 +128,7 @@ def test_sweep_p_smoke_and_determinism():
 def test_sweep_p_subcritical_data_has_zero_excess():
     spec = small_sweep_spec(
         name="subcritical-sweep",
-        h0_stream=StreamSpec(kind="bump", width=2.0, curl_max=0.5),
+        h0_stream=StreamSpec(width=2.0, curl_max=0.5),
         schedule=(4.0, 8.0, 16.0),
         horizon=0.1,
         snapshot_times=(0.05,),
@@ -233,8 +234,8 @@ def test_equivalence_check_smoke():
         schedule=(4.0,),
         horizon=0.25,
         snapshot_times=(0.125,),
-        h0_stream=StreamSpec(kind="bump", width=1.0, curl_max=0.8),
-        forcing_stream=StreamSpec(kind="bump", width=1.2, curl_max=0.5),
+        h0_stream=StreamSpec(width=1.0, curl_max=0.8),
+        forcing_stream=StreamSpec(width=1.2, curl_max=0.5),
         grids=(32, 48),
         dt_init=0.005,
     )
@@ -270,7 +271,7 @@ def test_equivalence_check_raises_on_unpaired_snapshots(monkeypatch, corrupt):
         schedule=(4.0,),
         horizon=0.25,
         snapshot_times=(0.125,),
-        h0_stream=StreamSpec(kind="bump", width=1.0, curl_max=0.8),
+        h0_stream=StreamSpec(width=1.0, curl_max=0.8),
         grids=(32,),
         dt_init=0.005,
     )
@@ -285,7 +286,7 @@ def test_equivalence_rejects_large_p():
         grid=GridSpec(2.0, 32),
         schedule=(32.0,),
         horizon=0.25,
-        h0_stream=StreamSpec(kind="bump", width=1.0, curl_max=0.8),
+        h0_stream=StreamSpec(width=1.0, curl_max=0.8),
     )
     with pytest.raises(PreconditionFailed):
         equivalence_check(spec)
@@ -301,7 +302,7 @@ def test_forcing_reduction_two_path_agreement():
     errs = []
     for n in (48, 96):
         g = GridSpec(4.0, n)
-        spec = StreamSpec(kind="gaussian", amplitude=0.5, width=1.0)
+        spec = StreamSpec(amplitude=0.5, width=2.0)
         chi = stream_field(g, spec)
         F = field_from_stream(g, spec)
         g_discrete = curl_z(F).values
@@ -365,6 +366,20 @@ def test_barenblatt_convergence_driver():
     assert rep.verdict("errors_decreasing")
     assert rep.verdict("mass_balance_ok")
     assert rep.metrics["l1_error@64"] < rep.metrics["l1_error@32"]
+
+
+@pytest.mark.parametrize("grids", [(), (32,)])
+def test_barenblatt_convergence_needs_two_grids(monkeypatch, grids):
+    # errors_decreasing and the convergence order are trends, which one
+    # grid cannot show; the study refuses before any solve
+    def no_solve(problem, config):
+        raise AssertionError("solved before the grid check")
+
+    monkeypatch.setattr(experiments, "pme_solve", no_solve)
+    spec = ExperimentSpec(name="one-grid-bb", grid=GridSpec(2.0, 32), schedule=(3.0,),
+                          horizon=0.5, grids=grids)
+    with pytest.raises(PreconditionFailed, match="at least two grids"):
+        barenblatt_convergence(spec)
 
 
 def test_accumulated_source_is_t_times_g():
