@@ -5,9 +5,9 @@ Usage:
     python scripts/run_reference_experiments.py [--out OUTDIR] [--only NAME ...]
 
 Each run writes its artifacts under OUTDIR/<name>/ (field dumps,
-report.json, summary.txt).  On a 2-core Xeon the Barenblatt study takes
-about 25 s and the collapse study about 15 s; everything else finishes in
-under 5 s each.
+report.json, summary.txt).  On a 2-core Xeon VM the Barenblatt study
+takes about 17 s and the collapse study about 11 s; everything else
+finishes in under 3 s each.
 """
 
 import argparse

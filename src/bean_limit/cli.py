@@ -25,8 +25,10 @@ from .config import SPEC_FIELDS, ConfigError, RunConfig
 from .datagen import BumpSpec, StreamSpec, accumulated_source, bump_field, disk_field
 from .errors import DomainError, PreconditionFailed, StepTooSmall
 from .experiments import (
+    UNIT_CAP,
     ExperimentSpec,
     Report,
+    at_most,
     barenblatt_convergence,
     collapse_experiment,
     constant_source,
@@ -160,22 +162,13 @@ def _cmd_solve_obstacle(cfg: RunConfig, out_dir: Path) -> Report:
     report.add_metric("feasibility_min", vi.residuals.feasibility_min)
     report.add_metric("inactive_residual_max", vi.residuals.inactive_residual_max)
     report.add_metric("sweeps", float(vi.iterations))
-    report.add_verdict("w_nonnegative", report.metrics["w_min"] >= 0.0, ["w_min"])
-    report.add_verdict(
-        "complementarity_ok",
-        vi.residuals.complementarity_max <= obstacle.COMPLEMENTARITY_TOL,
-        ["complementarity_max"],
-    )
-    report.add_verdict(
-        "feasibility_ok",
-        vi.residuals.feasibility_min >= -obstacle.FEASIBILITY_TOL,
-        ["feasibility_min"],
-    )
-    report.add_verdict(
-        "inactive_residual_ok",
-        vi.residuals.inactive_residual_max <= obstacle.INACTIVE_RESIDUAL_TOL,
-        ["inactive_residual_max"],
-    )
+    report.judge("w_nonnegative", ["w_min"], lambda xs: xs[0] >= 0.0)
+    report.judge("complementarity_ok", ["complementarity_max"],
+                 at_most(obstacle.COMPLEMENTARITY_TOL))
+    report.judge("feasibility_ok", ["feasibility_min"],
+                 lambda xs: xs[0] >= -obstacle.FEASIBILITY_TOL)
+    report.judge("inactive_residual_ok", ["inactive_residual_max"],
+                 at_most(obstacle.INACTIVE_RESIDUAL_TOL))
     return report
 
 
@@ -196,16 +189,9 @@ def _cmd_mesa_profile(cfg: RunConfig, out_dir: Path) -> Report:
     report.add_metric("u_max", float(np.max(u_limit.values)))
     report.add_metric("plateau_area", float(grid.spacing ** 2 * np.count_nonzero(mask)))
     report.add_metric("complementarity_max", vi.residuals.complementarity_max)
-    report.add_verdict(
-        "bounds_ok",
-        report.metrics["u_min"] >= 0.0 and report.metrics["u_max"] <= 1.0 + 1e-12,
-        ["u_min", "u_max"],
-    )
-    report.add_verdict(
-        "complementarity_ok",
-        vi.residuals.complementarity_max <= obstacle.COMPLEMENTARITY_TOL,
-        ["complementarity_max"],
-    )
+    report.judge("bounds_ok", ["u_min", "u_max"], lambda xs: xs[0] >= 0.0 and xs[1] <= UNIT_CAP)
+    report.judge("complementarity_ok", ["complementarity_max"],
+                 at_most(obstacle.COMPLEMENTARITY_TOL))
     return report
 
 

@@ -253,9 +253,9 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
 # -- diagnostics on solutions -----------------------------------------------
 
 
-def vi_residual(solution: CurlSolution, V: VectorField2) -> list[tuple[float, float]]:
+def vi_residual(solution: CurlSolution, V: VectorField2) -> list[tuple[float, float, float]]:
     """Residual series h^2 sum (F - H_t) . (V - H) over snapshot times, F
-    the problem's forcing.
+    the problem's forcing, each as (t, residual, |V - H|_L2).
 
     H_t is the backward difference of consecutive snapshots, so the series
     starts at the second snapshot.  V must be admissible: max |curl V| at
@@ -271,7 +271,7 @@ def vi_residual(solution: CurlSolution, V: VectorField2) -> list[tuple[float, fl
     h2 = grid.spacing ** 2
     f1, f2 = _forcing_arrays(solution.problem.forcing)
     snaps = solution.snapshots
-    out: list[tuple[float, float]] = []
+    out: list[tuple[float, float, float]] = []
     for (t_prev, H_prev, _, _), (t_now, H_now, _, _) in zip(snaps, snaps[1:]):
         dt = t_now - t_prev
         ht1 = (H_now.comp1.values - H_prev.comp1.values) / dt
@@ -279,5 +279,5 @@ def vi_residual(solution: CurlSolution, V: VectorField2) -> list[tuple[float, fl
         d1 = V.comp1.values - H_now.comp1.values
         d2 = V.comp2.values - H_now.comp2.values
         r = h2 * float(np.sum((f1 - ht1) * d1 + (f2 - ht2) * d2))
-        out.append((t_now, r))
+        out.append((t_now, r, math.sqrt(h2 * float(np.sum(d1 * d1 + d2 * d2)))))
     return out

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from bean_limit.datagen import BumpSpec, bump_values
-from bean_limit.experiments import Report, outward_monotone_defect, require_radial_monotone_data
+from bean_limit.experiments import (
+    Report,
+    at_most,
+    outward_monotone_defect,
+    require_radial_monotone_data,
+)
 from bean_limit.fields import GridSpec, ScalarField
 from bean_limit.obstacle import NotConverged
 from bean_limit.pme import PmeSolution
@@ -119,8 +124,8 @@ def monotonicity_check(solution: PmeSolution) -> Report:
         time_defect = max(time_defect, float(np.max(u_a.values - u_b.values)))
     report.add_metric("radial_defect_max", radial_defect)
     report.add_metric("time_defect_max", time_defect)
-    report.add_verdict("radially_non_increasing", radial_defect <= 1e-8, ["radial_defect_max"])
-    report.add_verdict("time_monotone", time_defect <= 1e-8, ["time_defect_max"])
+    report.judge("radially_non_increasing", ["radial_defect_max"], at_most(1e-8))
+    report.judge("time_monotone", ["time_defect_max"], at_most(1e-8))
     return report
 
 

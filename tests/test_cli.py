@@ -742,6 +742,64 @@ g.radius = 1.7
     assert u_limit.values.tobytes() == mesa.values.tobytes()
 
 
+def test_sweep_m_checks_the_growth_hypothesis_at_every_exponent(tmp_path, capsys):
+    # m h^m peaks at m = -1/ln h, so the defect of lap(psi_m(f)) + g >= 0 is
+    # 0 at m = 4, the smallest exponent, and 2.45 at m = 8 and m = 16
+    path = write_cfg(tmp_path, "grid.L = 4.0\ngrid.n = 48\nschedule = 4, 8, 16\nhorizon = 0.05\n"
+                     "f.height = 0.95\nf.radius = 1.5\ng.height = 12.0\ng.radius = 1.7\n")
+    out = tmp_path / "out"
+    assert run(["sweep-m", "--config", str(path), "--out", str(out)]) == 3
+    assert "discrete growth hypothesis fails by 2.451e+00 at m=8" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def _at(name, labels):
+    return [f"{name}@{x}" for x in labels]
+
+
+# the verdicts of the fast reference runs, each passing: name and cited metrics, in order
+REFERENCE_VERDICTS = {
+    "pme": [("mass_balance_ok", ["mass_residual_max"]), ("truncation_ok", ["boundary_max"])],
+    "curl": [("div_drift_ok", ["div_drift_max"]), ("energy_budget_ok", ["energy_ratio"]),
+             ("truncation_ok", ["boundary_max"])],
+    "obstacle": [("w_nonnegative", ["w_min"]), ("complementarity_ok", ["complementarity_max"]),
+                 ("feasibility_ok", ["feasibility_min"]),
+                 ("inactive_residual_ok", ["inactive_residual_max"])],
+    "mesa": [("bounds_ok", ["u_min", "u_max"]), ("complementarity_ok", ["complementarity_max"])],
+    "sweep_p_relaxation": [
+        ("mu[0.05]_non_increasing", _at("mu[0.05]", (4, 8, 16, 32))),
+        ("mu[0.1]_non_increasing", _at("mu[0.1]", (4, 8, 16, 32))),
+        ("mu[0.2]_non_increasing", _at("mu[0.2]", (4, 8, 16, 32))),
+        ("mu[0.1]_halved", _at("mu[0.1]", (4, 8, 16, 32)) + ["grid_h2"]),
+        ("vi_abs_max_decreasing", _at("vi_abs_max", (4, 8, 16, 32))),
+        ("vi_onesided_ok", _at("vi_bound_defect", (4, 8, 16, 32))),
+        ("div_drift_ok", _at("div_drift", (4, 8, 16, 32))),
+        ("energy_budget_ok", _at("energy_ratio", (4, 8, 16, 32))),
+        ("truncation_ok", ["boundary_max"]),
+    ],
+    "small_data": [("d_strictly_decreasing", _at("d", (8, 16, 32, 64))),
+                   ("d_final_third", _at("d", (8, 16, 32, 64))),
+                   ("sup_bounded", _at("sup_bound_defect", (8, 16, 32, 64)))],
+    "contraction": [("l1_contraction", ["worst_contraction_ratio", "initial_l1_distance"]),
+                    ("comparison_ordering", ["order_defect"])],
+}
+
+
+@pytest.mark.parametrize("stem", REFERENCE_VERDICTS)
+def test_fast_reference_runs_keep_their_verdicts_and_rerun_byte_identically(tmp_path, stem):
+    runs, root = reference_runs()
+    (command,) = [c for c, name in runs if name == f"{stem}.cfg"]
+    path = root / "configs" / f"{stem}.cfg"
+    reports = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        assert run([command, "--config", str(path), "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    verdicts = [(v["name"], v["passed"], v["metrics"]) for v in json.loads(reports[0])["verdicts"]]
+    assert verdicts == [(name, True, keys) for name, keys in REFERENCE_VERDICTS[stem]]
+
+
 # subcommand -> a small config it runs to a report
 ECHO_CONFIGS = {
     "solve-pme": SCALAR_BASE + "exponent = 3.0\n" + F_BLOCK,

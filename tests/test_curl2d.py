@@ -166,18 +166,21 @@ def test_vi_residual_trivial_cases():
     H_final = sol.snapshots[-1][1]
     series = vi_residual(sol, H_final)
     assert series[-1][1] == pytest.approx(0.0, abs=1e-15)
+    assert series[-1][2] == 0.0
 
     V0 = VectorField2(ScalarField.zeros(g), ScalarField.zeros(g))
     series0 = vi_residual(sol, V0)
     # direct unwinding: r = -h^2 sum (F - H_t) . H
     h2 = g.spacing ** 2
     snaps = sol.snapshots
-    for (t, r), ((tp, Hp, _, _), (tn, Hn, _, _)) in zip(series0, zip(snaps, snaps[1:])):
+    for (t, r, vh), ((tp, Hp, _, _), (tn, Hn, _, _)) in zip(series0, zip(snaps, snaps[1:])):
         dt = tn - tp
         ht1 = (Hn.comp1.values - Hp.comp1.values) / dt
         ht2 = (Hn.comp2.values - Hp.comp2.values) / dt
         expect = h2 * np.sum(ht1 * Hn.comp1.values + ht2 * Hn.comp2.values)
         assert r == pytest.approx(expect, rel=1e-12, abs=1e-15)
+        norm = np.sqrt(h2 * np.sum(Hn.comp1.values ** 2 + Hn.comp2.values ** 2))
+        assert vh == pytest.approx(norm, rel=1e-12)
 
 
 def test_vi_residual_rejects_inadmissible_fields():

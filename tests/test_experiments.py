@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -59,12 +61,26 @@ def test_spec_rejects_a_first_step_that_is_not_positive():
 
 def test_report_verdicts_reference_metrics():
     r = Report(name="t")
-    r.add_metric("a", 1.0)
-    r.add_verdict("ok", True, ["a"])
-    with pytest.raises(ValueError):
-        r.add_verdict("bad", True, ["missing"])
-    assert r.passed()
-    assert r.verdict("ok")
+    for name, value in (("a", 1.0), ("b", 2.0), ("c", 3.0)):
+        r.add_metric(name, value)
+    seen = []
+
+    def rule(xs):
+        seen.append(xs)
+        return np.True_
+
+    # the rule sees the cited values in the cited order
+    r.judge("ok", ["c", "a", "b"], rule)
+    assert seen == [[3.0, 1.0, 2.0]]
+    assert r.verdicts == [experiments.Verdict("ok", True, ("c", "a", "b"))]
+    assert r.verdicts[0].passed is True
+    with pytest.raises(ValueError, match="missing"):
+        r.judge("bad", ["a", "missing"], rule)
+    assert len(seen) == 1 and len(r.verdicts) == 1
+    # a NaN fails an upper bound wherever it sits among the cited values
+    assert experiments.at_most(1.0)([0.5, 1.0])
+    for xs in ([math.nan, 0.5, 0.5], [0.5, math.nan, 0.5], [0.5, 0.5, math.nan]):
+        assert not experiments.at_most(1.0)(xs)
 
 
 def test_report_refuses_to_overwrite_a_metric():
