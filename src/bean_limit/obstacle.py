@@ -7,11 +7,16 @@ The discrete complementarity system on the grid reads, per interior cell,
 with w pinned to zero on the outermost cell ring.  It is solved by
 projected SOR in red-black order: a sweep updates the red cells (i + j
 even) and then the black ones (i + j odd).  The five-point stencil only
-couples cells of opposite colour, so each colour is two strided-slice
-updates (its two row parities), reading the neighbours as shifted
-strided slices of the same array.  Sweeps stop once the largest cell
-update falls below UPDATE_TOL and the complementarity residuals meet
-their targets.
+couples cells of opposite colour, so each of the four parity classes
+w[pr::2, pc::2] is one Jacobi update from the other colour.  During the
+sweeps w lives in four parity planes, each stored flat in R x C slots
+(R = C = ceil(n/2)) with C + 1 zero slots before and after, so every
+neighbour of a class is a contiguous slice of an opposite-colour plane
+at a fixed offset: left and right at -1/0 or 0/+1, up and down at -C/0
+or 0/+C.  Ring and off-grid slots carry h^2 q = -inf, which the
+projection turns into +0, so the ring stays pinned without a mask.
+Sweeps stop once the largest cell update falls below UPDATE_TOL and the
+complementarity residuals meet their targets.
 """
 
 from __future__ import annotations
@@ -94,26 +99,57 @@ def psor_solve(data: ObstacleData, relaxation: float | None = None) -> ViSolutio
     q = data.q.values
     max_sweeps = SWEEPS_PER_SIDE * n
 
-    w = np.zeros((n, n))
-    omega = relaxation
-    # per interior parity class, red (i + j even) before black: the cell
-    # view, its left, right, upper and lower neighbour views, and h^2 q
-    classes = []
-    for r, c in ((1, 1), (2, 2), (1, 2), (2, 1)):
-        views = [w[r + dr:n - 1 + dr:2, c + dc:n - 1 + dc:2]
-                 for dr, dc in ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0))]
-        classes.append((*views, h2 * q[r:n - 1:2, c:n - 1:2]))
+    # the parity planes w[pr::2, pc::2] in one flat buffer, rows x rows
+    # slots each, with rows + 1 zero slots before, between and after them
+    rows = (n + 1) // 2
+    size, pad = rows * rows, rows + 1
+    buf = np.zeros(4 * (size + pad) + pad)
+
+    def plane(pr: int, pc: int, offset: int = 0) -> np.ndarray:
+        start = pad + (2 * pr + pc) * (size + pad) + offset
+        return buf[start:start + size]
+
+    def assemble() -> np.ndarray:
+        full = np.empty((2 * rows, 2 * rows))
+        for pr in (0, 1):
+            for pc in (0, 1):
+                full[pr::2, pc::2] = plane(pr, pc).reshape(rows, rows)
+        return np.ascontiguousarray(full[:n, :n])
+
+    hq_full = np.full((2 * rows, 2 * rows), -np.inf)
+    hq_full[1:n - 1, 1:n - 1] = h2 * q[1:n - 1, 1:n - 1]
+    # per parity class, red (i + j even) before black: the cell plane, its
+    # left, right, upper and lower neighbour slices, and h^2 q
+    classes = [
+        (plane(pr, pc), plane(pr, 1 - pc, pc - 1), plane(pr, 1 - pc, pc),
+         plane(1 - pr, pc, (pr - 1) * rows), plane(1 - pr, pc, pr * rows),
+         hq_full[pr::2, pc::2].ravel())
+        for pr, pc in ((1, 1), (0, 0), (1, 0), (0, 1))
+    ]
+    t, d = np.empty(size), np.empty(size)
+    zero, quarter, omega = np.array(0.0), np.array(0.25), np.array(relaxation)
 
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
         max_update = 0.0
         for wc, left, right, up, down, hq in classes:
-            target = 0.25 * (left + right + up + down + hq)
-            new = np.maximum(0.0, wc + omega * (target - wc))
-            max_update = max(max_update, float(np.max(np.abs(new - wc))))
-            wc[...] = new
+            # wc + omega (0.25 (left + right + up + down + hq) - wc), projected
+            np.add(left, right, out=t)
+            t += up
+            t += down
+            t += hq
+            np.multiply(quarter, t, out=t)
+            t -= wc
+            np.multiply(omega, t, out=t)
+            np.add(wc, t, out=t)
+            np.maximum(zero, t, out=t)
+            np.subtract(t, wc, out=d)
+            np.absolute(d, out=d)
+            max_update = max(max_update, float(np.maximum.reduce(d)))
+            wc[...] = t
         if max_update < UPDATE_TOL:
+            w = assemble()
             mask_tol = 1e-9 * max(1.0, float(np.max(w)))
             res = _vi_residuals(w, q, h, mask_tol)
             if (

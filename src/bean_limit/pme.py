@@ -144,7 +144,14 @@ def pcg(
     apply_op and apply_minv may return the same buffer on every call.  x,
     r and p are updated in place through one scratch vector, and the best
     iterate is kept by swapping x with a spare buffer, not by copying it.
-    Inner products are multiply-then-sum: np.dot would load BLAS.
+    Inner products are multiply-then-sum, not np.dot, for two measured
+    reasons.  BLAS dot sums vectors above about 10,000 elements in an
+    order that depends on the BLAS thread count (128^2 and 256^2 vectors
+    differ between OPENBLAS_NUM_THREADS=1 and 2), so outputs would depend
+    on the thread setting.  And the super-critical Newton step is
+    sensitive to CG rounding: with BLAS inner products (np.vdot) the
+    m = 64 collapse step at dt = 1/640 that converges in 35 Newton
+    iterations fails and needs two dt halvings.
     """
     s = np.empty_like(b)
 
@@ -228,20 +235,36 @@ def _pointwise_exact(v: np.ndarray, rhs: np.ndarray, dt: float, m: float, h2: fl
     # s^m for the huge right sides of the super-critical collapse regime
     s = np.minimum(babs, abs_pow(babs / a, 1.0 / m))
     ftol = 1e-16 * (1.0 + babs)
-    sm1, live = np.empty_like(s), np.empty(s.shape, dtype=bool)
+    # work buffers: s^(m-1), then the slope; f, then the step ds; |f|, then
+    # the ulp bound; live holds pow's mask, then each stop test
+    sm1, f, work = np.empty_like(s), np.empty_like(s), np.empty_like(s)
+    live = np.empty(s.shape, dtype=bool)
+    am, one, ulp = a * m, np.array(1.0), np.array(4e-16)
     last_step = math.inf
     for _ in range(POINTWISE_MAX_ITERS):
         # one pow per iteration: s^(m-1) serves both s^m and the slope
         pow_into(s, m - 1.0, sm1, live)
-        f = s + a * (s * sm1) - babs
-        if np.all(np.abs(f) <= ftol):
+        # f = s + a (s s^(m-1)) - |b|
+        np.multiply(s, sm1, out=f)
+        np.multiply(a, f, out=f)
+        np.add(s, f, out=f)
+        f -= babs
+        np.less_equal(np.absolute(f, out=work), ftol, out=live)
+        if live.all():
             return np.sign(b) * s
-        ds = f / (1.0 + a * m * sm1)
+        # ds = f / (1 + a m s^(m-1))
+        np.multiply(am, sm1, out=sm1)
+        sm1 += one
+        ds = np.divide(f, sm1, out=f)
         s -= ds
         np.clip(s, 0.0, None, out=s)
         np.abs(ds, out=ds)
-        step = float(np.max(ds))
-        if step >= last_step or np.all(ds <= 4e-16 * np.maximum(1.0, s)):
+        step = float(np.maximum.reduce(ds, axis=None))
+        if step >= last_step:
+            return np.sign(b) * s
+        np.maximum(one, s, out=work)
+        np.multiply(ulp, work, out=work)
+        if np.less_equal(ds, work, out=live).all():
             return np.sign(b) * s
         last_step = step
     raise NewtonDiverged(

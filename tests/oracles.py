@@ -4,6 +4,9 @@
 fine 1-d mesh, as a reference for the 2-d obstacle solver;
 `monotonicity_check` audits a radial PME run for radial and temporal
 monotonicity; `flat_top_field` is test data with a plateau.
+`strided_psor_solve` and `allocating_pointwise_exact` are the earlier
+forms of the obstacle sweep and the pointwise PME kernel, kept as
+bit-for-bit references for the production kernels.
 """
 
 import math
@@ -18,9 +21,10 @@ from bean_limit.experiments import (
     outward_monotone_defect,
     require_radial_monotone_data,
 )
-from bean_limit.fields import GridSpec, ScalarField
-from bean_limit.obstacle import NotConverged
-from bean_limit.pme import PmeSolution
+from bean_limit import obstacle
+from bean_limit.fields import GridSpec, ScalarField, abs_pow, neighbor_sum, pow_into
+from bean_limit.obstacle import NotConverged, ObstacleData, ViSolution
+from bean_limit.pme import POINTWISE_MAX_ITERS, NewtonDiverged, PmeSolution
 
 
 @dataclass(frozen=True)
@@ -132,3 +136,78 @@ def monotonicity_check(solution: PmeSolution) -> Report:
 def flat_top_field(grid: GridSpec, spec: BumpSpec, cap: float) -> ScalarField:
     """Bump clipped at `cap`, flat near the center."""
     return ScalarField(grid, np.minimum(bump_values(grid, spec), cap))
+
+
+def strided_psor_solve(data: ObstacleData, relaxation: float | None = None) -> ViSolution:
+    """`obstacle.psor_solve` with each parity class updated through
+    strided views of one (n, n) array: four strided-slice updates per
+    sweep, the neighbours read as shifted strided slices, the ring never
+    written."""
+    grid = data.q.grid
+    n = grid.n
+    if relaxation is None:
+        relaxation = 2.0 / (1.0 + math.sin(math.pi / n))
+    h = grid.spacing
+    h2 = h * h
+    q = data.q.values
+    max_sweeps = obstacle.SWEEPS_PER_SIDE * n
+
+    w = np.zeros((n, n))
+    omega = relaxation
+    classes = []
+    for r, c in ((1, 1), (2, 2), (1, 2), (2, 1)):
+        views = [w[r + dr:n - 1 + dr:2, c + dc:n - 1 + dc:2]
+                 for dr, dc in ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0))]
+        classes.append((*views, h2 * q[r:n - 1:2, c:n - 1:2]))
+
+    sweeps = 0
+    while sweeps < max_sweeps:
+        sweeps += 1
+        max_update = 0.0
+        for wc, left, right, up, down, hq in classes:
+            target = 0.25 * (left + right + up + down + hq)
+            new = np.maximum(0.0, wc + omega * (target - wc))
+            max_update = max(max_update, float(np.max(np.abs(new - wc))))
+            wc[...] = new
+        if max_update < obstacle.UPDATE_TOL:
+            mask_tol = 1e-9 * max(1.0, float(np.max(w)))
+            res = obstacle._vi_residuals(w, q, h, mask_tol)
+            if (
+                res.feasibility_min >= -obstacle.FEASIBILITY_TOL
+                and res.complementarity_max <= obstacle.COMPLEMENTARITY_TOL
+                and res.inactive_residual_max <= obstacle.INACTIVE_RESIDUAL_TOL
+            ):
+                return ViSolution(
+                    w=ScalarField(grid, w),
+                    noncoincidence_mask=w > mask_tol,
+                    residuals=res,
+                    iterations=sweeps,
+                    mask_tol=mask_tol,
+                )
+    raise NotConverged(f"projected SOR did not converge in {max_sweeps} sweeps")
+
+
+def allocating_pointwise_exact(v: np.ndarray, rhs: np.ndarray, dt: float, m: float, h2: float) -> np.ndarray:
+    """`pme._pointwise_exact` with fresh temporaries for f, the slope, the
+    step and both stop tests in every Newton iteration."""
+    a = 4.0 * dt / h2
+    b = rhs + (dt / h2) * neighbor_sum(v)
+    babs = np.abs(b)
+    s = np.minimum(babs, abs_pow(babs / a, 1.0 / m))
+    ftol = 1e-16 * (1.0 + babs)
+    sm1, live = np.empty_like(s), np.empty(s.shape, dtype=bool)
+    last_step = math.inf
+    for _ in range(POINTWISE_MAX_ITERS):
+        pow_into(s, m - 1.0, sm1, live)
+        f = s + a * (s * sm1) - babs
+        if np.all(np.abs(f) <= ftol):
+            return np.sign(b) * s
+        ds = f / (1.0 + a * m * sm1)
+        s -= ds
+        np.clip(s, 0.0, None, out=s)
+        np.abs(ds, out=ds)
+        step = float(np.max(ds))
+        if step >= last_step or np.all(ds <= 4e-16 * np.maximum(1.0, s)):
+            return np.sign(b) * s
+        last_step = step
+    raise NewtonDiverged(f"pointwise Newton made no stop in {POINTWISE_MAX_ITERS} iterations")

@@ -18,7 +18,7 @@ from bean_limit.obstacle import (
     psor_solve,
 )
 
-from oracles import flat_top_field, radial_obstacle_oracle
+from oracles import flat_top_field, radial_obstacle_oracle, strided_psor_solve
 
 
 def auto_omega(n):
@@ -138,6 +138,56 @@ def test_psor_is_a_per_cell_red_black_loop_bit_for_bit(n, omega):
     assert vi.noncoincidence_mask.any() and not vi.noncoincidence_mask.all()
     want = red_black_reference(q, g.spacing, omega, vi.iterations)
     assert vi.w.values.tobytes() == want.tobytes()
+
+
+def assert_same_solution(q, relaxation=None):
+    """psor_solve and the strided-slice oracle agree bit for bit."""
+    data = ObstacleData(q)
+    vi, want = psor_solve(data, relaxation), strided_psor_solve(data, relaxation)
+    assert vi.w.values.tobytes() == want.w.values.tobytes()
+    assert vi.iterations == want.iterations
+    assert vi.noncoincidence_mask.tobytes() == want.noncoincidence_mask.tobytes()
+    assert (vi.residuals, vi.mask_tol) == (want.residuals, want.mask_tol)
+    return vi
+
+
+@pytest.mark.parametrize("n", [32, 33, 48, 97])
+@pytest.mark.parametrize("omega", [None, 1.0, 1.9])
+def test_psor_planes_match_the_strided_sweep_bit_for_bit(n, omega):
+    # the collapse shape: a bump of height 1.15 minus 1, a plateau where
+    # w > 0 surrounded by coincidence cells; odd n has off-grid plane slots
+    g = GridSpec(2.0, n)
+    q = ScalarField(g, bump_values(g, BumpSpec(height=1.15, radius=1.0)) - 1.0)
+    vi = assert_same_solution(q, omega)
+    assert vi.noncoincidence_mask.any() and not vi.noncoincidence_mask.all()
+
+
+def test_psor_planes_keep_a_zero_datum_at_plus_zero():
+    g = GridSpec(1.0, 16)
+    vi = assert_same_solution(ScalarField.zeros(g))
+    assert vi.w.values.tobytes() == np.zeros((16, 16)).tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_psor_planes_match_on_a_datum_positive_next_to_the_ring(n):
+    # every interior cell is noncoincident, so the cells next to the ring
+    # read the pinned ring in every sweep
+    g = GridSpec(1.0, n)
+    q = ScalarField(g, 1.0 + np.random.default_rng(n).uniform(0.0, 1.0, (n, n)))
+    vi = assert_same_solution(q)
+    w = vi.w.values
+    assert np.all(w[1:-1, 1:-1] > 0.0)
+    ring = np.concatenate([w[0], w[-1], w[:, 0], w[:, -1]])
+    assert ring.tobytes() == np.zeros(4 * n).tobytes()
+
+
+def test_psor_planes_and_strided_sweep_share_the_sweep_budget(monkeypatch):
+    monkeypatch.setattr(obstacle, "SWEEPS_PER_SIDE", 1)
+    g = GridSpec(2.0, 33)
+    data = ObstacleData(ScalarField(g, bump_values(g, BumpSpec(height=1.15, radius=1.0)) - 1.0))
+    for solve in (psor_solve, strided_psor_solve):
+        with pytest.raises(NotConverged, match="in 33 sweeps"):
+            solve(data)
 
 
 @settings(max_examples=8, deadline=None)

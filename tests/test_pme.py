@@ -36,7 +36,7 @@ from bean_limit.pme import (
     pme_solve,
 )
 
-from oracles import flat_top_field
+from oracles import allocating_pointwise_exact, flat_top_field
 
 LAW3 = PowerLaw(3.0)
 
@@ -425,6 +425,25 @@ def test_pointwise_exact_raises_on_non_finite_data(m):
         rhs[3, 4] = bad
         with np.errstate(invalid="ignore"), pytest.raises(NewtonDiverged):
             _pointwise_exact(np.zeros_like(rhs), rhs, 0.25, m, 1.0)
+
+
+@pytest.mark.parametrize("m", KERNEL_MS)
+def test_pointwise_exact_matches_the_allocating_kernel_bit_for_bit(m):
+    rng = np.random.default_rng(3)
+    for dt in (1e-6, 1e-3, 0.25, 10.0, 1e4):
+        for exponent in range(-300, 7, 6):
+            rhs = signed_decade(rng, exponent)
+            for v in (np.zeros_like(rhs), signed_decade(rng, exponent)):
+                u = _pointwise_exact(v, rhs, dt, m, 1.0)
+                assert u.tobytes() == allocating_pointwise_exact(v, rhs, dt, m, 1.0).tobytes()
+
+
+def test_pointwise_exact_and_the_allocating_kernel_both_raise_on_nan():
+    rhs = np.full((8, 8), 0.5)
+    rhs[3, 4] = math.nan
+    for kernel in (_pointwise_exact, allocating_pointwise_exact):
+        with np.errstate(invalid="ignore"), pytest.raises(NewtonDiverged):
+            kernel(np.zeros_like(rhs), rhs, 0.25, 8.0, 1.0)
 
 
 # -- single step ----------------------------------------------------------------
