@@ -147,10 +147,9 @@ def _cmd_solve_obstacle(cfg: RunConfig, out_dir: Path) -> Report:
         outside=cfg.require("q.outside"),
         radius=cfg.require("q.radius"),
     )
-    relaxation = cfg.get("psor.relaxation")
     name = cfg.get("experiment", "solve-obstacle")
     cfg.check_all_read("solve-obstacle")
-    vi = obstacle.psor_solve(obstacle.ObstacleData(q), relaxation)
+    vi = obstacle.psor_solve(obstacle.ObstacleData(q))
     report = Report(name=name)
     sink = _field_writer(out_dir)
     sink("q", q, 0.0)

@@ -61,7 +61,6 @@ KEY_TABLE = {
     "n_test_fields": (_as_int, _positive, "number of random admissible test fields"),
     "pme.dt_init": (float, _positive, "initial implicit step"),
     "curl.cfl_safety": (float, lambda x: 0 < x <= 1, "explicit stability safety factor"),
-    "psor.relaxation": (float, lambda x: 0 < x < 2, "projected SOR relaxation"),
     "f.height": (float, None, "initial bump height"),
     "f.radius": (float, _positive, "initial bump radius"),
     "f2.height": (float, None, "second bump height"),

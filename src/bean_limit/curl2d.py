@@ -107,7 +107,7 @@ class CurlDiagnostics:
 @dataclass
 class CurlSolution:
     problem: CurlProblem
-    snapshots: list[tuple[float, VectorField2, ScalarField, ScalarField]]
+    snapshots: list[tuple[float, VectorField2, ScalarField]]
     diagnostics: CurlDiagnostics
 
     def __post_init__(self):
@@ -230,10 +230,10 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
     wmax = kernel.check_blowup(0.0)
     targets, eps_t = snapshot_targets(config.snapshot_times, problem.horizon)
 
-    def snap(t_now) -> tuple[float, VectorField2, ScalarField, ScalarField]:
+    def snap(t_now) -> tuple[float, VectorField2, ScalarField]:
         """Copy out H, which `kernel` has just differentiated, with its curl."""
         Hf = VectorField2(ScalarField(grid, H[0]), ScalarField(grid, H[1]))
-        return (t_now, Hf, ScalarField(grid, kernel.omega), ScalarField(grid, kernel.wabs))
+        return (t_now, Hf, ScalarField(grid, kernel.omega))
 
     kernel.record(0.0)
     snapshots = [snap(0.0)]
@@ -272,7 +272,7 @@ def vi_residual(solution: CurlSolution, V: VectorField2) -> list[tuple[float, fl
     f1, f2 = _forcing_arrays(solution.problem.forcing)
     snaps = solution.snapshots
     out: list[tuple[float, float, float]] = []
-    for (t_prev, H_prev, _, _), (t_now, H_now, _, _) in zip(snaps, snaps[1:]):
+    for (t_prev, H_prev, _), (t_now, H_now, _) in zip(snaps, snaps[1:]):
         dt = t_now - t_prev
         ht1 = (H_now.comp1.values - H_prev.comp1.values) / dt
         ht2 = (H_now.comp2.values - H_prev.comp2.values) / dt

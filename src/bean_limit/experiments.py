@@ -302,11 +302,11 @@ def solve_curl(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     sol = curl_solve(problem, curl_config(spec))
     report = Report(name=spec.name)
     trunc = 0.0
-    for t, H, omega, J in sol.snapshots:
+    for t, H, omega in sol.snapshots:
         sink("h1", H.comp1, t)
         sink("h2", H.comp2, t)
         sink("omega", omega, t)
-        sink("J", J, t)
+        sink("J", ScalarField(grid, np.abs(omega.values)), t)
         report.add_metric("l2_H", float(np.sqrt(grid.spacing ** 2 * np.sum(
             H.comp1.values ** 2 + H.comp2.values ** 2))), t)
         trunc = max(trunc, boundary_ring_max(H.comp1), boundary_ring_max(H.comp2))
@@ -344,7 +344,7 @@ def sweep_p(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     for p in spec.schedule:
         problem = CurlProblem(grid=grid, p=p, H0=H0, forcing=forcing, horizon=spec.horizon)
         sol = curl_solve(problem, curl_config(spec))
-        _, H_final, omega_final, _ = sol.snapshots[-1]
+        _, H_final, omega_final = sol.snapshots[-1]
         sink(f"omega_p{p:g}", omega_final, spec.horizon)
         wabs = np.abs(omega_final.values)
         for d in MU_DELTAS:
@@ -499,11 +499,11 @@ def small_data_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     grid = spec.grid
     f = bump_field(grid, spec.f)
     g = constant_source(grid, bump_field, spec.g)
-    g_sup = float(np.max(g.values)) if g is not None else 0.0
-    M = float(np.max(f.values)) + spec.horizon * g_sup
+    g_sup = float(np.max(np.abs(g.values))) if g is not None else 0.0
+    M = float(np.max(np.abs(f.values))) + spec.horizon * g_sup
     report.add_metric("M", M)
     if M >= 1.0:
-        raise PreconditionFailed(f"small-data check needs max f + T max g < 1, got {M:g}")
+        raise PreconditionFailed(f"small-data check needs max |f| + T max |g| < 1, got {M:g}")
 
     G_T = accumulated_source(g, spec.horizon, grid)
     target = ScalarField(grid, f.values + G_T.values)
@@ -561,7 +561,7 @@ def equivalence_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
                 f"scalar run {len(pme_sol.snapshots)}"
             )
         worst = 0.0
-        for (tc, _, omega, _), (tp, u) in zip(curl_sol.snapshots[1:], pme_sol.snapshots[1:]):
+        for (tc, _, omega), (tp, u) in zip(curl_sol.snapshots[1:], pme_sol.snapshots[1:]):
             if abs(tc - tp) > 1e-12 * max(1.0, spec.horizon):
                 raise RuntimeError(f"curl snapshot at t={tc!r} paired with scalar one at t={tp!r}")
             num = float(np.sqrt(np.sum((omega.values - u.values) ** 2)))

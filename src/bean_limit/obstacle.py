@@ -15,8 +15,7 @@ neighbour of a class is a contiguous slice of an opposite-colour plane
 at a fixed offset: left and right at -1/0 or 0/+1, up and down at -C/0
 or 0/+C.  Ring and off-grid slots carry h^2 q = -inf, which the
 projection turns into +0, so the ring stays pinned without a mask.
-Sweeps stop once the largest cell update falls below UPDATE_TOL and the
-complementarity residuals meet their targets.
+Each solve relaxes at the factor `_relaxation` takes from the datum.
 """
 
 from __future__ import annotations
@@ -79,21 +78,24 @@ def _vi_residuals(w: np.ndarray, q: np.ndarray, h: float, mask_tol: float) -> Vi
     )
 
 
-def psor_solve(data: ObstacleData, relaxation: float | None = None) -> ViSolution:
+def _relaxation(q: np.ndarray) -> float:
+    """Young's SOR factor 2 / (1 + sin(pi/k)) for the plateau {w > 0}: its outflux,
+    sum q over it, is positive, so it holds at most the A cells that keep the running
+    sum of decreasing q positive, and k errs wide, the side that costs SOR less."""
+    area = np.count_nonzero(np.cumsum(np.sort(q[1:-1, 1:-1], axis=None)[::-1]) > 0.0)
+    k = min(q.shape[0], max(2.0, 1.5 * math.sqrt(area)))
+    return 2.0 / (1.0 + math.sin(math.pi / k))
+
+
+def psor_solve(data: ObstacleData) -> ViSolution:
     """Projected SOR for the obstacle problem against the zero obstacle.
 
     Sweeps stop once the largest cell update falls below UPDATE_TOL and
     the complementarity residuals meet their targets; NotConverged signals
     ill-scaled data or an exhausted sweep budget of SWEEPS_PER_SIDE * n.
-    The relaxation defaults to 2 / (1 + sin(pi/n)), optimal SOR for the
-    five-point Laplacian on n cells per side.
     """
     grid = data.q.grid
     n = grid.n
-    if relaxation is None:
-        relaxation = 2.0 / (1.0 + math.sin(math.pi / n))
-    if not (0.0 < relaxation < 2.0):
-        raise ValueError(f"relaxation must lie in (0, 2), got {relaxation}")
     h = grid.spacing
     h2 = h * h
     q = data.q.values
@@ -127,7 +129,7 @@ def psor_solve(data: ObstacleData, relaxation: float | None = None) -> ViSolutio
         for pr, pc in ((1, 1), (0, 0), (1, 0), (0, 1))
     ]
     t, d = np.empty(size), np.empty(size)
-    zero, quarter, omega = np.array(0.0), np.array(0.25), np.array(relaxation)
+    zero, quarter, omega = np.array(0.0), np.array(0.25), np.array(_relaxation(q))
 
     sweeps = 0
     while sweeps < max_sweeps:

@@ -445,7 +445,7 @@ def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
         diag.pressure_max = max(diag.pressure_max, float(np.max(_pressure(u_now, m))))
 
     record(0.0, u)
-    snapshots: list[tuple[float, ScalarField]] = [(0.0, ScalarField(grid, u.copy()))]
+    snapshots: list[tuple[float, ScalarField]] = [(0.0, ScalarField(grid, u))]
 
     for target in targets:
         while t < target - eps_t:
@@ -469,7 +469,7 @@ def pme_solve(problem: PmeProblem, config: PmeConfig) -> PmeSolution:
                 dt = min(dt * 1.2, config.dt_init)
                 streak = 0
             record(t, u)
-        snapshots.append((target, ScalarField(grid, u.copy())))
+        snapshots.append((target, ScalarField(grid, u)))
 
     return PmeSolution(problem, snapshots, diag)
 

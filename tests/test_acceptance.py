@@ -256,7 +256,7 @@ def test_criterion_9_obstacle_correctness():
             def q_prof(r):
                 return 0.5 if r < 1.0 else -1.0
 
-        vi = psor_solve(ObstacleData(q_field), relaxation=2.0 / (1 + np.sin(np.pi / n)))
+        vi = psor_solve(ObstacleData(q_field))
         prof = radial_obstacle_oracle(q_prof, 4.0, 2000)
         x, y = g.meshgrid()
         err = float(np.max(np.abs(vi.w.values - prof(np.sqrt(x * x + y * y)))))
@@ -273,7 +273,7 @@ def test_criterion_9_obstacle_correctness():
 
     h = g.spacing
     q = bump_field(g, BumpSpec(height=0.4, radius=2.0))
-    vi = psor_solve(ObstacleData(q), relaxation=2.0 / (1 + np.sin(np.pi / 64)))
+    vi = psor_solve(ObstacleData(q))
     rhs = q.values.copy()
     rhs[0, :] = rhs[-1, :] = rhs[:, 0] = rhs[:, -1] = 0.0
     interior = np.zeros((64, 64), dtype=bool)

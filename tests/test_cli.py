@@ -1,7 +1,6 @@
 import ast
 import dataclasses
 import json
-import math
 import os
 import subprocess
 import sys
@@ -17,6 +16,8 @@ from bean_limit.config import ConfigError, RunConfig
 from bean_limit.datagen import disk_field
 from bean_limit.fields import GridSpec, ScalarField
 from bean_limit.io_formats import FieldFormatError, read_field, write_field
+
+from oracles import strided_psor_solve
 
 
 def src_env():
@@ -52,10 +53,12 @@ def test_unknown_key_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("command, name, line", [
     ("solve-pme", "pme.cfg", "pme.newton_tol = 1e-6"),
     ("sweep-m", "sweep_m.cfg", "psor.tol = 1e-4"),
+    ("solve-obstacle", "obstacle.cfg", "psor.relaxation = 1.9"),
 ])
 def test_solver_tolerance_keys_are_unknown(tmp_path, capsys, command, name, line):
     # the Newton and PSOR tolerances are the constants pme.NEWTON_TOL and
-    # obstacle.UPDATE_TOL, which the report verdicts' thresholds assume
+    # obstacle.UPDATE_TOL, which the report verdicts' thresholds assume;
+    # the PSOR factor is worked out from the datum (obstacle._relaxation)
     assert_unknown_key(tmp_path, capsys, command, name, line)
 
 
@@ -346,7 +349,6 @@ grid.n = 48
 q.inside = 0.5
 q.outside = -1.0
 q.radius = 1.0
-psor.relaxation = 1.88
 """)
     out = tmp_path / "out"
     code = run(["solve-obstacle", "--config", str(path), "--out", str(out)])
@@ -368,8 +370,8 @@ q.radius = 1.0
     assert run(["solve-obstacle", "--config", str(path), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     q = disk_field(GridSpec(4.0, 48), inside=0.5, outside=-1.0, radius=1.0)
-    omega = 2.0 / (1.0 + math.sin(math.pi / 48))
-    vi = obstacle.psor_solve(obstacle.ObstacleData(q), relaxation=omega)
+    data = obstacle.ObstacleData(q)
+    vi = strided_psor_solve(data, obstacle._relaxation(q.values))
     assert report["metrics"]["sweeps"] == vi.iterations
 
 
@@ -566,11 +568,11 @@ output_dir = unused-under-out
                      "q.radius = 1.0\nhorizon = 1.0\n", name="obstacle.cfg")
     assert run(["solve-obstacle", "--config", str(path), "--out", str(out)]) == 2
     assert "solve-obstacle" in capsys.readouterr().err
-    # mesa-profile relaxes at the optimal factor, as sweep-m does
-    path = write_cfg(tmp_path, mesa + "psor.relaxation = 1.7\n")
+    # mesa-profile solves the obstacle problem and takes no PME step
+    path = write_cfg(tmp_path, mesa + "pme.dt_init = 0.1\n")
     assert run(["mesa-profile", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "mesa-profile does not use" in err and "'psor.relaxation'" in err
+    assert "mesa-profile does not use" in err and "'pme.dt_init'" in err
     assert not out.exists()
 
 
@@ -688,8 +690,8 @@ H0_BLOCK = "h0.width = 1.5\nh0.curl_max = 0.5\n"
 # subcommand -> (config, the keys it sets that the subcommand's driver ignores)
 IGNORED_KEYS = {
     "sweep-p": (
-        SWEEP_BASE + H0_BLOCK + F_BLOCK + "barenblatt.t0 = 2.0\npsor.relaxation = 1.5\n",
-        ["barenblatt.t0", "f.height", "f.radius", "psor.relaxation"],
+        SWEEP_BASE + H0_BLOCK + F_BLOCK + "barenblatt.t0 = 2.0\nq.radius = 1.0\n",
+        ["barenblatt.t0", "f.height", "f.radius", "q.radius"],
     ),
     "collapse": (
         SWEEP_BASE + "f.height = 1.2\nf.radius = 1.0\npme.dt_init = 0.01\n"
@@ -701,8 +703,8 @@ IGNORED_KEYS = {
         ["curl.cfl_safety", "h0.curl_max", "h0.width", "n_test_fields"],
     ),
     "barenblatt-convergence": (
-        SCALAR_BASE + "exponent = 3\n" + F_BLOCK + "psor.relaxation = 1.5\n",
-        ["f.height", "f.radius", "psor.relaxation"],
+        SCALAR_BASE + "exponent = 3\n" + F_BLOCK + "q.inside = 0.5\n",
+        ["f.height", "f.radius", "q.inside"],
     ),
     "small-data": (
         SWEEP_BASE + F_BLOCK + "grids = 24, 32\nf2.height = 0.3\nf2.radius = 1.0\n",
@@ -750,6 +752,17 @@ def test_sweep_m_checks_the_growth_hypothesis_at_every_exponent(tmp_path, capsys
     out = tmp_path / "out"
     assert run(["sweep-m", "--config", str(path), "--out", str(out)]) == 3
     assert "discrete growth hypothesis fails by 2.451e+00 at m=8" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_small_data_precondition_bounds_signed_data_by_their_magnitude(tmp_path, capsys):
+    # sup |u| is bounded by max |f| + T max |g|, about 1.24 here, which the check
+    # must reject before any solve; max f + T max g is 0.25 and would pass
+    text = (Path(__file__).resolve().parents[1] / "configs" / "small_data.cfg").read_text()
+    path = write_cfg(tmp_path, text.replace("f.height = 0.55", "f.height = -1.0"))
+    out = tmp_path / "out"
+    assert run(["small-data", "--config", str(path), "--out", str(out)]) == 3
+    assert "max |f| + T max |g| < 1, got 1.24172" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 
@@ -805,7 +818,7 @@ ECHO_CONFIGS = {
     "solve-pme": SCALAR_BASE + "exponent = 3.0\n" + F_BLOCK,
     "solve-curl": SCALAR_BASE + "exponent = 4.0\n" + H0_BLOCK,
     "solve-obstacle": "grid.L = 4.0\ngrid.n = 24\nq.inside = 0.5\nq.outside = -1.0\n"
-                      "q.radius = 1.0\npsor.relaxation = 1.88\n",
+                      "q.radius = 1.0\n",
     "mesa-profile": "grid.L = 4.0\ngrid.n = 24\nhorizon = 1.0\nf.height = 0.55\nf.radius = 1.5\n",
     "sweep-p": SWEEP_BASE + H0_BLOCK + "snapshot_times = 0.025\nn_test_fields = 4\nseed = 0\n",
     "sweep-m": SWEEP_BASE + F_BLOCK + "g.height = 0.7\ng.radius = 1.7\n",

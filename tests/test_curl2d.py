@@ -67,10 +67,9 @@ def test_zero_data_static():
     H0 = VectorField2(ScalarField.zeros(g), ScalarField.zeros(g))
     prob = CurlProblem(grid=g, p=4.0, H0=H0, forcing=None, horizon=0.2)
     sol = curl_solve(prob, CurlConfig())
-    _, H, omega, J = sol.snapshots[-1]
+    _, H, omega = sol.snapshots[-1]
     assert np.all(H.comp1.values == 0.0)
     assert np.all(omega.values == 0.0)
-    assert np.all(J.values == 0.0)
 
 
 def test_problem_validation():
@@ -173,7 +172,7 @@ def test_vi_residual_trivial_cases():
     # direct unwinding: r = -h^2 sum (F - H_t) . H
     h2 = g.spacing ** 2
     snaps = sol.snapshots
-    for (t, r, vh), ((tp, Hp, _, _), (tn, Hn, _, _)) in zip(series0, zip(snaps, snaps[1:])):
+    for (t, r, vh), ((tp, Hp, _), (tn, Hn, _)) in zip(series0, zip(snaps, snaps[1:])):
         dt = tn - tp
         ht1 = (Hn.comp1.values - Hp.comp1.values) / dt
         ht2 = (Hn.comp2.values - Hp.comp2.values) / dt
@@ -267,10 +266,9 @@ def test_curl_solve_matches_the_stepped_reference_bit_for_bit():
 
     assert len(series["times"]) > 20
     assert [t for t, *_ in sol.snapshots] == [0.0, 0.02, 0.05]
-    for (_, H, omega, J), ref in zip(sol.snapshots, snaps, strict=True):
+    for (_, H, omega), ref in zip(sol.snapshots, snaps, strict=True):
         for got, want in ((H.comp1, ref.comp1), (H.comp2, ref.comp2), (omega, curl_z(ref))):
             assert got.values.tobytes() == want.values.tobytes()
-        assert np.array_equal(J.values, np.abs(omega.values))
     d = sol.diagnostics
     assert d.times == series["times"]
     assert d.div_drift_max == max(series["div_drift"])

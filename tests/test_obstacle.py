@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from bean_limit.datagen import BumpSpec, bump_field, bump_values, disk_field
 from bean_limit.errors import DomainError
 from bean_limit import obstacle
+from bean_limit.config import RunConfig
 from bean_limit.fields import GridSpec, ScalarField, lap5_values
 from bean_limit.obstacle import (
     COMPLEMENTARITY_TOL,
@@ -25,22 +28,23 @@ def auto_omega(n):
     return 2.0 / (1.0 + np.sin(np.pi / n))
 
 
+def fix_relaxation(monkeypatch, omega):
+    """psor_solve relaxes at `omega` in place of the factor its rule picks."""
+    monkeypatch.setattr(obstacle, "_relaxation", lambda q: omega)
+
+
 def test_nonpositive_datum_gives_exact_zero():
     g = GridSpec(4.0, 32)
-    vi = psor_solve(ObstacleData(ScalarField(g, -np.ones((32, 32)))))
-    assert np.all(vi.w.values == 0.0)
+    q = -np.ones((32, 32))
+    q[8:16, 8:16] = 0.0
+    vi = psor_solve(ObstacleData(ScalarField(g, q)))
+    assert vi.w.values.tobytes() == np.zeros((32, 32)).tobytes()
+    assert vi.iterations == 1
     assert not vi.noncoincidence_mask.any()
 
 
-def test_relaxation_validation():
-    g = GridSpec(4.0, 32)
-    data = ObstacleData(ScalarField.zeros(g))
-    with pytest.raises(ValueError):
-        psor_solve(data, relaxation=2.0)
-
-
 def test_not_converged_signalled(monkeypatch):
-    # this datum takes 188 sweeps; a budget of 1 * n = 48 runs out first
+    # this datum takes 74 sweeps; a budget of 1 * n = 48 runs out first
     g = GridSpec(4.0, 48)
     q = disk_field(g, inside=0.5, outside=-1.0, radius=1.0)
     monkeypatch.setattr(obstacle, "SWEEPS_PER_SIDE", 1)
@@ -51,7 +55,7 @@ def test_not_converged_signalled(monkeypatch):
 def test_psor_invariants_on_disk_datum():
     g = GridSpec(4.0, 64)
     q = disk_field(g, inside=0.5, outside=-1.0, radius=1.0)
-    vi = psor_solve(ObstacleData(q), relaxation=auto_omega(64))
+    vi = psor_solve(ObstacleData(q))
     assert np.min(vi.w.values) >= 0.0
     assert vi.residuals.complementarity_max <= 1e-10
     assert vi.residuals.feasibility_min >= -1e-10
@@ -64,7 +68,7 @@ def test_psor_matches_radial_oracle():
     for n, q_core in ((64, 0.5), (96, 0.3)):
         g = GridSpec(4.0, n)
         q = disk_field(g, inside=q_core, outside=-1.0, radius=1.0)
-        vi = psor_solve(ObstacleData(q), relaxation=auto_omega(n))
+        vi = psor_solve(ObstacleData(q))
         prof = radial_obstacle_oracle(
             lambda r, c=q_core: c if r < 1.0 else -1.0, 4.0, 2000
         )
@@ -83,7 +87,7 @@ def test_unconstrained_region_linearity():
     g = GridSpec(4.0, 64)
     h = g.spacing
     q = bump_field(g, BumpSpec(height=0.4, radius=2.0))
-    vi = psor_solve(ObstacleData(q), relaxation=auto_omega(64))
+    vi = psor_solve(ObstacleData(q))
 
     rhs = q.values.copy()
     rhs[0, :] = rhs[-1, :] = rhs[:, 0] = rhs[:, -1] = 0.0
@@ -108,8 +112,8 @@ def test_lcp_solution_monotone_in_datum():
     g = GridSpec(4.0, 48)
     q1 = bump_field(g, BumpSpec(height=0.4, radius=1.5))
     q2 = ScalarField(g, q1.values + 0.2 * bump_field(g, BumpSpec(height=1.0, radius=1.0)).values)
-    w1 = psor_solve(ObstacleData(ScalarField(g, q1.values - 1.0)), relaxation=auto_omega(48))
-    w2 = psor_solve(ObstacleData(ScalarField(g, q2.values - 1.0)), relaxation=auto_omega(48))
+    w1 = psor_solve(ObstacleData(ScalarField(g, q1.values - 1.0)))
+    w2 = psor_solve(ObstacleData(ScalarField(g, q2.values - 1.0)))
     assert np.max(w1.w.values - w2.w.values) <= 1e-9
 
 
@@ -131,19 +135,21 @@ def red_black_reference(q, h, omega, sweeps):
 
 @pytest.mark.parametrize("n", [10, 13])
 @pytest.mark.parametrize("omega", [1.0, 1.7])
-def test_psor_is_a_per_cell_red_black_loop_bit_for_bit(n, omega):
+def test_psor_is_a_per_cell_red_black_loop_bit_for_bit(monkeypatch, n, omega):
+    fix_relaxation(monkeypatch, omega)
     g = GridSpec(1.0, n)
     q = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
-    vi = psor_solve(ObstacleData(ScalarField(g, q)), relaxation=omega)
+    vi = psor_solve(ObstacleData(ScalarField(g, q)))
     assert vi.noncoincidence_mask.any() and not vi.noncoincidence_mask.all()
     want = red_black_reference(q, g.spacing, omega, vi.iterations)
     assert vi.w.values.tobytes() == want.tobytes()
 
 
-def assert_same_solution(q, relaxation=None):
-    """psor_solve and the strided-slice oracle agree bit for bit."""
+def assert_same_solution(q):
+    """psor_solve and the strided-slice oracle at psor_solve's factor agree
+    bit for bit."""
     data = ObstacleData(q)
-    vi, want = psor_solve(data, relaxation), strided_psor_solve(data, relaxation)
+    vi, want = psor_solve(data), strided_psor_solve(data, obstacle._relaxation(q.values))
     assert vi.w.values.tobytes() == want.w.values.tobytes()
     assert vi.iterations == want.iterations
     assert vi.noncoincidence_mask.tobytes() == want.noncoincidence_mask.tobytes()
@@ -153,12 +159,14 @@ def assert_same_solution(q, relaxation=None):
 
 @pytest.mark.parametrize("n", [32, 33, 48, 97])
 @pytest.mark.parametrize("omega", [None, 1.0, 1.9])
-def test_psor_planes_match_the_strided_sweep_bit_for_bit(n, omega):
+def test_psor_planes_match_the_strided_sweep_bit_for_bit(monkeypatch, n, omega):
     # the collapse shape: a bump of height 1.15 minus 1, a plateau where
     # w > 0 surrounded by coincidence cells; odd n has off-grid plane slots
+    if omega is not None:
+        fix_relaxation(monkeypatch, omega)
     g = GridSpec(2.0, n)
     q = ScalarField(g, bump_values(g, BumpSpec(height=1.15, radius=1.0)) - 1.0)
-    vi = assert_same_solution(q, omega)
+    vi = assert_same_solution(q)
     assert vi.noncoincidence_mask.any() and not vi.noncoincidence_mask.all()
 
 
@@ -182,12 +190,72 @@ def test_psor_planes_match_on_a_datum_positive_next_to_the_ring(n):
 
 
 def test_psor_planes_and_strided_sweep_share_the_sweep_budget(monkeypatch):
+    # at the whole-box factor this datum needs more than 1 * n sweeps
     monkeypatch.setattr(obstacle, "SWEEPS_PER_SIDE", 1)
+    fix_relaxation(monkeypatch, auto_omega(33))
     g = GridSpec(2.0, 33)
     data = ObstacleData(ScalarField(g, bump_values(g, BumpSpec(height=1.15, radius=1.0)) - 1.0))
     for solve in (psor_solve, strided_psor_solve):
         with pytest.raises(NotConverged, match="in 33 sweeps"):
             solve(data)
+
+
+# -- relaxation rule -------------------------------------------------------------
+
+
+def one_positive_cell(n):
+    """q = -0.01 but for a single cell of 5 at the center: {q > 0} is one
+    cell, while the mass balance allows a plateau of about 500."""
+    q = np.full((n, n), -0.01)
+    q[n // 2, n // 2] = 5.0
+    return ScalarField(GridSpec(4.0, n), q)
+
+
+def test_relaxation_rule_beats_the_retired_factor_on_the_obstacle_config():
+    # configs/obstacle.cfg took 227 sweeps at the fixed factor 1.9 it set
+    cfg = RunConfig.parse(Path(__file__).resolve().parents[1] / "configs" / "obstacle.cfg").entries
+    g = GridSpec(cfg["grid.L"], cfg["grid.n"])
+    q = disk_field(g, inside=cfg["q.inside"], outside=cfg["q.outside"], radius=cfg["q.radius"])
+    assert psor_solve(ObstacleData(q)).iterations < 227
+
+
+@pytest.mark.parametrize("n", [64, 96])
+def test_relaxation_rule_is_no_slower_than_the_whole_box_factor_on_one_positive_cell(n):
+    data = ObstacleData(one_positive_cell(n))
+    vi, whole_box = psor_solve(data), strided_psor_solve(data)
+    assert vi.iterations <= whole_box.iterations
+    assert np.array_equal(vi.noncoincidence_mask, whole_box.noncoincidence_mask)
+
+
+def test_relaxation_factor_is_invariant_under_scaling_the_datum():
+    g = GridSpec(4.0, 48)
+    for q in (
+        disk_field(g, inside=0.5, outside=-1.0, radius=1.0).values,
+        bump_values(g, BumpSpec(height=1.15, radius=1.0)) - 1.0,
+        one_positive_cell(48).values,
+        np.random.default_rng(3).uniform(-1.0, 1.0, (48, 48)),
+    ):
+        assert obstacle._relaxation(3.0 * q) == obstacle._relaxation(q)
+
+
+BENCH_DATA = {
+    # the sweep-m limit of the mesa-sweep bench run: f + T g - 1 at n = 48
+    "mesa-sweep": (GridSpec(4.0, 48), lambda g: bump_values(g, BumpSpec(0.55, 1.5))
+                   + 1.0 * bump_values(g, BumpSpec(0.7, 1.7)) - 1.0),
+    # the collapse limit of the collapse bench run and its mass-check grid
+    "collapse": (GridSpec(2.0, 32), lambda g: bump_values(g, BumpSpec(1.15, 1.4)) - 1.0),
+    "collapse-mass": (GridSpec(2.0, 96), lambda g: bump_values(g, BumpSpec(1.15, 1.4)) - 1.0),
+}
+
+
+@pytest.mark.parametrize("name", BENCH_DATA)
+def test_relaxation_rule_keeps_the_whole_box_factor_solution_on_the_bench_data(name):
+    g, datum = BENCH_DATA[name]
+    data = ObstacleData(ScalarField(g, datum(g)))
+    vi, whole_box = psor_solve(data), strided_psor_solve(data)
+    assert vi.noncoincidence_mask.any()
+    assert np.array_equal(vi.noncoincidence_mask, whole_box.noncoincidence_mask)
+    assert np.max(np.abs(vi.w.values - whole_box.w.values)) <= 1e-9
 
 
 @settings(max_examples=8, deadline=None)
@@ -202,7 +270,7 @@ def test_psor_properties_on_random_bump_data(n, height, radius, extra, center):
     g = GridSpec(2.0, n)
     q1 = bump_values(g, BumpSpec(height, radius)) - 1.0
     q2 = q1 + bump_values(g, BumpSpec(extra, radius, center))
-    sols = [psor_solve(ObstacleData(ScalarField(g, q)), relaxation=auto_omega(n)) for q in (q1, q2)]
+    sols = [psor_solve(ObstacleData(ScalarField(g, q))) for q in (q1, q2)]
     for vi, q in zip(sols, (q1, q2)):
         w = vi.w.values
         assert np.min(w) >= 0.0

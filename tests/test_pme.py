@@ -297,7 +297,7 @@ def test_bench_mesa_work_count(tmp_path, monkeypatch):
                        {"grid.n": "48", "schedule": "8, 64", "pme.dt_init": "0.04"})
     counts = count_solver_work(monkeypatch)
     assert cli.run(["sweep-m", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert counts == {"pointwise": 182, "pcg": 132, "iters": 1358, "psor_sweeps": 176}
+    assert counts == {"pointwise": 182, "pcg": 132, "iters": 1358, "psor_sweeps": 44}
 
 
 def test_bench_collapse_work_count(tmp_path, monkeypatch):
@@ -308,7 +308,7 @@ def test_bench_collapse_work_count(tmp_path, monkeypatch):
                        {"grid.n": "32", "schedule": "8, 64", "grids": "96", "f.height": "1.15"})
     counts = count_solver_work(monkeypatch)
     assert cli.run(["collapse", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert counts == {"pointwise": 187, "pcg": 147, "iters": 1905, "psor_sweeps": 444}
+    assert counts == {"pointwise": 187, "pcg": 147, "iters": 1905, "psor_sweeps": 164}
 
 
 def step_with_cg_targets(monkeypatch, u0, forcing, dt, law, floor_only):
