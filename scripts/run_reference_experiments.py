@@ -15,8 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-from bean_limit.cli import run
-
 REPO = Path(__file__).resolve().parent.parent
 
 RUNS = [
@@ -36,6 +34,8 @@ RUNS = [
 
 
 def main():
+    from bean_limit.cli import run  # here, so scripts/bench.py can read RUNS without numpy
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="output root (default: out/)")
     parser.add_argument("--only", nargs="*", default=None,

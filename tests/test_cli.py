@@ -129,6 +129,33 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert "grdi.n" in proc.stderr
 
 
+def test_sweep_p_does_not_import_numpy_random(tmp_path):
+    # its test fields draw from datagen.Pcg64; numpy.random costs about 6 MB
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "sweep_p_relaxation.cfg"
+    script = ("import sys\nfrom bean_limit.cli import run\n"
+              f"code = run(['sweep-p', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_bench_script_records_each_run_from_a_numpy_free_parent(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--only", "mesa", "sweep_p_relaxation", "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["src_lines"] > 0
+    assert [(r["config"], r["exit"], r["passed"]) for r in result["runs"]] == [
+        ("mesa.cfg", 0, True), ("sweep_p_relaxation.cfg", 0, True)]
+    assert all(r["wall_s"] > 0 and r["peak_rss_mb"] > 0 for r in result["runs"])
+
+
 def test_exponent_above_the_cap_is_a_config_error(tmp_path, capsys):
     path = write_cfg(tmp_path, """
 grid.L = 4.0
@@ -409,6 +436,8 @@ h0.curl_max = 0.8
     report = json.loads((out / "report.json").read_text())
     assert report["metrics"]["div_drift_max"] <= 1e-10
     assert (out / "omega_000.csv").exists()
+    # |J| = |omega| cell for cell, so it is not dumped
+    assert {f.name.rsplit("_", 1)[0] for f in out.glob("*.csv")} == {"h1", "h2", "omega"}
 
 
 def test_solver_error_exit_code(tmp_path, capsys):

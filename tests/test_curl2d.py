@@ -20,6 +20,7 @@ from bean_limit.curl2d import (
 )
 from bean_limit.datagen import (
     BumpSpec,
+    Pcg64,
     StreamSpec,
     bump_field,
     field_from_stream,
@@ -203,6 +204,31 @@ def test_random_admissible_fields_are_admissible():
         V = random_admissible_field(g, rng)
         assert np.max(np.abs(curl_z(V).values)) <= 1.0 + 1e-9
         assert np.max(np.abs(divergence(V).values)) <= 1e-10
+
+
+@pytest.mark.parametrize("seeds", [range(300), [2**32, 2**32 + 7, 2**64 + 3, 2**130 + 11]])
+def test_pcg64_stream_is_default_rng_bit_for_bit(seeds):
+    # seeds above 2**32 hash several 32-bit words, above 2**128 more than the pool's four
+    for seed in seeds:
+        ours, numpys = Pcg64(seed), np.random.default_rng(seed)
+        for low, high in [(-1.6, 1.6), (1.0, 2.0), (-1.0, 1.0), (0.0, 1e-300)] * 3:
+            a, b = ours.uniform(low, high), numpys.uniform(low, high)
+            assert type(a) is type(b) is float and a.hex() == b.hex(), (seed, low, high)
+
+
+def test_pcg64_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        Pcg64(-1)
+
+
+def test_random_admissible_field_is_the_same_from_either_stream():
+    g = GridSpec(4.0, 32)
+    for seed in (0, 7, 2**40):
+        ours, numpys = Pcg64(seed), np.random.default_rng(seed)
+        for _ in range(4):
+            V, W = random_admissible_field(g, ours), random_admissible_field(g, numpys)
+            assert np.array_equal(V.comp1.values, W.comp1.values)
+            assert np.array_equal(V.comp2.values, W.comp2.values)
 
 
 # -- one step kernel: curl_solve against a stepped reference ---------------------
