@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Wall time and peak memory of one run of each reference configuration.
+"""Wall time and peak memory of one run of each reference configuration,
+and the wall time of the Tier-1 test suite.
 
 Usage:
     python scripts/bench.py --out BENCH_<label>.json [--only NAME ...]
@@ -9,7 +10,10 @@ Each configuration of scripts/run_reference_experiments.py runs once as
 thread, into a temporary directory.  The JSON records, per run, the exit
 code, whether every verdict passed, the wall time and the peak resident
 memory, plus the host, the numpy version, whether src/ held compiled
-bytecode and the line count of src/.
+bytecode and the line count of src/.  A full run (no --only) then runs
+the Tier-1 suite once, `python -m pytest -q` from the repository root in
+the same environment, and records its exit code, wall time and summary
+line under "tier1" (null with --only).
 
 This script never imports numpy.  On Linux, wait4's ru_maxrss counts the
 resident set a child inherits from its parent before it execs, so a parent
@@ -54,6 +58,19 @@ def launch(command: str, cfg: Path, out: Path, env: dict) -> dict:
     }
 
 
+def run_tier1(env: dict) -> dict:
+    """Run the Tier-1 suite once; its exit code, wall time and summary line."""
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=REPO, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"exit": proc.returncode, "wall_s": round(wall, 2), "summary": lines[-1] if lines else ""}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -75,16 +92,24 @@ def main():
             run = launch(command, REPO / "configs" / name, Path(tmp) / stem, env)
             print(f"{stem:24s} exit {run['exit']}  {run['wall_s']:7.2f} s  {run['peak_rss_mb']:6.1f} MB")
             runs.append(run)
+    # read before Tier-1 runs, which compiles src/ unless the environment forbids it
+    bytecode_cache = (SRC / "bean_limit" / "__pycache__").is_dir()
+    tier1 = None if args.only else run_tier1(env)
+    if tier1:
+        print(f"{'tier-1':24s} exit {tier1['exit']}  {tier1['wall_s']:7.2f} s  {tier1['summary']}")
     result = {
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(), "numpy": version("numpy")},
         # compiled modules from an earlier run skip the compile in every child
-        "bytecode_cache": (SRC / "bean_limit" / "__pycache__").is_dir(),
+        "bytecode_cache": bytecode_cache,
         "src_lines": sum(len(p.read_text().splitlines()) for p in sorted(SRC.rglob("*.py"))),
         "runs": runs,
+        "tier1": tier1,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     failed = [r["config"] for r in runs if r["exit"] != 0 or not r["passed"]]
+    if tier1 and tier1["exit"] != 0:
+        failed.append("tier-1")
     if failed:
         print("failed:", ", ".join(failed))
         sys.exit(1)

@@ -6,11 +6,17 @@ the inverse map psi_m^-1(v) = sign(v) |v|^(1/m) is mild.  The per-cell system
 
     psi_m^-1(v) - dt * lap5(v) = u_prev + dt * g
 
-is driven to a small max-norm residual by damped Newton; the inner
-linear solves use Jacobi-preconditioned conjugate gradients on the
-five-point stencil, matrix free, and a CG iteration allocates nothing.
-Each solve stops at the accuracy the outer max-norm test can see
-(inexact Newton), never tighter than CG_TOL.
+is driven to a small max-norm residual by damped Newton.  Each Newton
+direction is one conjugate-gradient solve, matrix free, and a CG
+iteration allocates nothing.  The solve stops at the accuracy the outer
+max-norm test can see (inexact Newton), never tighter than CG_TOL.  The
+five-point Jacobian couples only cells of opposite colour (red i + j even,
+black i + j odd), so a solve above that floor runs CG on the red-black
+reduced system, the Schur complement on the black cells, in the four
+parity planes of the redblack module, and recovers the red cells by
+back-substitution: half the iterations of Jacobi-PCG on the whole grid,
+on half-size vectors.  A solve at the floor runs Jacobi-PCG on the whole
+grid, whose rounding the super-critical steps depend on.
 The powers of u go through fields.abs_pow and fields.pow_into, which
 skip the cells where the power rounds to +0; at large m those are most
 of the grid.
@@ -38,6 +44,7 @@ from .fields import (
     snapshot_targets,
     support_margin_ok,
 )
+from .redblack import red_black_system
 
 NEWTON_TOL = 1e-10  # max-norm residual target of each backward-Euler step
 JACOBIAN_FLOOR = 1e-12  # |v| floor inside the derivative of psi_m^-1, caps the diagonal
@@ -133,6 +140,12 @@ def pcg(
     max_iters: int,
 ) -> np.ndarray:
     """Preconditioned conjugate gradients, matrix free.
+
+    The one CG loop of the package: _newton_direction hands it either the
+    red-black reduced system of the redblack module (targets above
+    CG_TOL) or the whole-grid Jacobian with the Jacobi preconditioner
+    (the CG_TOL floor, kept because the super-critical steps hang on its
+    rounding).
 
     Aims for a relative residual of rtol.  When rounding noise makes that
     unattainable (tiny right sides in the Newton endgame), the method
@@ -282,8 +295,8 @@ def _newton_direction(
     h2: float,
     newton_tol: float,
 ) -> np.ndarray | None:
-    """Newton increment dv from (diag_phi + dt A) dv = -res by Jacobi-PCG;
-    None when CG finds the Jacobian indefinite.
+    """Newton increment dv from (diag_phi + dt A) dv = -res by CG; None
+    when CG finds the Jacobian indefinite.
 
     CG stops at the accuracy the outer test can see.  Through the row
     identity du = -res + dt lap5(dv), a CG residual r reaches the next
@@ -294,29 +307,45 @@ def _newton_direction(
     While psi' is huge (super-critical m, before the collapse is done) K
     is too, and rtol is CG_TOL.
 
-    The operator and the preconditioner each write into one buffer, freed
-    before the line search, where a step's memory peaks.  Both round as
-    (N - 4w)(-dt/h^2) + diag_phi w and r / diag_jac, N the neighbor sum:
-    diag_jac w - (dt/h^2) N and r * (1/diag_jac) cost fewer passes, but
-    their rounding moves the CG iteration counts of the mesa and collapse
-    runs.
+    A target above CG_TOL is met on the red-black reduced system of the
+    redblack module, with the relative target rtol |res|_2 / |rhs_S|_2
+    on its right side rhs_S: half the iterations of Jacobi-PCG, on
+    half-size vectors.  A target at the CG_TOL floor keeps Jacobi-PCG on
+    the whole grid, bit for bit.  Those are the super-critical solves,
+    where CG works at the rounding floor, and whether a super-critical
+    step converges hangs on their last bits: the m = 64 collapse step
+    that converges in 35 Newton iterations through them takes two dt
+    halvings when only pcg's inner products change to np.vdot.  The rule
+    goes once such a step no longer hangs on CG rounding.
+
+    The floor path's operator and preconditioner each write into one
+    buffer, freed before the line search, where a step's memory peaks.
+    Both round as (N - 4w)(-dt/h^2) + diag_phi w and r / diag_jac, N the
+    neighbor sum: diag_jac w - (dt/h^2) N and r * (1/diag_jac) cost fewer
+    passes, but their rounding moves the CG iteration counts of the mesa
+    and collapse runs.
     """
     diag_phi = inv_m * np.maximum(np.abs(v), JACOBIAN_FLOOR) ** (inv_m - 1.0)
-    diag_jac = diag_phi + dt * 4.0 / h2
     gain = 8.0 * dt / h2 / float(np.min(diag_phi))
     rtol = max(CG_TOL, min(CG_FORCING_CAP, CG_NEWTON_SHARE * newton_tol / (gain * res_norm)))
-    nsum, jw, z = np.empty_like(v), np.empty_like(v), np.empty_like(v)
-
-    def apply_jac(w: np.ndarray) -> np.ndarray:
-        neighbor_sum_into(w, nsum)
-        np.subtract(nsum, np.multiply(w, 4.0, out=jw), out=nsum)
-        np.multiply(nsum, -dt / h2, out=nsum)
-        return np.add(nsum, np.multiply(diag_phi, w, out=jw), out=jw)
-
-    def apply_minv(r: np.ndarray) -> np.ndarray:
-        return np.divide(r, diag_jac, out=z)
-
     try:
+        if rtol > CG_TOL:
+            # diag_phi becomes diag_jac in place: the reduced system needs no diag_phi
+            diag_jac = np.add(diag_phi, dt * 4.0 / h2, out=diag_phi)
+            return red_black_system(v.shape[0]).solve(res, res_norm, diag_jac, dt / h2, rtol,
+                                                      pcg, CG_MAX_ITERS)
+        diag_jac = diag_phi + dt * 4.0 / h2
+        nsum, jw, z = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+
+        def apply_jac(w: np.ndarray) -> np.ndarray:
+            neighbor_sum_into(w, nsum)
+            np.subtract(nsum, np.multiply(w, 4.0, out=jw), out=nsum)
+            np.multiply(nsum, -dt / h2, out=nsum)
+            return np.add(nsum, np.multiply(diag_phi, w, out=jw), out=jw)
+
+        def apply_minv(r: np.ndarray) -> np.ndarray:
+            return np.divide(r, diag_jac, out=z)
+
         return pcg(apply_jac, -res, apply_minv, rtol, CG_MAX_ITERS)
     except NewtonDiverged:
         return None

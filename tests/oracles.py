@@ -7,6 +7,8 @@ monotonicity; `flat_top_field` is test data with a plateau.
 `strided_psor_solve` and `allocating_pointwise_exact` are the earlier
 forms of the obstacle sweep and the pointwise PME kernel, kept as
 bit-for-bit references for the production kernels.
+`jacobi_newton_system` is the whole-grid Newton system that
+`pme._newton_direction` solves at the CG_TOL floor, rounded as there.
 """
 
 import math
@@ -24,7 +26,7 @@ from bean_limit.experiments import (
 from bean_limit import obstacle
 from bean_limit.fields import GridSpec, ScalarField, abs_pow, neighbor_sum, pow_into
 from bean_limit.obstacle import NotConverged, ObstacleData, ViSolution
-from bean_limit.pme import POINTWISE_MAX_ITERS, NewtonDiverged, PmeSolution
+from bean_limit.pme import JACOBIAN_FLOOR, POINTWISE_MAX_ITERS, NewtonDiverged, PmeSolution
 
 
 @dataclass(frozen=True)
@@ -211,3 +213,19 @@ def allocating_pointwise_exact(v: np.ndarray, rhs: np.ndarray, dt: float, m: flo
             return np.sign(b) * s
         last_step = step
     raise NewtonDiverged(f"pointwise Newton made no stop in {POINTWISE_MAX_ITERS} iterations")
+
+
+def jacobi_newton_system(v: np.ndarray, inv_m: float, dt: float, h2: float):
+    """(diag_jac, apply_jac, apply_minv) of the Newton system (diag_phi + dt A) dv = -res
+    on the whole grid, allocating, with the operations of the CG_TOL-floor solves of
+    pme._newton_direction in their order."""
+    diag_phi = inv_m * np.maximum(np.abs(v), JACOBIAN_FLOOR) ** (inv_m - 1.0)
+    diag_jac = diag_phi + dt * 4.0 / h2
+
+    def apply_jac(w):
+        return (neighbor_sum(w) - w * 4.0) * (-dt / h2) + diag_phi * w
+
+    def apply_minv(r):
+        return r / diag_jac
+
+    return diag_jac, apply_jac, apply_minv

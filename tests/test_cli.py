@@ -154,6 +154,7 @@ def test_bench_script_records_each_run_from_a_numpy_free_parent(tmp_path):
     assert [(r["config"], r["exit"], r["passed"]) for r in result["runs"]] == [
         ("mesa.cfg", 0, True), ("sweep_p_relaxation.cfg", 0, True)]
     assert all(r["wall_s"] > 0 and r["peak_rss_mb"] > 0 for r in result["runs"])
+    assert result["tier1"] is None  # only a full run times the suite
 
 
 def test_exponent_above_the_cap_is_a_config_error(tmp_path, capsys):

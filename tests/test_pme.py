@@ -19,6 +19,7 @@ from bean_limit.fields import (
     psi,
 )
 from bean_limit.pme import (
+    CG_FORCING_CAP,
     CG_MAX_ITERS,
     CG_TOL,
     MAX_HALVINGS,
@@ -35,8 +36,9 @@ from bean_limit.pme import (
     pcg,
     pme_solve,
 )
+from bean_limit.redblack import red_black_system
 
-from oracles import allocating_pointwise_exact, flat_top_field
+from oracles import allocating_pointwise_exact, flat_top_field, jacobi_newton_system
 
 LAW3 = PowerLaw(3.0)
 
@@ -241,7 +243,7 @@ def test_bench_barenblatt_work_count(monkeypatch):
     u0 = barenblatt_field(g, 1.0, LAW3, 1.0)
     prob = PmeProblem(grid=g, law=LAW3, u0=u0, forcing=None, horizon=1.0)
     pme_solve(prob, PmeConfig(dt_init=0.05))
-    assert (calls, iters) == (40, 844)
+    assert (calls, iters) == (40, 440)
 
 
 def bench_config(tmp_path, name, overrides):
@@ -297,7 +299,7 @@ def test_bench_mesa_work_count(tmp_path, monkeypatch):
                        {"grid.n": "48", "schedule": "8, 64", "pme.dt_init": "0.04"})
     counts = count_solver_work(monkeypatch)
     assert cli.run(["sweep-m", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert counts == {"pointwise": 182, "pcg": 132, "iters": 1358, "psor_sweeps": 44}
+    assert counts == {"pointwise": 182, "pcg": 132, "iters": 1078, "psor_sweeps": 44}
 
 
 def test_bench_collapse_work_count(tmp_path, monkeypatch):
@@ -308,7 +310,7 @@ def test_bench_collapse_work_count(tmp_path, monkeypatch):
                        {"grid.n": "32", "schedule": "8, 64", "grids": "96", "f.height": "1.15"})
     counts = count_solver_work(monkeypatch)
     assert cli.run(["collapse", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert counts == {"pointwise": 187, "pcg": 147, "iters": 1905, "psor_sweeps": 164}
+    assert counts == {"pointwise": 187, "pcg": 147, "iters": 1485, "psor_sweeps": 164}
 
 
 def step_with_cg_targets(monkeypatch, u0, forcing, dt, law, floor_only):
@@ -359,6 +361,142 @@ def test_cg_target_rule_keeps_the_newton_iterations(monkeypatch):
     assert iters == step_with_cg_targets(monkeypatch, f, src, 1.0 / 640.0, law, True)[0]
     assert all(rtol == CG_TOL for linf, rtol in solves if linf > 1e-4)
     assert sum(rtol > CG_TOL for _, rtol in solves) <= 2 < len(solves)
+
+
+# -- red-black reduced Newton solves ------------------------------------------------
+
+REDUCED_NS = [8, 17, 33, 40, 80]
+
+
+def ring_system(n, seed=0):
+    """(v, res, dt, h2, the oracle's Newton system) of Barenblatt m = 3 data
+    on L = 2, lifted by noise so that every cell of the outer ring is live,
+    with a random Newton residual that is nonzero on the ring too."""
+    g = GridSpec(2.0, n)
+    rng = np.random.default_rng(seed)
+    u = barenblatt_field(g, 1.0, LAW3, 1.0).values + 0.01 * rng.uniform(0.0, 1.0, (n, n))
+    v = psi(u, LAW3)
+    res = rng.standard_normal((n, n))
+    h2 = g.spacing ** 2
+    return v, res, 0.05, h2, jacobi_newton_system(v, 1.0 / 3.0, 0.05, h2)
+
+
+def counting(cg):
+    """(cg with the same signature, a list whose length counts the
+    operator applications of its solves)."""
+    applied = []
+
+    def counted_cg(apply_op, b, apply_minv, rtol, max_iters):
+        def counted_op(p):
+            applied.append(None)
+            return apply_op(p)
+
+        return cg(counted_op, b, apply_minv, rtol, max_iters)
+
+    return counted_cg, applied
+
+
+def reduced_solve(n, res, bnorm, diag_jac, c, rtol, cg=pcg):
+    return red_black_system(n).solve(res, bnorm, diag_jac, c, rtol, cg, CG_MAX_ITERS)
+
+
+@pytest.mark.parametrize("n", REDUCED_NS)
+def test_reduced_solve_meets_the_full_system_target(n):
+    # the back-substituted dv has a full-grid residual within the target, as
+    # the Jacobi solve has; a layout error shows on the ring cells first
+    v, res, dt, h2, (diag_jac, apply_jac, apply_minv) = ring_system(n)
+    bnorm = math.sqrt(float(np.sum(res * res)))
+
+    def tracing_pcg(apply_op, b, apply_minv, rtol, max_iters):
+        # perfbench/tracer.py applies the operator once more after pcg returns
+        x = pcg(apply_op, b, apply_minv, rtol, max_iters)
+        apply_op(x)
+        return x
+
+    for rtol in (1e-2, 1e-5, 1e-9):
+        dv = reduced_solve(n, res, bnorm, diag_jac, dt / h2, rtol)
+        x = pcg(apply_jac, -res, apply_minv, rtol, CG_MAX_ITERS)
+        for sol in (dv, x):
+            r = -res - apply_jac(sol)
+            assert math.sqrt(float(np.sum(r * r))) <= rtol * bnorm * (1.0 + 1e-6), (n, rtol)
+        traced = reduced_solve(n, res, bnorm, diag_jac, dt / h2, rtol, tracing_pcg)
+        assert traced.tobytes() == dv.tobytes()
+
+
+@pytest.mark.parametrize("n", REDUCED_NS)
+def test_reduced_solve_takes_half_the_jacobi_iterations(n):
+    # Reid: CG on the red-black reduced system runs about every other
+    # iterate of Jacobi-PCG on the whole grid
+    v, res, dt, h2, (diag_jac, apply_jac, apply_minv) = ring_system(n, seed=1)
+    bnorm = math.sqrt(float(np.sum(res * res)))
+    for rtol in (1e-3, 1e-6, 1e-9):
+        counted_pcg, reduced = counting(pcg)
+        dv = reduced_solve(n, res, bnorm, diag_jac, dt / h2, rtol, counted_pcg)
+        counted_pcg, jacobi = counting(pcg)
+        counted_pcg(apply_jac, -res, apply_minv, rtol, CG_MAX_ITERS)
+        assert len(reduced) <= math.ceil(len(jacobi) / 2) + 1, (n, rtol, len(reduced), len(jacobi))
+        r = -res - apply_jac(dv)
+        assert math.sqrt(float(np.sum(r * r))) <= rtol * bnorm * (1.0 + 1e-6), (n, rtol)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_reduced_solve_of_zero_and_red_right_sides(n):
+    v, res, dt, h2, (diag_jac, apply_jac, _) = ring_system(n)
+    c = dt / h2
+    dv = reduced_solve(n, np.zeros((n, n)), 0.0, diag_jac, c, 1e-6)
+    assert dv.shape == (n, n) and np.all(dv == 0.0)
+
+    # a right side on red cells only: with a zero black solution, the red
+    # cells get D_r^-1 b_r and pcg gets the right side c N_br(D_r^-1 b_r)
+    i, j = np.indices((n, n))
+    red = (i + j) % 2 == 0
+    b = np.where(red, -res, 0.0)
+    handed = []
+
+    def zero_pcg(apply_op, rhs, apply_minv, rtol, max_iters):
+        handed.append(rhs.copy())
+        return np.zeros_like(rhs)
+
+    bnorm = math.sqrt(float(np.sum(b * b)))
+    dv = reduced_solve(n, -b, bnorm, diag_jac, c, 1e-6, zero_pcg)
+    expected = np.where(red, b / diag_jac, 0.0)
+    assert np.all(np.abs(dv - expected) <= 2.0 * EPS * np.abs(expected))
+    # the black cells of a grid array that is zero on red: the right side
+    # maps back through the grid, and every slot of the black planes that is
+    # no black cell holds zero
+    (rhs,) = handed
+    system = red_black_system(n)
+    on_grid = np.zeros((n, n))
+    for grid, block in system.cells[2:]:
+        on_grid[grid] = rhs.reshape(system.planes_shape)[block]
+    assert np.count_nonzero(on_grid) == np.count_nonzero(rhs)
+    expected_rhs = np.where(red, 0.0, c * neighbor_sum(np.where(red, b / diag_jac, 0.0)))
+    assert np.max(np.abs(on_grid - expected_rhs)) <= 1e-14 * np.max(np.abs(expected_rhs))
+
+
+def test_floor_target_solve_is_the_whole_grid_jacobi_solve(monkeypatch):
+    # a solve whose rule target is CG_TOL is the Jacobi-PCG solve of the
+    # whole grid, bit for bit; a looser target goes to the reduced system
+    n = 24
+    v, res, dt, h2, (_, apply_jac, apply_minv) = ring_system(n)
+    asked = []  # per pcg call: the size of its right side and its target
+    inner = pme.pcg
+
+    def asking_pcg(apply_op, b, apply_minv, rtol, max_iters):
+        asked.append((b.size, rtol * math.sqrt(float(np.sum(b * b)))))
+        return inner(apply_op, b, apply_minv, rtol, max_iters)
+
+    monkeypatch.setattr(pme, "pcg", asking_pcg)
+    bnorm = math.sqrt(float(np.sum(res * res)))
+    floor = pme._newton_direction(res, bnorm, v, 1.0 / 3.0, dt, h2, 1e-30)
+    expected = pcg(apply_jac, -res, apply_minv, CG_TOL, CG_MAX_ITERS)
+    assert floor.tobytes() == expected.tobytes()
+    loose = pme._newton_direction(res, bnorm, v, 1.0 / 3.0, dt, h2, 1e-2)
+    (floor_size, _), (loose_size, target) = asked
+    assert floor_size == n * n and loose_size == math.prod(red_black_system(n).shape) != n * n
+    assert CG_TOL * bnorm < target < CG_FORCING_CAP * bnorm
+    r = -res - apply_jac(loose)
+    assert math.sqrt(float(np.sum(r * r))) <= target * (1.0 + 1e-6)
 
 
 # -- pointwise scalar kernel ---------------------------------------------------
