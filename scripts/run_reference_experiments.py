@@ -5,9 +5,10 @@ Usage:
     python scripts/run_reference_experiments.py [--out OUTDIR] [--only NAME ...]
 
 Each run writes its artifacts under OUTDIR/<name>/ (field dumps,
-report.json, summary.txt).  On a 2-core Xeon VM the Barenblatt study
-takes about 17 s and the collapse study about 11 s; everything else
-finishes in under 3 s each.
+report.json, summary.txt).  On a 2-core Xeon VM, each run in a fresh
+interpreter with one BLAS thread (scripts/bench.py), the Barenblatt study
+takes about 11 s and the collapse study about 7 s; everything else
+finishes in under 3.5 s each.
 """
 
 import argparse

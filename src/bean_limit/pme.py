@@ -11,12 +11,10 @@ direction is one conjugate-gradient solve, matrix free, and a CG
 iteration allocates nothing.  The solve stops at the accuracy the outer
 max-norm test can see (inexact Newton), never tighter than CG_TOL.  The
 five-point Jacobian couples only cells of opposite colour (red i + j even,
-black i + j odd), so a solve above that floor runs CG on the red-black
-reduced system, the Schur complement on the black cells, in the four
-parity planes of the redblack module, and recovers the red cells by
-back-substitution: half the iterations of Jacobi-PCG on the whole grid,
-on half-size vectors.  A solve at the floor runs Jacobi-PCG on the whole
-grid, whose rounding the super-critical steps depend on.
+black i + j odd), so every solve runs CG on the red-black reduced system,
+the Schur complement on the black cells, in the four parity planes of the
+redblack module, and recovers the red cells by back-substitution: half
+the iterations of Jacobi-PCG on the whole grid, on half-size vectors.
 The powers of u go through fields.abs_pow and fields.pow_into, which
 skip the cells where the power rounds to +0; at large m those are most
 of the grid.
@@ -38,7 +36,6 @@ from .fields import (
     abs_pow,
     lap5_values,
     neighbor_sum,
-    neighbor_sum_into,
     pow_into,
     psi,
     snapshot_targets,
@@ -141,11 +138,8 @@ def pcg(
 ) -> np.ndarray:
     """Preconditioned conjugate gradients, matrix free.
 
-    The one CG loop of the package: _newton_direction hands it either the
-    red-black reduced system of the redblack module (targets above
-    CG_TOL) or the whole-grid Jacobian with the Jacobi preconditioner
-    (the CG_TOL floor, kept because the super-critical steps hang on its
-    rounding).
+    The one CG loop of the package: _newton_direction hands it the
+    red-black reduced system of the redblack module.
 
     Aims for a relative residual of rtol.  When rounding noise makes that
     unattainable (tiny right sides in the Newton endgame), the method
@@ -157,14 +151,13 @@ def pcg(
     apply_op and apply_minv may return the same buffer on every call.  x,
     r and p are updated in place through one scratch vector, and the best
     iterate is kept by swapping x with a spare buffer, not by copying it.
-    Inner products are multiply-then-sum, not np.dot, for two measured
-    reasons.  BLAS dot sums vectors above about 10,000 elements in an
-    order that depends on the BLAS thread count (128^2 and 256^2 vectors
-    differ between OPENBLAS_NUM_THREADS=1 and 2), so outputs would depend
-    on the thread setting.  And the super-critical Newton step is
-    sensitive to CG rounding: with BLAS inner products (np.vdot) the
-    m = 64 collapse step at dt = 1/640 that converges in 35 Newton
-    iterations fails and needs two dt halvings.
+    Inner products are multiply-then-sum, not np.dot: BLAS dot sums
+    vectors above about 10,000 elements in an order that depends on the
+    BLAS thread count (128^2 and 256^2 vectors differ between
+    OPENBLAS_NUM_THREADS=1 and 2), so outputs would depend on the thread
+    setting.  The m = 64 collapse step at dt = 1/640 converges in 31
+    Newton iterations without a dt halving with these inner products and
+    with np.vdot alike.
     """
     s = np.empty_like(b)
 
@@ -307,46 +300,19 @@ def _newton_direction(
     While psi' is huge (super-critical m, before the collapse is done) K
     is too, and rtol is CG_TOL.
 
-    A target above CG_TOL is met on the red-black reduced system of the
-    redblack module, with the relative target rtol |res|_2 / |rhs_S|_2
-    on its right side rhs_S: half the iterations of Jacobi-PCG, on
-    half-size vectors.  A target at the CG_TOL floor keeps Jacobi-PCG on
-    the whole grid, bit for bit.  Those are the super-critical solves,
-    where CG works at the rounding floor, and whether a super-critical
-    step converges hangs on their last bits: the m = 64 collapse step
-    that converges in 35 Newton iterations through them takes two dt
-    halvings when only pcg's inner products change to np.vdot.  The rule
-    goes once such a step no longer hangs on CG rounding.
-
-    The floor path's operator and preconditioner each write into one
-    buffer, freed before the line search, where a step's memory peaks.
-    Both round as (N - 4w)(-dt/h^2) + diag_phi w and r / diag_jac, N the
-    neighbor sum: diag_jac w - (dt/h^2) N and r * (1/diag_jac) cost fewer
-    passes, but their rounding moves the CG iteration counts of the mesa
-    and collapse runs.
+    CG runs on the red-black reduced system of the redblack module, with
+    the relative target rtol |res|_2 / |rhs_S|_2 on its right side rhs_S:
+    half the iterations of Jacobi-PCG on the whole grid, on half-size
+    vectors.
     """
     diag_phi = inv_m * np.maximum(np.abs(v), JACOBIAN_FLOOR) ** (inv_m - 1.0)
     gain = 8.0 * dt / h2 / float(np.min(diag_phi))
     rtol = max(CG_TOL, min(CG_FORCING_CAP, CG_NEWTON_SHARE * newton_tol / (gain * res_norm)))
+    # diag_phi becomes diag_jac in place: the reduced system needs no diag_phi
+    diag_jac = np.add(diag_phi, dt * 4.0 / h2, out=diag_phi)
     try:
-        if rtol > CG_TOL:
-            # diag_phi becomes diag_jac in place: the reduced system needs no diag_phi
-            diag_jac = np.add(diag_phi, dt * 4.0 / h2, out=diag_phi)
-            return red_black_system(v.shape[0]).solve(res, res_norm, diag_jac, dt / h2, rtol,
-                                                      pcg, CG_MAX_ITERS)
-        diag_jac = diag_phi + dt * 4.0 / h2
-        nsum, jw, z = np.empty_like(v), np.empty_like(v), np.empty_like(v)
-
-        def apply_jac(w: np.ndarray) -> np.ndarray:
-            neighbor_sum_into(w, nsum)
-            np.subtract(nsum, np.multiply(w, 4.0, out=jw), out=nsum)
-            np.multiply(nsum, -dt / h2, out=nsum)
-            return np.add(nsum, np.multiply(diag_phi, w, out=jw), out=jw)
-
-        def apply_minv(r: np.ndarray) -> np.ndarray:
-            return np.divide(r, diag_jac, out=z)
-
-        return pcg(apply_jac, -res, apply_minv, rtol, CG_MAX_ITERS)
+        return red_black_system(v.shape[0]).solve(res, res_norm, diag_jac, dt / h2, rtol,
+                                                  pcg, CG_MAX_ITERS)
     except NewtonDiverged:
         return None
 

@@ -60,7 +60,7 @@ class RedBlackSystem:
     of a Barenblatt run on n = 40 and 80 by 0.24 MB; one 9-plane block,
     above malloc's mmap threshold at n = 80, raised its peak resident set
     by 0.3 MB.  With these nine, the CG phase of a step holds less memory
-    than a whole-grid solve's.
+    than Jacobi-PCG on the whole grid would.
     """
 
     def __init__(self, n: int):

@@ -7,8 +7,8 @@ monotonicity; `flat_top_field` is test data with a plateau.
 `strided_psor_solve` and `allocating_pointwise_exact` are the earlier
 forms of the obstacle sweep and the pointwise PME kernel, kept as
 bit-for-bit references for the production kernels.
-`jacobi_newton_system` is the whole-grid Newton system that
-`pme._newton_direction` solves at the CG_TOL floor, rounded as there.
+`jacobi_newton_system` is the whole-grid Newton system with the Jacobi
+preconditioner, the reference for pme's red-black reduced solves.
 """
 
 import math
@@ -217,8 +217,8 @@ def allocating_pointwise_exact(v: np.ndarray, rhs: np.ndarray, dt: float, m: flo
 
 def jacobi_newton_system(v: np.ndarray, inv_m: float, dt: float, h2: float):
     """(diag_jac, apply_jac, apply_minv) of the Newton system (diag_phi + dt A) dv = -res
-    on the whole grid, allocating, with the operations of the CG_TOL-floor solves of
-    pme._newton_direction in their order."""
+    on the whole grid, allocating: the system that pme._newton_direction solves on
+    the red-black reduced cells, and Jacobi-PCG's preconditioner for it."""
     diag_phi = inv_m * np.maximum(np.abs(v), JACOBIAN_FLOOR) ** (inv_m - 1.0)
     diag_jac = diag_phi + dt * 4.0 / h2
 

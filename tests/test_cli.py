@@ -157,6 +157,27 @@ def test_bench_script_records_each_run_from_a_numpy_free_parent(tmp_path):
     assert result["tier1"] is None  # only a full run times the suite
 
 
+def test_a_failing_hypothesis_example_is_reported_under_the_repo_ini(tmp_path):
+    # hypothesis imports libcst only to report a failing example, and libcst
+    # warns DeprecationWarning as it is imported; the ini's error filter must
+    # not turn that report into an internal error (exit 3) that ends the run
+    ini = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x != x\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ini), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_fails.py"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAILED test_fails.py::test_fails" in proc.stdout
+    assert "Falsifying example" in proc.stdout
+
+
 def test_exponent_above_the_cap_is_a_config_error(tmp_path, capsys):
     path = write_cfg(tmp_path, """
 grid.L = 4.0
