@@ -31,7 +31,7 @@ import time
 from importlib.metadata import version
 from pathlib import Path
 
-from run_reference_experiments import REPO, RUNS
+from run_reference_experiments import REPO, RUNS, STEMS
 
 SRC = REPO / "src"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -75,8 +75,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--only", nargs="*", default=None,
-                        help="run only configs whose stem matches one of these names")
+    parser.add_argument("--only", nargs="*", default=None, choices=STEMS, metavar="NAME",
+                        help="run only the configs of these stems: " + ", ".join(STEMS))
     args = parser.parse_args()
     if "numpy" in sys.modules:
         raise RuntimeError("bench.py must not import numpy: every child would inherit its memory")

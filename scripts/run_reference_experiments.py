@@ -32,16 +32,16 @@ RUNS = [
     ("collapse", "collapse.cfg"),
     ("barenblatt-convergence", "barenblatt.cfg"),
 ]
+STEMS = [Path(cfg).stem for _, cfg in RUNS]  # the names --only accepts
 
 
 def main():
-    from bean_limit.cli import run  # here, so scripts/bench.py can read RUNS without numpy
-
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="output root (default: out/)")
-    parser.add_argument("--only", nargs="*", default=None,
-                        help="run only configs whose stem matches one of these names")
+    parser.add_argument("--only", nargs="*", default=None, choices=STEMS, metavar="NAME",
+                        help="run only the configs of these stems: " + ", ".join(STEMS))
     args = parser.parse_args()
+    from bean_limit.cli import run  # here, so scripts/bench.py can read RUNS without numpy
 
     failures = []
     for command, cfg in RUNS:

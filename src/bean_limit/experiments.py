@@ -379,6 +379,8 @@ def sweep_p(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     report.judge("mu[0.1]_halved", mu_keys[0.1] + ["grid_h2"],
                  lambda xs: xs[-2] <= 0.5 * xs[0] + xs[-1])
     report.judge("vi_abs_max_decreasing", vi_keys, _decreasing)
+    # a pin tuned to the reference test fields, not a derived bound: with
+    # only `seed` changed, 7 of seeds 0-199 fail it (CHANGES.md, FOUND)
     report.judge("vi_onesided_ok", bound_keys, at_most(1e-9))
     report.judge("div_drift_ok", div_keys, at_most(DIV_DRIFT_TOL))
     report.judge("energy_budget_ok", energy_keys, at_most(ENERGY_RATIO_MAX))
@@ -426,6 +428,8 @@ def sweep_m_vs_mesa(spec: ExperimentSpec, sink=_no_dumps) -> Report:
                  lambda xs: xs[0] >= 0.0 and xs[1] <= UNIT_CAP)
     report.judge("mesa_complementarity_ok", ["mesa_complementarity"],
                  at_most(COMPLEMENTARITY_TOL))
+    # a pin tuned to the reference data, not a derived bound: g.height x 10
+    # gives 4.18-4.54 while the growth hypothesis holds
     report.judge("pressure_bound", p_keys, at_most(2.1))
     report.judge("truncation_ok", ["boundary_max"], at_most(TRUNCATION_TOL))
     return report

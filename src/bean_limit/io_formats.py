@@ -40,7 +40,7 @@ def write_field(path, field: ScalarField, t: float, name: str) -> None:
         f"# bean-limit field v1 L={grid.half_width:.17g} n={grid.n} t={t:.17g} name={name}"
     ]
     for row in field.values:
-        lines.append(",".join(f"{v:.17g}" for v in row))
+        lines.append(",".join(f"{v:.17g}" for v in row.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -7,15 +7,12 @@ The discrete complementarity system on the grid reads, per interior cell,
 with w pinned to zero on the outermost cell ring.  It is solved by
 projected SOR in red-black order: a sweep updates the red cells (i + j
 even) and then the black ones (i + j odd).  The five-point stencil only
-couples cells of opposite colour, so each of the four parity classes
-w[pr::2, pc::2] is one Jacobi update from the other colour.  During the
-sweeps w lives in four parity planes, each stored flat in R x C slots
-(R = C = ceil(n/2)) with C + 1 zero slots before and after, so every
-neighbour of a class is a contiguous slice of an opposite-colour plane
-at a fixed offset: left and right at -1/0 or 0/+1, up and down at -C/0
-or 0/+C.  Ring and off-grid slots carry h^2 q = -inf, which the
-projection turns into +0, so the ring stays pinned without a mask.
-Each solve relaxes at the factor `_relaxation` takes from the datum.
+couples cells of opposite colour, so each colour is one Jacobi update
+from the other.  During the sweeps w lives in the parity planes of
+redblack.RedBlackSystem.  Every slot that holds no interior cell carries
+h^2 q = -inf, which the projection turns into +0, so the ring stays
+pinned without a mask.  Each solve relaxes at the factor `_relaxation`
+takes from the datum.
 """
 
 from __future__ import annotations
@@ -27,6 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import GridSpec, ScalarField, lap5_values
+from .redblack import add_neighbors, red_black_system
 
 FEASIBILITY_TOL = 1e-10    # allowed negativity of -lap5(w) - q
 COMPLEMENTARITY_TOL = 1e-10
@@ -101,57 +99,39 @@ def psor_solve(data: ObstacleData) -> ViSolution:
     q = data.q.values
     max_sweeps = SWEEPS_PER_SIDE * n
 
-    # the parity planes w[pr::2, pc::2] in one flat buffer, rows x rows
-    # slots each, with rows + 1 zero slots before, between and after them
-    rows = (n + 1) // 2
-    size, pad = rows * rows, rows + 1
-    buf = np.zeros(4 * (size + pad) + pad)
-
-    def plane(pr: int, pc: int, offset: int = 0) -> np.ndarray:
-        start = pad + (2 * pr + pc) * (size + pad) + offset
-        return buf[start:start + size]
-
-    def assemble() -> np.ndarray:
-        full = np.empty((2 * rows, 2 * rows))
-        for pr in (0, 1):
-            for pc in (0, 1):
-                full[pr::2, pc::2] = plane(pr, pc).reshape(rows, rows)
-        return np.ascontiguousarray(full[:n, :n])
-
-    hq_full = np.full((2 * rows, 2 * rows), -np.inf)
-    hq_full[1:n - 1, 1:n - 1] = h2 * q[1:n - 1, 1:n - 1]
-    # per parity class, red (i + j even) before black: the cell plane, its
-    # left, right, upper and lower neighbour slices, and h^2 q
-    classes = [
-        (plane(pr, pc), plane(pr, 1 - pc, pc - 1), plane(pr, 1 - pc, pc),
-         plane(1 - pr, pc, (pr - 1) * rows), plane(1 - pr, pc, pr * rows),
-         hq_full[pr::2, pc::2].ravel())
-        for pr, pc in ((1, 1), (0, 0), (1, 0), (0, 1))
-    ]
-    t, d = np.empty(size), np.empty(size)
+    system = red_black_system(n)
+    hq_grid = np.full((n, n), -np.inf)
+    hq_grid[1:n - 1, 1:n - 1] = h2 * q[1:n - 1, 1:n - 1]
+    planes, t = (np.zeros(system.shape), np.zeros(system.shape)), np.zeros(system.shape)
+    # per colour, red before black: the plan of its neighbour sum into t, and
+    # the cell runs of w and h^2 q, which each operation updates in one call
+    classes = []
+    for colour in (0, 1):
+        hq = np.full(system.shape, -np.inf)
+        system.gather(hq_grid, hq, colour)
+        classes.append((system.neighbor_plan(planes[1 - colour], t, colour),
+                        system.cell_run(planes[colour]), system.cell_run(hq)))
+    t = system.cell_run(t)
+    d = np.empty((2, t.size))
     zero, quarter, omega = np.array(0.0), np.array(0.25), np.array(_relaxation(q))
 
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
-        max_update = 0.0
-        for wc, left, right, up, down, hq in classes:
+        for (plan, wc, hqc), dc in zip(classes, d):
             # wc + omega (0.25 (left + right + up + down + hq) - wc), projected
-            np.add(left, right, out=t)
-            t += up
-            t += down
-            t += hq
+            add_neighbors(plan)
+            t += hqc
             np.multiply(quarter, t, out=t)
             t -= wc
             np.multiply(omega, t, out=t)
             np.add(wc, t, out=t)
             np.maximum(zero, t, out=t)
-            np.subtract(t, wc, out=d)
-            np.absolute(d, out=d)
-            max_update = max(max_update, float(np.maximum.reduce(d)))
+            np.subtract(t, wc, out=dc)
             wc[...] = t
+        max_update = float(np.maximum.reduce(np.absolute(d, out=d), axis=None))
         if max_update < UPDATE_TOL:
-            w = assemble()
+            w = system.scatter(*planes)
             mask_tol = 1e-9 * max(1.0, float(np.max(w)))
             res = _vi_residuals(w, q, h, mask_tol)
             if (

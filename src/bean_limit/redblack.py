@@ -27,7 +27,8 @@ a(C + 1); each reads a ghost where the grid ends.  Every vector CG sees
 is zero on the ghosts.  A neighbour sum writes junk into its output's
 ghosts, which a factor that is zero there clears: 1/D_r or c^2/D_r on
 red, the black-cell mask on black.  Strided copies move the cells of a
-grid array into the planes and back.
+grid array into the planes and back.  obstacle's projected SOR keeps w in
+the same two buffers.
 
 The layout lives apart from pme because compiling a module costs memory
 in proportion to its code, and without a bytecode cache the compile of
@@ -43,8 +44,8 @@ from typing import Callable
 import numpy as np
 
 
-def _add_neighbors(plan) -> None:
-    """Run a plan of RedBlackSystem._neighbor_plan: three np.add calls per plane."""
+def add_neighbors(plan) -> None:
+    """Run a plan of RedBlackSystem.neighbor_plan: three np.add calls per plane."""
     for out, left, right, up, down in plan:
         np.add(left, right, out=out)
         out += up
@@ -95,13 +96,20 @@ class RedBlackSystem:
             for colour in (0, 1)
         ]
 
-    def _neighbor_plan(self, src: np.ndarray, out: np.ndarray, colour: int) -> list:
+    def neighbor_plan(self, src: np.ndarray, out: np.ndarray, colour: int) -> list:
         """Views for out = N src on out's rows of cells; out is of colour
         `colour`, src of the other."""
         return [(out[o], src[left], src[right], src[up], src[down])
                 for o, left, right, up, down in self.plan_index[colour]]
 
-    def _gather(self, full: np.ndarray, out: np.ndarray, colour: int) -> None:
+    def cell_run(self, buf: np.ndarray) -> np.ndarray:
+        """The slots of a colour buffer from plane 0's first row of cells to
+        plane 1's last, as one flat view: both planes' rows of cells and
+        the two zero rows between them."""
+        width = self.planes_shape[-1]
+        return buf.reshape(-1)[width:-width]
+
+    def gather(self, full: np.ndarray, out: np.ndarray, colour: int) -> None:
         """The cells of one colour of a grid array into the planes of out."""
         planes = out.reshape(self.planes_shape)
         for grid, block in self.cells[2 * colour:2 * colour + 2]:
@@ -116,22 +124,22 @@ class RedBlackSystem:
         # the right side, 1/diag S, the operator's two outputs and the
         # preconditioner's
         inv_r, ci_r, t, d_b, rhs, inv_ds, dp, sp, z = (np.zeros(self.shape) for _ in range(9))
-        black_plan = self._neighbor_plan(t, sp, 1)
+        black_plan = self.neighbor_plan(t, sp, 1)
         mask_b = self.mask_b
-        self._gather(diag, t, 0)
+        self.gather(diag, t, 0)
         np.divide(1.0, t, out=inv_r, where=self.on_r)
         np.multiply(inv_r, c * c, out=ci_r)
-        self._gather(diag, d_b, 1)
+        self.gather(diag, d_b, 1)
         # right side -(res_b + c N_br(D_r^-1 res_r)), zero on the ghosts
-        self._gather(res, t, 0)
+        self.gather(res, t, 0)
         t *= inv_r
-        _add_neighbors(black_plan)
-        self._gather(res, rhs, 1)
+        add_neighbors(black_plan)
+        self.gather(res, rhs, 1)
         np.multiply(sp, -c, out=sp)
         np.subtract(sp, rhs, out=rhs)
         rhs *= mask_b
         # diag S = D_b - N_br(c^2 / D_r) on the black cells
-        _add_neighbors(self._neighbor_plan(ci_r, sp, 1))
+        add_neighbors(self.neighbor_plan(ci_r, sp, 1))
         np.subtract(d_b, sp, out=sp)
         np.divide(1.0, sp, out=inv_ds, where=self.on_b)
 
@@ -140,10 +148,10 @@ class RedBlackSystem:
         def apply_s(p: np.ndarray) -> np.ndarray:
             nonlocal p_in, red_plan
             if p is not p_in:  # pcg passes one p for a whole solve
-                p_in, red_plan = p, self._neighbor_plan(p, t, 0)
-            _add_neighbors(red_plan)
+                p_in, red_plan = p, self.neighbor_plan(p, t, 0)
+            add_neighbors(red_plan)
             np.multiply(t, ci_r, out=t)
-            _add_neighbors(black_plan)
+            add_neighbors(black_plan)
             np.multiply(sp, mask_b, out=sp)
             np.multiply(d_b, p, out=dp)
             return np.subtract(dp, sp, out=sp)
@@ -156,13 +164,18 @@ class RedBlackSystem:
         # back-substitution x_r = D_r^-1 (c N_rb x_b - res_r) in t, res_r in
         # sp: the operator's buffers, written here before they are read, so
         # an operator call after cg returned changes nothing
-        self._gather(res, sp, 0)
-        _add_neighbors(self._neighbor_plan(x_b, t, 0))
+        self.gather(res, sp, 0)
+        add_neighbors(self.neighbor_plan(x_b, t, 0))
         t *= c
         t -= sp
         t *= inv_r
+        return self.scatter(t, x_b)
+
+    def scatter(self, red: np.ndarray, black: np.ndarray) -> np.ndarray:
+        """The (n, n) grid array whose red cells are those of `red` and
+        black cells those of `black`."""
         x = np.empty((self.n, self.n))
-        planes = t.reshape(self.planes_shape), x_b.reshape(self.planes_shape)
+        planes = red.reshape(self.planes_shape), black.reshape(self.planes_shape)
         for q, (grid, block) in enumerate(self.cells):
             x[grid] = planes[q // 2][block]
         return x

@@ -157,6 +157,17 @@ def test_bench_script_records_each_run_from_a_numpy_free_parent(tmp_path):
     assert result["tier1"] is None  # only a full run times the suite
 
 
+@pytest.mark.parametrize("script", ["bench.py", "run_reference_experiments.py"])
+def test_reference_scripts_reject_a_name_no_config_has(tmp_path, script):
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, str(path), "--only", "mesa", "bogus", "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "invalid choice: 'bogus'" in proc.stderr and "'barenblatt'" in proc.stderr
+    assert not out.exists()
+
+
 def test_a_failing_hypothesis_example_is_reported_under_the_repo_ini(tmp_path):
     # hypothesis imports libcst only to report a failing example, and libcst
     # warns DeprecationWarning as it is imported; the ini's error filter must
@@ -289,6 +300,22 @@ schedule = 4, 8, 16
 
 
 # -- field dumps --------------------------------------------------------------
+
+
+def test_field_dump_text_of_signed_zero_subnormal_and_huge_values(tmp_path):
+    values = np.zeros((8, 8))
+    values[0, :2] = -0.0, 5e-324
+    values[1, 7], values[7, 0] = 1e300, 0.1
+    path = tmp_path / "f.csv"
+    write_field(path, ScalarField(GridSpec(1.0, 8), values), 0.5, "u")
+    zeros = "0,0,0,0,0,0,0,0"
+    assert path.read_text().splitlines() == [
+        "# bean-limit field v1 L=1 n=8 t=0.5 name=u",
+        "-0,4.9406564584124654e-324,0,0,0,0,0,0",
+        "0,0,0,0,0,0,0,1.0000000000000001e+300",
+        *[zeros] * 5,
+        "0.10000000000000001,0,0,0,0,0,0,0",
+    ]
 
 
 def test_field_round_trip_bit_exact(tmp_path):

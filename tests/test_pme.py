@@ -448,6 +448,18 @@ def test_reduced_solve_takes_half_the_jacobi_iterations(n):
         assert math.sqrt(float(np.sum(r * r))) <= rtol * bnorm * (1.0 + 1e-6), (n, rtol)
 
 
+@pytest.mark.parametrize("n", range(8, 14))
+def test_scatter_of_the_gathered_colours_is_the_grid_bit_for_bit(n):
+    # the parity-plane layout that the reduced solve and projected SOR share
+    system = red_black_system(n)
+    x = np.random.default_rng(n).standard_normal((n, n))
+    x[0, 0], x[-1, -1] = -0.0, 5e-324
+    red, black = np.zeros(system.shape), np.zeros(system.shape)
+    system.gather(x, red, 0)
+    system.gather(x, black, 1)
+    assert system.scatter(red, black).tobytes() == x.tobytes()
+
+
 @pytest.mark.parametrize("n", [16, 17])
 def test_reduced_solve_of_zero_and_red_right_sides(n):
     v, res, dt, h2, (diag_jac, apply_jac, _) = ring_system(n)
@@ -475,9 +487,7 @@ def test_reduced_solve_of_zero_and_red_right_sides(n):
     # no black cell holds zero
     (rhs,) = handed
     system = red_black_system(n)
-    on_grid = np.zeros((n, n))
-    for grid, block in system.cells[2:]:
-        on_grid[grid] = rhs.reshape(system.planes_shape)[block]
+    on_grid = system.scatter(np.zeros(system.shape), rhs)
     assert np.count_nonzero(on_grid) == np.count_nonzero(rhs)
     expected_rhs = np.where(red, 0.0, c * neighbor_sum(np.where(red, b / diag_jac, 0.0)))
     assert np.max(np.abs(on_grid - expected_rhs)) <= 1e-14 * np.max(np.abs(expected_rhs))
