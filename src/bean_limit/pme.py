@@ -6,10 +6,14 @@ the inverse map psi_m^-1(v) = sign(v) |v|^(1/m) is mild.  The per-cell system
 
     psi_m^-1(v) - dt * lap5(v) = u_prev + dt * g
 
-is driven to a small max-norm residual by damped Newton.  Each Newton
-direction is one conjugate-gradient solve, matrix free, and a CG
-iteration allocates nothing.  The solve stops at the accuracy the outer
-max-norm test can see (inexact Newton), never tighter than CG_TOL.  The
+is driven to a small max-norm residual by damped Newton from a
+pointwise exact guess.  The pointwise pass (nonlinear Jacobi) runs again
+only after a damped or failed Newton step.  Cells where v, the right side
+and the neighbour sum of v are all 0 hold +0, and a right side >= 0 gives
+a solution >= 0.  Each Newton direction is one conjugate-gradient solve,
+matrix free, and a CG iteration allocates nothing.  The solve stops at
+the accuracy the outer max-norm test can see (inexact Newton), never
+tighter than CG_TOL.  The
 five-point Jacobian couples only cells of opposite colour (red i + j even,
 black i + j odd), so every solve runs CG on the red-black reduced system,
 the Schur complement on the black cells, in the four parity planes of the
@@ -155,7 +159,7 @@ def pcg(
     vectors above about 10,000 elements in an order that depends on the
     BLAS thread count (128^2 and 256^2 vectors differ between
     OPENBLAS_NUM_THREADS=1 and 2), so outputs would depend on the thread
-    setting.  The m = 64 collapse step at dt = 1/640 converges in 31
+    setting.  The m = 64 collapse step at dt = 1/640 converges in 26
     Newton iterations without a dt halving with these inner products and
     with np.vdot alike.
     """
@@ -336,6 +340,16 @@ def _step_values(
     Laplacian); the computed dv is then turned back into the primal update
     through the exact row identity du = -F + dt * lap5(dv), which stays
     meaningful at cells where v = psi(u) underflows for large m.
+
+    The pointwise exact pass gives the first guess, and runs again after a
+    Newton step only when the line search damped it (alpha < 1) or found
+    no step (no descent, or CG found the Jacobian indefinite).  After an
+    accepted Newton step, cells where v, rhs and the neighbour sum of v
+    are all 0 are set to +0 with a zero residual: that is their exact
+    solution, where the row identity leaves rounding residue (such as
+    4e-204 at m = 8).  When rhs >= 0 everywhere, the solution is >= 0 (the
+    discrete comparison principle), so the line search puts negative trial
+    values on 0 as it does sign-crossing ones.
     """
     m = law.exponent
     inv_m = 1.0 / m
@@ -349,6 +363,7 @@ def _step_values(
     v = psi(u, law)
     res = residual_of(u, v)
     merit = float(np.sum(res * res))
+    nonneg = bool(np.all(rhs >= 0.0))
     best_linf = math.inf
     stalled = 0
 
@@ -366,7 +381,8 @@ def _step_values(
 
         # Damped Newton on the sum-of-squares merit.  Sign-crossing cells
         # land exactly on the kink at u = 0 (the degeneracy makes crossings
-        # expensive, and nonnegative data should stay nonnegative).
+        # expensive), and so do negative cells when rhs >= 0, whose exact
+        # solution is >= 0.
         newton_ok = False
         delta_v = _newton_direction(res, math.sqrt(merit), v, inv_m, dt, h2, newton_tol)
         if delta_v is not None:
@@ -375,21 +391,30 @@ def _step_values(
             while alpha >= 2.0 ** -24:
                 u_try = u + alpha * delta_u
                 crossed = (np.sign(u_try) != np.sign(u)) & (u != 0.0)
+                if nonneg:
+                    crossed |= u_try < 0.0
                 if crossed.any():
                     u_try = np.where(crossed, 0.0, u_try)
                 v_try = psi(u_try, law)
                 res_try = residual_of(u_try, v_try)
                 merit_try = float(np.sum(res_try * res_try))
                 if math.isfinite(merit_try) and merit_try <= (1.0 - 1e-4 * alpha) * merit:
-                    u, v, res, merit = u_try, v_try, res_try, merit_try
+                    # exact zeros: the cells whose solution is +0, residual u
+                    zero = (v_try == 0.0) & (rhs == 0.0) & (neighbor_sum(v_try) == 0.0)
+                    np.copyto(u_try, 0.0, where=zero)
+                    np.copyto(res_try, 0.0, where=zero)
+                    u, v, res, merit = u_try, v_try, res_try, float(np.sum(res_try * res_try))
                     newton_ok = True
                     break
                 alpha *= 0.5
+            if newton_ok and alpha == 1.0:
+                continue  # a full step: no pointwise pass
 
         # Pointwise exact pass: solves each cell's scalar equation with
         # neighbors frozen (nonlinear Jacobi).  It contracts in the weighted
-        # max norm exactly where the linearization cannot move, so it is
-        # taken unconditionally when the Newton step found no descent.
+        # max norm exactly where the linearization cannot move, so it runs
+        # after a damped step and is taken unconditionally when the Newton
+        # step found no descent.
         u_pol = _pointwise_exact(v, rhs, dt, m, h2)
         v_pol = psi(u_pol, law)
         res_pol = residual_of(u_pol, v_pol)

@@ -314,3 +314,9 @@ MESA_BASELINE = {
 def test_mesa_regression_baseline(mesa_report):
     for m, expected in MESA_BASELINE.items():
         assert mesa_report.metrics[f"e@{m:g}"] == pytest.approx(expected, rel=1e-6)
+
+
+def test_mesa_sweep_boundary_ring_is_exactly_zero(mesa_report):
+    # the data vanish far inside the box, so every exponent's final state
+    # holds +0 on the outer ring, not a subnormal residue of Newton's rounding
+    assert mesa_report.metrics["boundary_max"] == 0.0
