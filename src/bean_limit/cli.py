@@ -9,7 +9,8 @@ configuration problem, 3 a solver failure or a failed data check; any
 other exception is a bug and ends with its traceback.  Among the
 configuration problems, caught before any solver runs: a data block the
 subcommand needs and the file does not set, a snapshot time outside
-[0, horizon], repeated metric labels, and a key the subcommand never reads.
+[0, horizon], repeated metric labels, and a set key outside the
+subcommand's row of COMMANDS and the keys every run reads.
 """
 
 from __future__ import annotations
@@ -57,16 +58,17 @@ _PME = ("pme", "snapshot_times")
 _CURL = ("curl", "snapshot_times")
 
 # subcommand -> (driver, the key its exponents come from, data blocks it needs,
-# the other blocks and keys of its ExperimentSpec it reads); a name without a
-# dot is a prefix, so "pme" stands for every `pme.*` key.  Drivers are looked
-# up by name when called, so wrappers installed on this module take effect.
-# A subcommand with an exponent key gets an ExperimentSpec; the two without
-# one, the `_cmd_*` handlers, read the config themselves.
+# the other blocks and keys it reads); a name without a dot is a prefix, so
+# "pme" stands for every `pme.*` key.  `_unused_keys` adds the keys every run
+# uses, and `_dispatch` rejects any other key the file sets.  Drivers are
+# looked up by name when called, so wrappers installed on this module take
+# effect.  A subcommand with an exponent key gets an ExperimentSpec; the two
+# without one, the `_cmd_*` handlers, read the config themselves.
 COMMANDS = {
     "solve-pme": ("solve_pme", "exponent", (), ("f", "g", *_PME)),
     "solve-curl": ("solve_curl", "exponent", ("h0",), ("force", *_CURL)),
-    "solve-obstacle": ("_cmd_solve_obstacle", None, (), ()),
-    "mesa-profile": ("_cmd_mesa_profile", None, ("f",), ()),
+    "solve-obstacle": ("_cmd_solve_obstacle", None, (), ("q",)),
+    "mesa-profile": ("_cmd_mesa_profile", None, ("f",), ("g", "horizon")),
     "sweep-p": ("sweep_p", "schedule", ("h0",), ("force", "seed", "n_test_fields", *_CURL)),
     "sweep-m": ("sweep_m_vs_mesa", "schedule", ("f",), ("g", *_PME)),
     # the runs to 1/m set their own first step and record only their final state
@@ -99,28 +101,21 @@ def _stream(cfg: RunConfig, prefix: str) -> StreamSpec | None:
 
 
 def _experiment_spec(cfg: RunConfig, command: str) -> ExperimentSpec:
-    """The spec of `command` from the keys it reads and the file sets; the
-    others keep their defaults, and a set key it does not read stays unread."""
-    _, key, blocks, others = COMMANDS[command]
-    reads = {"experiment", *blocks, *others}
-
-    def block(prefix, build):
-        return build(cfg, prefix) if prefix in reads else None
-
+    """The spec of `command` from the keys the file sets, which `_dispatch`
+    has checked are all keys `command` uses; the others keep their defaults."""
+    key = COMMANDS[command][1]
     fields = dict(
         name=command,
         schedule=cfg.require(key) if key == "schedule" else (cfg.require(key),),
         grid=_grid(cfg),
         horizon=cfg.require("horizon"),
-        f=block("f", _bump),
-        g=block("g", _bump),
-        f2=block("f2", _bump),
-        h0_stream=block("h0", _stream),
-        forcing_stream=block("force", _stream),
+        f=_bump(cfg, "f"),
+        g=_bump(cfg, "g"),
+        f2=_bump(cfg, "f2"),
+        h0_stream=_stream(cfg, "h0"),
+        forcing_stream=_stream(cfg, "force"),
     )
-    fields.update(cfg.pick({
-        k: name for k, name in SPEC_FIELDS.items() if k in reads or k.split(".")[0] in reads
-    }))
+    fields.update(cfg.pick(SPEC_FIELDS))
     try:
         return ExperimentSpec(**fields)
     except ValueError as exc:
@@ -148,7 +143,6 @@ def _cmd_solve_obstacle(cfg: RunConfig, out_dir: Path) -> Report:
         radius=cfg.require("q.radius"),
     )
     name = cfg.get("experiment", "solve-obstacle")
-    cfg.check_all_read("solve-obstacle")
     vi = obstacle.psor_solve(obstacle.ObstacleData(q))
     report = Report(name=name)
     sink = _field_writer(out_dir)
@@ -177,7 +171,6 @@ def _cmd_mesa_profile(cfg: RunConfig, out_dir: Path) -> Report:
     f = bump_field(grid, _bump(cfg, "f"))
     G = accumulated_source(constant_source(grid, bump_field, _bump(cfg, "g")), t, grid)
     name = cfg.get("experiment", "mesa-profile")
-    cfg.check_all_read("mesa-profile")
     u_limit, mask, vi = obstacle.mesa_profile(f, G)
     report = Report(name=name)
     sink = _field_writer(out_dir)
@@ -194,16 +187,28 @@ def _cmd_mesa_profile(cfg: RunConfig, out_dir: Path) -> Report:
     return report
 
 
+def _unused_keys(command: str, keys) -> list[str]:
+    """The keys among `keys` that `command` does not use, sorted; every run
+    uses `experiment`, `output_dir` and `grid.*`, and a spec subcommand also
+    `horizon` and its exponent key."""
+    _, key, blocks, others = COMMANDS[command]
+    uses = {"experiment", "output_dir", "grid", *blocks, *others}
+    if key is not None:
+        uses |= {"horizon", key}
+    return sorted(k for k in keys if k.split(".")[0] not in uses)
+
+
 def _dispatch(command: str, cfg: RunConfig, out_dir: Path) -> Report:
     driver, key, blocks, _ = COMMANDS[command]
     for prefix in blocks:
         if not cfg.has_block(prefix):
             raise ConfigError(f"{command} needs the data block {prefix}.*, which is not set")
+    unused = _unused_keys(command, cfg.entries)
+    if unused:
+        raise ConfigError(f"{command} does not use {', '.join(map(repr, unused))}")
     if key is None:
         return globals()[driver](cfg, out_dir)
-    spec = _experiment_spec(cfg, command)
-    cfg.check_all_read(command)
-    return globals()[driver](spec, sink=_field_writer(out_dir))
+    return globals()[driver](_experiment_spec(cfg, command), sink=_field_writer(out_dir))
 
 
 def run(argv) -> int:
@@ -222,8 +227,7 @@ def run(argv) -> int:
 
     try:
         cfg = RunConfig.parse(args.config)
-        default_dir = cfg.get("output_dir", f"out/{args.command}")  # read even under --out
-        out_dir = Path(args.out or default_dir)
+        out_dir = Path(args.out or cfg.get("output_dir", f"out/{args.command}"))
         report = _dispatch(args.command, cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -23,12 +23,14 @@ def _as_int(v: str) -> int:
     return int(f)
 
 
+# an empty value is the empty list; an empty item, as in `4,,8` or `24, 32,`,
+# fails to convert
 def _as_float_list(v: str) -> tuple[float, ...]:
-    return tuple(float(p.strip()) for p in v.split(",") if p.strip())
+    return tuple(float(p.strip()) for p in v.split(",")) if v else ()
 
 
 def _as_int_list(v: str) -> tuple[int, ...]:
-    return tuple(_as_int(p.strip()) for p in v.split(",") if p.strip())
+    return tuple(_as_int(p.strip()) for p in v.split(",")) if v else ()
 
 
 def _positive(x) -> bool:
@@ -96,12 +98,10 @@ SPEC_FIELDS = {
 
 
 class RunConfig:
-    """Validated key-value view of a configuration file; the keys that
-    `get`, `require` and `has` look up count as read."""
+    """Validated key-value view of a configuration file."""
 
     def __init__(self, entries: dict):
         self.entries = entries
-        self.read: set[str] = set()
 
     @classmethod
     def parse(cls, path) -> "RunConfig":
@@ -144,32 +144,20 @@ class RunConfig:
     def get(self, key, default=None):
         if key not in KEY_TABLE:
             raise KeyError(f"{key!r} is not a known configuration key")
-        self.read.add(key)
         return self.entries.get(key, default)
 
     def require(self, key):
-        self.read.add(key)
         if key not in self.entries:
             raise ConfigError(f"missing required configuration key {key!r}")
         return self.entries[key]
 
-    def has(self, key) -> bool:
-        self.read.add(key)
-        return key in self.entries
-
     def has_block(self, prefix: str) -> bool:
-        """True when any `prefix.*` key is set; reads none of them."""
+        """True when any `prefix.*` key is set."""
         return any(key.startswith(prefix + ".") for key in self.entries)
 
     def pick(self, names: dict) -> dict:
         """{name: value} for each key of `names` (key -> name) that is set."""
-        return {name: self.get(key) for key, name in names.items() if self.has(key)}
-
-    def check_all_read(self, command: str):
-        """Raise ConfigError naming the set keys that `command` never read."""
-        unread = sorted(self.entries.keys() - self.read)
-        if unread:
-            raise ConfigError(f"{command} does not use {', '.join(map(repr, unread))}")
+        return {name: self.entries[key] for key, name in names.items() if key in self.entries}
 
     def echo(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(self.entries.items())}

@@ -293,9 +293,11 @@ def test_comments_and_values(tmp_path):
 grid.L = 2.0   # inline comment
 grid.n = 64
 schedule = 4, 8, 16
+snapshot_times =
 """))
     assert cfg.get("grid.L") == 2.0
     assert cfg.get("schedule") == (4.0, 8.0, 16.0)
+    assert cfg.get("snapshot_times") == ()
     assert cfg.get("horizon") is None
 
 
@@ -675,21 +677,13 @@ def test_reference_runs_cover_every_config_and_subcommand():
     assert {command for command, _ in runs} == set(COMMANDS)
 
 
-def test_reference_configs_set_only_keys_their_subcommand_reads(tmp_path):
-    from bean_limit.cli import COMMANDS, _dispatch, _experiment_spec
+def test_reference_configs_set_only_keys_their_subcommand_reads():
+    from bean_limit.cli import _unused_keys
 
     runs, root = reference_runs()
-    checked = 0
-    for command, name in runs:
-        cfg = RunConfig.parse(root / "configs" / name)
-        cfg.get("output_dir")  # `run` reads it for every subcommand
-        if COMMANDS[command][1] is None:  # solve-obstacle and mesa-profile read as they run
-            _dispatch(command, cfg, tmp_path / name)
-        else:
-            _experiment_spec(cfg, command)
-        cfg.check_all_read(command)
-        checked += 1
-    assert checked == 12
+    unused = {name: _unused_keys(command, RunConfig.parse(root / "configs" / name).entries)
+              for command, name in runs}
+    assert unused == {name: [] for _, name in runs}
 
 
 def test_key_tables_agree():
@@ -765,42 +759,38 @@ SWEEP_BASE = SCALAR_BASE + "schedule = 4, 8\n"
 H0_BLOCK = "h0.width = 1.5\nh0.curl_max = 0.5\n"
 
 
-# subcommand -> (config, the keys it sets that the subcommand's driver ignores)
-IGNORED_KEYS = {
-    "sweep-p": (
-        SWEEP_BASE + H0_BLOCK + F_BLOCK + "barenblatt.t0 = 2.0\nq.radius = 1.0\n",
-        ["barenblatt.t0", "f.height", "f.radius", "q.radius"],
-    ),
-    "collapse": (
-        SWEEP_BASE + "f.height = 1.2\nf.radius = 1.0\npme.dt_init = 0.01\n"
-        "snapshot_times = 0.02\nseed = 3\n",
-        ["pme.dt_init", "seed", "snapshot_times"],
-    ),
-    "sweep-m": (
-        SWEEP_BASE + F_BLOCK + H0_BLOCK + "n_test_fields = 4\ncurl.cfl_safety = 0.5\n",
-        ["curl.cfl_safety", "h0.curl_max", "h0.width", "n_test_fields"],
-    ),
-    "barenblatt-convergence": (
-        SCALAR_BASE + "exponent = 3\n" + F_BLOCK + "q.inside = 0.5\n",
-        ["f.height", "f.radius", "q.inside"],
-    ),
-    "small-data": (
-        SWEEP_BASE + F_BLOCK + "grids = 24, 32\nf2.height = 0.3\nf2.radius = 1.0\n",
-        ["f2.height", "f2.radius", "grids"],
-    ),
+# a value each key takes; "1" for the others
+KEY_VALUES = {"exponent": "4", "schedule": "4, 8", "grids": "16, 24"}
+
+# keys some drivers ignore, pinned apart from COMMANDS so a row that gains
+# one of them fails here
+DRIVER_IGNORES = {
+    "sweep-p": ["barenblatt.t0", "f.height", "f.radius", "q.radius"],
+    "collapse": ["pme.dt_init", "seed", "snapshot_times"],
+    "sweep-m": ["curl.cfl_safety", "h0.curl_max", "h0.width", "n_test_fields"],
+    "barenblatt-convergence": ["f.height", "f.radius", "q.inside"],
+    "small-data": ["f2.height", "f2.radius", "grids"],
 }
 
 
-@pytest.mark.parametrize("command", IGNORED_KEYS)
+@pytest.mark.parametrize("command", COMMANDS)
 def test_key_the_driver_ignores_is_a_config_error(tmp_path, capsys, command):
-    body, ignored = IGNORED_KEYS[command]
+    # every key outside the subcommand's keys, added alone and then all at
+    # once to a config the subcommand runs
+    from bean_limit.cli import _unused_keys
+    from bean_limit.config import KEY_TABLE
+
+    ignored = _unused_keys(command, KEY_TABLE)
+    assert set(DRIVER_IGNORES.get(command, ())) <= set(ignored)
+    lines = [f"{key} = {KEY_VALUES.get(key, '1')}\n" for key in ignored]
     out = tmp_path / "out"
-    path = write_cfg(tmp_path, body)
-    assert run([command, "--config", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"config error: {command} does not use " in err
-    assert all(repr(key) in err for key in ignored)
-    assert not out.exists()
+    cases = [([key], line) for key, line in zip(ignored, lines)] + [(ignored, "".join(lines))]
+    for keys, extra in cases:
+        path = write_cfg(tmp_path, ECHO_CONFIGS[command] + extra)
+        assert run([command, "--config", str(path), "--out", str(out)]) == 2, keys
+        err = capsys.readouterr().err
+        assert err == f"config error: {command} does not use {', '.join(map(repr, keys))}\n"
+        assert not out.exists()
 
 
 def test_sweep_m_and_mesa_profile_compute_the_same_limit(tmp_path):
@@ -977,6 +967,21 @@ def test_equivalence_against_a_zero_scalar_run_fails_its_verdict(tmp_path, monke
     assert report["metrics"]["rel_l2_max@24"] is None
     assert "rel_l2_max@24 = inf" in (out / "summary.txt").read_text()
     assert not any(v["passed"] for v in report["verdicts"] if v["name"] == "rel_l2_below_5h")
+
+
+@pytest.mark.parametrize("command, body, line", [
+    ("small-data", SCALAR_BASE + F_BLOCK, "schedule = 4,,8"),
+    ("collapse", SWEEP_BASE + "f.height = 1.2\nf.radius = 1.0\n", "grids = 24, 32,"),
+    ("solve-pme", ECHO_CONFIGS["solve-pme"], "snapshot_times = , 0.025"),
+], ids=["schedule", "grids", "snapshot_times"])
+def test_empty_list_item_is_a_config_error(tmp_path, capsys, command, body, line):
+    # dropping the empty item would run a shorter list than the file names
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, body + line + "\n")
+    assert run([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {len(body.splitlines()) + 1}: bad value for {line.split(' = ')[0]!r}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, text, field", [
