@@ -6,9 +6,9 @@ Usage:
 
 Each run writes its artifacts under OUTDIR/<name>/ (field dumps,
 report.json, summary.txt).  On a 2-core Xeon VM, each run in a fresh
-interpreter with one BLAS thread (scripts/bench.py), the Barenblatt study
-takes about 11 s and the collapse study about 7 s; everything else
-finishes in under 3.5 s each.
+interpreter with one BLAS thread (scripts/bench.py, BENCH_28.json), the
+Barenblatt study and the collapse study take about 4 s each;
+everything else finishes in under 2 s each.
 """
 
 import argparse

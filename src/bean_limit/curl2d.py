@@ -30,6 +30,7 @@ from .fields import (
     divergence,
     pow_into,
     snapshot_targets,
+    support_margin_ok,
 )
 
 BLOWUP_LIMIT = 10.0
@@ -62,11 +63,15 @@ class CurlProblem:
         div0 = float(np.max(np.abs(divergence(self.H0).values)))
         if div0 > 1e-10:
             raise ValueError(f"initial field is not divergence free (max div {div0:.2e})")
+        if not support_margin_ok(curl_z(self.H0)):
+            raise DomainError("curl of the initial field must vanish within L/4 of the boundary")
         if self.forcing is not None:
             if self.forcing.grid != self.grid:
                 raise ValueError("forcing grid does not match problem grid")
             if float(np.max(np.abs(divergence(self.forcing).values))) > 1e-10:
                 raise DomainError("forcing is not divergence free")
+            if not all(map(support_margin_ok, (self.forcing.comp1, self.forcing.comp2))):
+                raise DomainError("forcing must vanish within L/4 of the boundary")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ and the neighbour sum of v are all 0 hold +0, and a right side >= 0 gives
 a solution >= 0.  Each Newton direction is one conjugate-gradient solve,
 matrix free, and a CG iteration allocates nothing.  The solve stops at
 the accuracy the outer max-norm test can see (inexact Newton), never
-tighter than CG_TOL.  The
+tighter than CG_TOL; a step's early directions stop sooner.  The
 five-point Jacobian couples only cells of opposite colour (red i + j even,
 black i + j odd), so every solve runs CG on the red-black reduced system,
 the Schur complement on the black cells, in the four parity planes of the
@@ -56,6 +56,15 @@ DT_FLOOR = 2.0 ** -30  # a halved dt below DT_FLOOR * dt_init raises StepTooSmal
 CG_TOL = 1e-12  # floor of the inner CG solves' relative residual target
 CG_FORCING_CAP = 0.1  # loosest relative residual target of an inner CG solve
 CG_NEWTON_SHARE = 0.1  # share of NEWTON_TOL a CG residual may add to the next residual
+# C of the early directions' relative CG target C |res|_2, a forcing term
+# proportional to the residual (Dembo, Eisenstat and Steihaug 1982; Eisenstat
+# and Walker 1996).  Bench seed-0 CG iterations (solves) of barenblatt-refine,
+# mesa-sweep and collapse: 1852 (123), 1138 (142), 1508 (152) without it;
+# C = 1e-3: 1313 (123), 807 (142), 1095 (154); 3e-3: 1247 (123), 764 (142),
+# 1054 (154); 1e-2: 1152 (129), 732 (143), 1012 (154); 0.1: 1280 (173), 650
+# (148), 935 (158).  3e-3 is the largest C that adds no solve on
+# barenblatt-refine.
+CG_QUADRATIC_FORCING = 3e-3
 CG_MAX_ITERS = 20000  # inner CG iteration cap
 
 
@@ -159,7 +168,7 @@ def pcg(
     vectors above about 10,000 elements in an order that depends on the
     BLAS thread count (128^2 and 256^2 vectors differ between
     OPENBLAS_NUM_THREADS=1 and 2), so outputs would depend on the thread
-    setting.  The m = 64 collapse step at dt = 1/640 converges in 26
+    setting.  The m = 64 collapse step at dt = 1/640 converges in 27
     Newton iterations without a dt halving with these inner products and
     with np.vdot alike.
     """
@@ -291,6 +300,7 @@ def _newton_direction(
     dt: float,
     h2: float,
     newton_tol: float,
+    early: bool,
 ) -> np.ndarray | None:
     """Newton increment dv from (diag_phi + dt A) dv = -res by CG; None
     when CG finds the Jacobian indefinite.
@@ -304,6 +314,9 @@ def _newton_direction(
     While psi' is huge (super-critical m, before the collapse is done) K
     is too, and rtol is CG_TOL.
 
+    An early direction's target is at least min(CG_FORCING_CAP,
+    CG_QUADRATIC_FORCING |res|_2), which keeps Newton quadratic.
+
     CG runs on the red-black reduced system of the redblack module, with
     the relative target rtol |res|_2 / |rhs_S|_2 on its right side rhs_S:
     half the iterations of Jacobi-PCG on the whole grid, on half-size
@@ -312,6 +325,8 @@ def _newton_direction(
     diag_phi = inv_m * np.maximum(np.abs(v), JACOBIAN_FLOOR) ** (inv_m - 1.0)
     gain = 8.0 * dt / h2 / float(np.min(diag_phi))
     rtol = max(CG_TOL, min(CG_FORCING_CAP, CG_NEWTON_SHARE * newton_tol / (gain * res_norm)))
+    if early:
+        rtol = max(rtol, min(CG_FORCING_CAP, CG_QUADRATIC_FORCING * res_norm))
     # diag_phi becomes diag_jac in place: the reduced system needs no diag_phi
     diag_jac = np.add(diag_phi, dt * 4.0 / h2, out=diag_phi)
     try:
@@ -349,7 +364,8 @@ def _step_values(
     solution, where the row identity leaves rounding residue (such as
     4e-204 at m = 8).  When rhs >= 0 everywhere, the solution is >= 0 (the
     discrete comparison principle), so the line search puts negative trial
-    values on 0 as it does sign-crossing ones.
+    values on 0 as it does sign-crossing ones.  The directions are early
+    until the line search first damps or finds no step.
     """
     m = law.exponent
     inv_m = 1.0 / m
@@ -366,6 +382,7 @@ def _step_values(
     nonneg = bool(np.all(rhs >= 0.0))
     best_linf = math.inf
     stalled = 0
+    early = True
 
     for it in range(MAX_NEWTON_ITERS):
         linf = float(np.max(np.abs(res)))
@@ -384,7 +401,7 @@ def _step_values(
         # expensive), and so do negative cells when rhs >= 0, whose exact
         # solution is >= 0.
         newton_ok = False
-        delta_v = _newton_direction(res, math.sqrt(merit), v, inv_m, dt, h2, newton_tol)
+        delta_v = _newton_direction(res, math.sqrt(merit), v, inv_m, dt, h2, newton_tol, early)
         if delta_v is not None:
             delta_u = dt * lap5_values(delta_v, h) - res
             alpha = 1.0
@@ -395,9 +412,12 @@ def _step_values(
                     crossed |= u_try < 0.0
                 if crossed.any():
                     u_try = np.where(crossed, 0.0, u_try)
-                v_try = psi(u_try, law)
-                res_try = residual_of(u_try, v_try)
-                merit_try = float(np.sum(res_try * res_try))
+                # a long trial step can overflow |u|^m; its merit is then
+                # inf or NaN and the test below rejects it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    v_try = psi(u_try, law)
+                    res_try = residual_of(u_try, v_try)
+                    merit_try = float(np.sum(res_try * res_try))
                 if math.isfinite(merit_try) and merit_try <= (1.0 - 1e-4 * alpha) * merit:
                     # exact zeros: the cells whose solution is +0, residual u
                     zero = (v_try == 0.0) & (rhs == 0.0) & (neighbor_sum(v_try) == 0.0)
@@ -409,6 +429,9 @@ def _step_values(
                 alpha *= 0.5
             if newton_ok and alpha == 1.0:
                 continue  # a full step: no pointwise pass
+        # early for the whole step, the collapse bench run would halve dt 8
+        # times and make 217 pointwise passes, not 42
+        early = False
 
         # Pointwise exact pass: solves each cell's scalar equation with
         # neighbors frozen (nonlinear Jacobi).  It contracts in the weighted

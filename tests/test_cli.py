@@ -518,6 +518,27 @@ f.radius = 3.9
     assert "vanish within L/4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, cfg", [("solve-curl", "curl.cfg"), ("sweep-p", "sweep_p.cfg")])
+@pytest.mark.parametrize("stream", ["h0", "force"])
+def test_curl_data_inside_the_margin_are_checked_before_a_solve(tmp_path, capsys, monkeypatch,
+                                                                command, cfg, stream):
+    # a stream of width 3.5 on L = 4 reaches past 3L/4: exit 3, as solve-pme
+    # gives for such data, before any curl step and without a report
+    import bean_limit.experiments as experiments
+
+    def no_solve(*args):
+        raise AssertionError("curl_solve called")
+
+    monkeypatch.setattr(experiments, "curl_solve", no_solve)
+    text = (Path(__file__).resolve().parents[1] / "configs" / cfg).read_text()
+    assert f"{stream}.width = 2.0" in text
+    path = write_cfg(tmp_path, text.replace(f"{stream}.width = 2.0", f"{stream}.width = 3.5"))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(path), "--out", str(out)]) == 3
+    assert "vanish within L/4" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_bug_in_a_driver_is_not_a_solver_error(tmp_path, monkeypatch):
     import bean_limit.cli as cli
 

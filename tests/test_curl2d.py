@@ -352,6 +352,17 @@ def test_a_nan_curl_raises_blowup():
     assert info.value.t == 0.5
 
 
+def test_problem_rejects_data_near_the_boundary():
+    # the L/4 margin PmeProblem asks of u0 and g, here of curl H0 and of F
+    g = GridSpec(4.0, 32)
+    wide = field_from_stream(g, StreamSpec(width=3.5, curl_max=0.5))
+    with pytest.raises(DomainError, match="curl of the initial field"):
+        CurlProblem(grid=g, p=4.0, H0=wide, forcing=None, horizon=0.05)
+    with pytest.raises(DomainError, match="forcing must vanish"):
+        CurlProblem(grid=g, p=4.0, H0=default_h0(g), forcing=wide, horizon=0.05)
+    CurlProblem(grid=g, p=4.0, H0=default_h0(g), forcing=default_h0(g), horizon=0.05)
+
+
 def test_forcing_is_checked_when_the_problem_is_built():
     g = GridSpec(4.0, 24)
     bad = VectorField2(bump_field(g, BumpSpec(height=0.1, radius=1.0)), ScalarField.zeros(g))
@@ -393,6 +404,22 @@ def test_both_solvers_land_on_the_same_snapshot_times():
     assert pme.StepTooSmall is StepTooSmall
 
 
+def random_data_field(g, rng):
+    """Random divergence-free data with max |curl| 0.9 whose curl and
+    components vanish within L/4 of the boundary, as CurlProblem asks:
+    three stream bumps of random sign, centred within 0.2 L, of width up
+    to 0.3 L (random_admissible_field's bumps reach 0.9 L)."""
+    L = g.half_width
+    x, y = g.meshgrid()
+    phi = np.zeros((g.n, g.n))
+    for _ in range(3):
+        cx, cy = rng.uniform(-0.2 * L, 0.2 * L, 2)
+        r2 = ((x - cx) ** 2 + (y - cy) ** 2) / rng.uniform(0.15 * L, 0.3 * L) ** 2
+        phi += rng.uniform(-1.0, 1.0) * np.clip(1.0 - r2, 0.0, None) ** 4
+    peak = float(np.max(np.abs(curl_z(from_stream(ScalarField(g, phi))).values)))
+    return from_stream(ScalarField(g, phi * (0.9 / peak)))
+
+
 @settings(max_examples=8, deadline=None)
 @given(
     n=st.integers(16, 32),
@@ -403,8 +430,8 @@ def test_both_solvers_land_on_the_same_snapshot_times():
 def test_divergence_stays_at_roundoff_on_every_step(n, p, seed, force):
     g = GridSpec(4.0, n)
     rng = np.random.default_rng(seed)
-    H0 = random_admissible_field(g, rng)
-    V = random_admissible_field(g, rng)
+    H0 = random_data_field(g, rng)
+    V = random_data_field(g, rng)
     F = VectorField2(ScalarField(g, force * V.comp1.values), ScalarField(g, force * V.comp2.values))
     prob = CurlProblem(grid=g, p=p, H0=H0, forcing=F, horizon=0.02)
     sol = curl_solve(prob, CurlConfig(snapshot_times=(0.01,)))

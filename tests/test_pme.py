@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from bean_limit.fields import (
 from bean_limit.pme import (
     CG_FORCING_CAP,
     CG_MAX_ITERS,
+    CG_QUADRATIC_FORCING,
     CG_TOL,
     MAX_HALVINGS,
     NEWTON_TOL,
@@ -28,6 +30,7 @@ from bean_limit.pme import (
     PmeConfig,
     PmeProblem,
     StepTooSmall,
+    _newton_direction,
     _pointwise_exact,
     _pressure,
     _step_values,
@@ -274,7 +277,7 @@ def test_bench_barenblatt_work_count(monkeypatch):
     u0 = barenblatt_field(g, 1.0, LAW3, 1.0)
     prob = PmeProblem(grid=g, law=LAW3, u0=u0, forcing=None, horizon=1.0)
     pme_solve(prob, PmeConfig(dt_init=0.05))
-    assert counts == {"pointwise": 20, "pcg": 40, "iters": 448, "psor_sweeps": 0}
+    assert counts == {"pointwise": 20, "pcg": 40, "iters": 312, "psor_sweeps": 0}
 
 
 def test_bench_mesa_work_count(tmp_path, monkeypatch):
@@ -286,7 +289,7 @@ def test_bench_mesa_work_count(tmp_path, monkeypatch):
                        {"grid.n": "48", "schedule": "8, 64", "pme.dt_init": "0.04"})
     counts = count_solver_work(monkeypatch)
     assert cli.run(["sweep-m", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert counts == {"pointwise": 50, "pcg": 142, "iters": 1138, "psor_sweeps": 44}
+    assert counts == {"pointwise": 50, "pcg": 142, "iters": 764, "psor_sweeps": 44}
 
 
 def test_bench_collapse_work_count(tmp_path, monkeypatch):
@@ -297,24 +300,46 @@ def test_bench_collapse_work_count(tmp_path, monkeypatch):
                        {"grid.n": "32", "schedule": "8, 64", "grids": "96", "f.height": "1.15"})
     counts = count_solver_work(monkeypatch)
     assert cli.run(["collapse", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert counts == {"pointwise": 40, "pcg": 152, "iters": 1508, "psor_sweeps": 164}
+    assert counts == {"pointwise": 42, "pcg": 154, "iters": 1054, "psor_sweeps": 164}
+
+
+Solve = namedtuple("Solve", "linf res_norm early rtol rule passes")
 
 
 def step_with_cg_targets(monkeypatch, u0, forcing, dt, law, floor_only):
-    """One pme_solve step of dt, its CG solves at the targets the rule asks
-    for, or all at CG_TOL.  Checks the final residual against NEWTON_TOL;
-    returns the Newton iterations and, per solve, (max |res|, the rule's
-    target as _newton_direction hands it to the reduced solve)."""
-    solves, newton_iters = [], []
+    """One pme_solve step of dt, its CG solves at the targets _newton_direction
+    asks for, or all at CG_TOL.  Checks the final residual against
+    NEWTON_TOL; returns the Newton iterations and, per solve, a Solve: max
+    |res|, |res|_2, whether the direction was early, the target it asked
+    for, the target of the accuracy rule alone (early=False) and the
+    pointwise passes run before it (1 until the first damped step)."""
+    solves, newton_iters, asked, passes = [], [], [], [0]
 
     class RecordingSystem:
+        probe = False  # record the target only
+
         def __init__(self, n):
             self.system = red_black_system(n)
 
         def solve(self, res, res_norm, diag, c, rtol, cg, max_iters):
-            solves.append((float(np.max(np.abs(res))), rtol))
+            asked.append(rtol)
+            if RecordingSystem.probe:
+                return None
             return self.system.solve(res, res_norm, diag, c, CG_TOL if floor_only else rtol,
                                      cg, max_iters)
+
+    def recording_direction(res, res_norm, v, inv_m, dt, h2, newton_tol, early):
+        RecordingSystem.probe = True
+        _newton_direction(res, res_norm, v, inv_m, dt, h2, newton_tol, False)
+        RecordingSystem.probe = False
+        dv = _newton_direction(res, res_norm, v, inv_m, dt, h2, newton_tol, early)
+        rule, rtol = asked[-2:]
+        solves.append(Solve(float(np.max(np.abs(res))), res_norm, early, rtol, rule, passes[0]))
+        return dv
+
+    def counting_pointwise(*args):
+        passes[0] += 1
+        return _pointwise_exact(*args)
 
     def recording_step_values(*args):
         u, iters = _step_values(*args)
@@ -322,6 +347,8 @@ def step_with_cg_targets(monkeypatch, u0, forcing, dt, law, floor_only):
         return u, iters
 
     monkeypatch.setattr(pme, "red_black_system", RecordingSystem)
+    monkeypatch.setattr(pme, "_newton_direction", recording_direction)
+    monkeypatch.setattr(pme, "_pointwise_exact", counting_pointwise)
     monkeypatch.setattr(pme, "_step_values", recording_step_values)
     prob = PmeProblem(grid=u0.grid, law=law, u0=u0, forcing=forcing, horizon=dt)
     sol = pme_solve(prob, PmeConfig(dt_init=dt))
@@ -334,30 +361,63 @@ def step_with_cg_targets(monkeypatch, u0, forcing, dt, law, floor_only):
     return newton_iters[0], solves
 
 
-def test_cg_target_rule_keeps_the_newton_iterations(monkeypatch):
-    # Barenblatt m = 3: most solves stop early, and Newton takes as many
-    # iterations as with every solve at CG_TOL
-    g = GridSpec(2.0, 40)
-    u0 = barenblatt_field(g, 1.0, LAW3, 1.0)
-    iters, solves = step_with_cg_targets(monkeypatch, u0, None, 0.05, LAW3, False)
-    assert iters == step_with_cg_targets(monkeypatch, u0, None, 0.05, LAW3, True)[0]
-    assert sum(rtol > CG_TOL for _, rtol in solves) > len(solves) // 2
+def barenblatt_step():
+    """The barenblatt-refine bench data at n = 40 and its dt: (u0, forcing, dt, law)."""
+    return barenblatt_field(GridSpec(2.0, 40), 1.0, LAW3, 1.0), None, 0.05, LAW3
 
-    # super-critical m = 64 collapse step (collapse.cfg data at n = 32,
-    # dt = 1/(10 m)): psi' is huge until the collapse is done, so every solve
-    # above a Newton residual of 1e-2 stays at CG_TOL; only the last ones
-    # loosen (the first loose target comes at max |res| = 2.6e-3, the last
-    # floor solve at 0.15).  26 Newton iterations, no dt halving.
+
+def collapse_step():
+    """collapse.cfg data at n = 32 and the m = 64 run's first dt = 1/(10 m)."""
     g = GridSpec(2.0, 32)
     f = bump_field(g, BumpSpec(height=1.5, radius=1.4))
     src = bump_field(g, BumpSpec(height=0.3, radius=1.2))
-    law = PowerLaw(64.0)
-    iters, solves = step_with_cg_targets(monkeypatch, f, src, 1.0 / 640.0, law, False)
-    assert iters == step_with_cg_targets(monkeypatch, f, src, 1.0 / 640.0, law, True)[0] == 26
-    assert all(rtol == CG_TOL for linf, rtol in solves if linf > 1e-2)
-    at_floor = [rtol == CG_TOL for _, rtol in solves]
+    return f, src, 1.0 / 640.0, PowerLaw(64.0)
+
+
+def test_cg_target_rule_keeps_the_newton_iterations(monkeypatch):
+    # Barenblatt m = 3: every solve stops above CG_TOL, and Newton takes as
+    # many iterations as with every solve at CG_TOL
+    iters, solves = step_with_cg_targets(monkeypatch, *barenblatt_step(), False)
+    assert iters == step_with_cg_targets(monkeypatch, *barenblatt_step(), True)[0] == 2
+    assert all(s.rtol > CG_TOL for s in solves)
+
+    # super-critical m = 64 collapse step: the early first direction (at
+    # CG_FORCING_CAP) is damped, which costs one Newton iteration against
+    # every solve at CG_TOL (27, was 26).  After it, psi' is huge until the
+    # collapse is done, so every solve above a Newton residual of 1e-2
+    # stays at CG_TOL; only the last ones loosen (the first loose target
+    # comes at max |res| = 4.3e-4, the last floor solve at 0.059).
+    iters, solves = step_with_cg_targets(monkeypatch, *collapse_step(), False)
+    assert iters == 27
+    assert step_with_cg_targets(monkeypatch, *collapse_step(), True)[0] == 26
+    assert solves[0].early and solves[0].rtol == CG_FORCING_CAP
+    later = solves[1:]
+    assert all(s.rtol == CG_TOL for s in later if s.linf > 1e-2)
+    at_floor = [s.rtol == CG_TOL for s in later]
     assert at_floor == sorted(at_floor, reverse=True)
-    assert sum(rtol > CG_TOL for _, rtol in solves) <= 2 < len(solves)
+    assert sum(s.rtol > CG_TOL for s in later) <= 2 < len(later)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("step", [barenblatt_step, collapse_step])
+def test_directions_are_early_until_the_first_damped_step(monkeypatch, step):
+    # the directions before the step's first damped or failed Newton step
+    # (before its second pointwise pass) ask for min(CG_FORCING_CAP,
+    # C |res|_2) or the accuracy rule, whichever is looser; every later one
+    # for the accuracy rule alone.  Barenblatt m = 3 takes two full Newton
+    # steps, both loose; the m = 64 collapse step damps its first direction and
+    # still meets NEWTON_TOL without a dt halving.  Its trial steps overflow
+    # |u|^64, and the line search rejects them without a RuntimeWarning.
+    _, solves = step_with_cg_targets(monkeypatch, *step(), False)
+    assert [s.early for s in solves] == [s.passes == 1 for s in solves]
+    for s in solves:
+        loose = min(CG_FORCING_CAP, CG_QUADRATIC_FORCING * s.res_norm)
+        assert s.rtol == (max(s.rule, loose) if s.early else s.rule)
+    if step is barenblatt_step:
+        assert all(s.early and s.rtol > s.rule for s in solves)
+    else:
+        assert solves[0].early and not any(s.early for s in solves[1:])
+        assert solves[0].rtol > solves[0].rule
 
 
 # -- red-black reduced Newton solves ------------------------------------------------
@@ -481,11 +541,16 @@ def test_reduced_solve_of_zero_and_red_right_sides(n):
     assert np.max(np.abs(on_grid - expected_rhs)) <= 1e-14 * np.max(np.abs(expected_rhs))
 
 
-@pytest.mark.parametrize("newton_tol", [1e-30, 1e-2])
-def test_newton_direction_solves_the_reduced_system(monkeypatch, newton_tol):
+@pytest.mark.parametrize("newton_tol, early", [
+    pytest.param(1e-30, False, id="1e-30"),
+    pytest.param(1e-2, False, id="0.01"),
+    pytest.param(1e-30, True, id="early"),
+])
+def test_newton_direction_solves_the_reduced_system(monkeypatch, newton_tol, early):
     # every Newton direction is a reduced solve, one whose rule target is the
     # CG_TOL floor too: pcg gets the padded black buffer, and the direction
-    # meets the rule's target on the whole-grid system
+    # meets the rule's target on the whole-grid system; an early direction
+    # asks for C |res|_2 in place of the floor
     n = 24
     v, res, dt, h2, (_, apply_jac, _) = ring_system(n)
     asked = []  # per pcg call: the size of its right side and its target
@@ -497,10 +562,14 @@ def test_newton_direction_solves_the_reduced_system(monkeypatch, newton_tol):
 
     monkeypatch.setattr(pme, "pcg", asking_pcg)
     bnorm = math.sqrt(float(np.sum(res * res)))
-    dv = pme._newton_direction(res, bnorm, v, 1.0 / 3.0, dt, h2, newton_tol)
+    dv = _newton_direction(res, bnorm, v, 1.0 / 3.0, dt, h2, newton_tol, early)
     ((size, target),) = asked
     assert size == math.prod(red_black_system(n).shape) != n * n
-    if newton_tol == 1e-30:
+    if early:
+        rtol = min(CG_FORCING_CAP, CG_QUADRATIC_FORCING * bnorm)
+        assert CG_TOL < rtol < CG_FORCING_CAP
+        assert target == pytest.approx(rtol * bnorm, rel=1e-12)
+    elif newton_tol == 1e-30:
         assert target == pytest.approx(CG_TOL * bnorm, rel=1e-12)
     else:
         assert CG_TOL * bnorm < target < CG_FORCING_CAP * bnorm
