@@ -6,11 +6,11 @@ power flux Phi = psi_{p-1}(w) the update reads
     h1 <- h1 + dt * (f1 - d(Phi)/dy),
     h2 <- h2 + dt * (f2 + d(Phi)/dx),
 
-all derivatives central with zero ghosts.  The mixed differences cancel
-exactly in the discrete divergence, so div H is conserved to roundoff.
-Explicit stepping is only appropriate while the effective diffusivity
-psi'_{p-1}(w) stays moderate; super-critical data belong to the scalar
-reduction's implicit solver instead.
+all derivatives central with zero ghosts, the layout of fields.GhostRows.
+The mixed differences cancel exactly in the discrete divergence, so div
+H is conserved to roundoff.  Explicit stepping is only appropriate while
+the effective diffusivity psi'_{p-1}(w) stays moderate; super-critical
+data belong to the scalar reduction's implicit solver instead.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ import numpy as np
 
 from .errors import DomainError, StepTooSmall
 from .fields import (
-    DiffPlan,
+    GhostRows,
     GridSpec,
     ScalarField,
     VectorField2,
+    central_difference,
     curl_z,
     divergence,
     pow_into,
@@ -136,42 +137,52 @@ def _cfl_dt(wmax: float, m: float, h2: float, cfl_safety: float) -> float:
 
 
 class _StepKernel:
-    """The forward-Euler march of one state array H, every work array and
-    every view bound once, so that a step is ufunc calls only.
+    """The forward-Euler march of one state H, every work array and every
+    view bound once, so that a step is ufunc calls only.
 
-    H is a (2, n, n) array with H[0] = h1 and H[1] = h2, updated in place.
-    `differentiate` fills the x- and y-differences of both components;
-    they give the curl that drives the next step and the divergence of H.
-    `step` is one whole step, and folds the new state into `diag`; it
-    evaluates one pow, |w|^(p-1) by pow_into, which serves the flux and,
-    times |w|, the dissipation sum |w|^p.
+    H, the flux Phi, the increment and the forcing live on fields.GhostRows
+    for the whole solve, and `self.H` and `self.omega` view the state and
+    its curl.  H holds no -0, so plain differences give the bytes of curl_z
+    and divergence.  The curl, |curl| and the divergence overwrite the
+    differences d(h2)/dx, d(h1)/dy and d(h1)/dx they are made of, and one
+    strided fill each clears the ghosts an x-difference leaves in the curl,
+    the divergence and the x-increment.  The sums of |H|^2 and |w|^p run
+    over whole runs.  `step` is one whole step, and folds the new state
+    into `diag`; it evaluates one pow, |w|^(p-1) by pow_into, which serves
+    the flux and, times |w|, the dissipation sum |w|^p.
     """
 
-    def __init__(self, grid: GridSpec, p: float, H: np.ndarray, forcing: VectorField2 | None):
+    def __init__(self, grid: GridSpec, p: float, H, forcing: VectorField2 | None):
         n, h = grid.n, grid.spacing
-        self.h2 = h * h
-        self.e = p - 1.0
-        self.dt = np.array(0.0)  # a 0-d array, as in DiffPlan
-        self.H = H
-        dx, dy, self.incr = (np.empty((2, n, n)) for _ in range(3))
-        self.omega, self.wabs, self.flux, self.work = (np.empty((n, n)) for _ in range(4))
-        self.live = np.empty((n, n), dtype=bool)
-        self.dx0, self.dx1, self.dy0, self.dy1 = dx[0], dx[1], dy[0], dy[1]
-        self.incr0, self.incr1 = self.incr
-        self.diff_H = (DiffPlan(H, h, dx, -1), DiffPlan(H, h, dy, -2))
-        self.diff_flux = (DiffPlan(self.flux, h, self.incr0, -2),
-                          DiffPlan(self.flux, h, self.incr1, -1))
-        self.f1, self.f2 = _forcing_arrays(forcing)
-        self.forcing_sq = float(self.h2 * np.sum(self.f1 * self.f1 + self.f2 * self.f2))
+        pair, one = GhostRows(n, 2), GhostRows(n, 1)
+        self.h2, self.e = h * h, p - 1.0
+        # 0-d arrays, which a ufunc takes faster than Python floats
+        self.dt, scale = np.array(0.0), np.array(1.0 / (2.0 * h))
+        H_buf, flux = pair.load(H), np.zeros(one.size)
+        dx, dy, incr = (np.zeros(pair.size) for _ in range(3))
+        self.H, self.H_run, self.incr = pair.fields(H_buf), pair.run(H_buf), pair.run(incr)
+        (self.div, self.curl), (self.wabs, self.dy1) = pair.runs(dx), pair.runs(dy)
+        self.incr0, self.incr1 = pair.runs(incr)
+        self.omega, (self.flux,) = pair.fields(dx)[1], one.runs(flux)
+        self.ddx_H = (*pair.neighbours(H_buf, -1), pair.run(dx), scale)
+        self.ddy_H = (*pair.neighbours(H_buf, -2), pair.run(dy), scale)
+        self.ddy_flux = (*one.neighbours(flux, -2), self.incr0, scale)
+        self.ddx_flux = (*one.neighbours(flux, -1), self.incr1, scale)
+        self.live = np.empty(self.curl.shape, dtype=bool)
+        self.ghosts = [run[n::n + 1] for run in (self.curl, self.div, self.incr1)]
+        f1, f2 = _forcing_arrays(forcing)
+        self.forcing_sq = float(self.h2 * np.sum(f1 * f1 + f2 * f2))
+        self.f1, self.f2 = (f1, f2) if forcing is None else pair.runs(pair.load((f1, f2)))
         self.diag = CurlDiagnostics()
         self.dissipation = self.forcing_l2 = self.e0 = 0.0
 
     def differentiate(self) -> float:
         """Differences and curl of H; returns max |curl|."""
-        for plan in self.diff_H:
-            plan()
-        np.subtract(self.dx1, self.dy0, self.omega)
-        np.absolute(self.omega, self.wabs)
+        central_difference(*self.ddx_H)
+        central_difference(*self.ddy_H)
+        np.subtract(self.curl, self.wabs, self.curl)
+        self.ghosts[0].fill(0.0)
+        np.absolute(self.curl, self.wabs)
         self.wmax = float(np.maximum.reduce(self.wabs, None))
         return self.wmax
 
@@ -185,16 +196,16 @@ class _StepKernel:
     def record(self, t: float) -> None:
         """Fold H at t, which has just been differentiated, into the
         diagnostics; the first state recorded is the initial one."""
-        d, work = self.diag, self.work
-        np.multiply(self.H, self.H, self.incr)
-        np.add(self.incr0, self.incr1, self.incr0)
-        np.add(self.dx0, self.dy1, work)
-        np.absolute(work, work)
-        l2h = math.sqrt(self.h2 * float(np.add.reduce(self.incr0, None)))
+        d, div = self.diag, self.div
+        np.add(div, self.dy1, div)
+        self.ghosts[1].fill(0.0)
+        np.absolute(div, div)
+        np.multiply(self.H_run, self.H_run, self.incr)
+        l2h = math.sqrt(self.h2 * float(np.add.reduce(self.incr, None)))
         if not d.times:
             self.e0 = l2h ** 2
         d.times.append(t)
-        d.div_drift_max = max(d.div_drift_max, float(np.maximum.reduce(work, None)))
+        d.div_drift_max = max(d.div_drift_max, float(np.maximum.reduce(div, None)))
         bound = (self.e0 + self.forcing_l2) * math.exp(t)
         if bound > 0:
             d.energy_ratio = max(d.energy_ratio, (l2h ** 2 + 2.0 * self.dissipation) / bound)
@@ -204,16 +215,17 @@ class _StepKernel:
         last differentiated state, to time t; then differentiate, check and
         record the new state.  Returns its max |curl|."""
         pow_into(self.wabs, self.e, self.flux, self.live)
-        np.multiply(self.flux, self.wabs, self.work)
-        lp = self.h2 * float(np.add.reduce(self.work, None))  # h^2 sum |w|^p
-        np.copysign(self.flux, self.omega, self.flux)
-        for plan in self.diff_flux:
-            plan()
+        np.multiply(self.flux, self.wabs, self.incr0)
+        lp = self.h2 * float(np.add.reduce(self.incr0, None))  # h^2 sum |w|^p
+        np.copysign(self.flux, self.curl, self.flux)
+        central_difference(*self.ddy_flux)
+        central_difference(*self.ddx_flux)
+        self.ghosts[2].fill(0.0)
         np.subtract(self.f1, self.incr0, self.incr0)
         np.add(self.f2, self.incr1, self.incr1)
         self.dt[()] = dt
         np.multiply(self.incr, self.dt, self.incr)
-        np.add(self.H, self.incr, self.H)
+        np.add(self.H_run, self.incr, self.H_run)
         self.dissipation += dt * lp
         self.forcing_l2 += dt * self.forcing_sq
         self.differentiate()
@@ -224,9 +236,8 @@ class _StepKernel:
 
 def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
     """Adaptive explicit integration with snapshots and energy diagnostics."""
-    grid = problem.grid
-    H = np.stack((problem.H0.comp1.values, problem.H0.comp2.values))
-    kernel = _StepKernel(grid, problem.p, H, problem.forcing)
+    grid, H0 = problem.grid, problem.H0
+    kernel = _StepKernel(grid, problem.p, (H0.comp1.values, H0.comp2.values), problem.forcing)
 
     if kernel.differentiate() > 1.0 + 1e-9 and problem.p > 8:
         raise DomainError(
@@ -235,13 +246,8 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
     wmax = kernel.check_blowup(0.0)
     targets, eps_t = snapshot_targets(config.snapshot_times, problem.horizon)
 
-    def snap(t_now) -> tuple[float, VectorField2, ScalarField]:
-        """Copy out H, which `kernel` has just differentiated, with its curl."""
-        Hf = VectorField2(ScalarField(grid, H[0]), ScalarField(grid, H[1]))
-        return (t_now, Hf, ScalarField(grid, kernel.omega))
-
     kernel.record(0.0)
-    snapshots = [snap(0.0)]
+    snapshots = [(0.0, H0, ScalarField(grid, kernel.omega))]  # H0 keeps its -0
     t = 0.0
     for target in targets:
         while t < target - eps_t:
@@ -250,7 +256,8 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
                 raise StepTooSmall(t, dt)
             t = target if target - (t + dt) <= eps_t else t + dt
             wmax = kernel.step(dt, t)
-        snapshots.append(snap(target))
+        H = VectorField2(ScalarField(grid, kernel.H[0]), ScalarField(grid, kernel.H[1]))
+        snapshots.append((target, H, ScalarField(grid, kernel.omega)))  # copies of the views
 
     return CurlSolution(problem, snapshots, kernel.diag)
 

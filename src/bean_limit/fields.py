@@ -103,7 +103,7 @@ def neighbor_sum(a: np.ndarray) -> np.ndarray:
     Each cell gets 0 + left + right + below + above, the neighbors outside
     the box skipped, so the sum is never -0.  a may be a stack of fields.
     The x-neighbors run over the flattened arrays and the edge columns are
-    then redone, as in DiffPlan.
+    then redone.
     """
     a = np.ascontiguousarray(a)
     out = np.empty_like(a)
@@ -125,59 +125,70 @@ def lap5_values(a: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-class DiffPlan:
-    """Central difference of a along x (axis -1) or y (axis -2) into out,
-    with every shifted view bound once; calling the plan refills out from
-    a's current values and returns out.
+class GhostRows:
+    """The ghost-padded flat layout of k n-by-n fields, where central
+    differences run.
 
-    Each cell gets ((a[i+1] + 0.0) - a[i-1]) * (1/(2h)), the neighbors
-    outside the box zero.  Adding 0.0 maps -0 to +0: a difference of
-    equal neighbors is always +0.  a may be a stack of fields; a and out
-    must be C-contiguous and must not overlap.  The x-differences run over
-    the flattened arrays, whose shifts wrap across row ends, and the two
-    edge columns are then redone.  The constants are bound as 0-d arrays,
-    which a ufunc takes faster than Python floats.
+    A flat buffer of `size` slots holds a zero row, then per field its n
+    rows and a zero row, all of n + 1 slots; the last slot of a row is a
+    ghost, as in redblack's parity planes.  An x-neighbour is the offset
+    +-1 and a y-neighbour +-(n + 1), and outside the grid one reads a +0
+    ghost or zero row, so a difference of all k fields along one axis is
+    one subtract of two shifted runs.  It leaves junk in its output's
+    ghosts (the slots [n::n + 1] of a run) and zero rows.
     """
 
-    def __init__(self, a: np.ndarray, h: float, out: np.ndarray, axis: int):
-        if not (a.flags.c_contiguous and out.flags.c_contiguous):
-            raise ValueError("central differences need C-contiguous arrays")
-        if np.may_share_memory(a, out):
-            raise ValueError("central differences need an out that does not overlap a")
-        zero = np.array(0.0)
-        if axis == -1:
-            af, of = a.reshape(-1), out.reshape(-1)
-            self.ops = [
-                (np.add, af[1:], zero, of[:-1]),
-                (np.subtract, of[1:-1], af[:-2], of[1:-1]),
-                (np.add, a[..., 1], zero, out[..., 0]),
-                (np.subtract, zero, a[..., -2], out[..., -1]),
-            ]
-        elif axis == -2:
-            self.ops = [
-                (np.add, a[..., 1:, :], zero, out[..., :-1, :]),
-                (np.subtract, out[..., 1:-1, :], a[..., :-2, :], out[..., 1:-1, :]),
-                (np.subtract, zero, a[..., -2, :], out[..., -1, :]),
-            ]
-        else:
-            raise ValueError(f"central differences run along axis -1 or -2, got {axis}")
-        self.ops.append((np.multiply, out, np.array(1.0 / (2.0 * h)), out))
-        self.out = out
+    def __init__(self, n: int, k: int):
+        self.n, self.k, self.width = n, k, n + 1
+        self.size = (k * self.width + 1) * self.width
 
-    def __call__(self) -> np.ndarray:
-        for op, x, y, out in self.ops:
-            op(x, y, out)
-        return self.out
+    def load(self, fields) -> np.ndarray:
+        """A buffer of the k (n, n) arrays `fields`, each value plus 0.0: it
+        holds no -0, so a - b gives the bytes of (a + 0.0) - b."""
+        buf = np.zeros(self.size)
+        for out, values in zip(self.fields(buf), fields, strict=True):
+            np.add(values, 0.0, out=out)
+        return buf
+
+    def runs(self, buf: np.ndarray) -> np.ndarray:
+        """The (k, n (n + 1)) view whose row f holds the rows of field f."""
+        w = self.width
+        return buf[w:].reshape(self.k, w * w)[:, :self.n * w]
+
+    def fields(self, buf: np.ndarray) -> np.ndarray:
+        """The (k, n, n) view of the fields of buf."""
+        return self.runs(buf).reshape(self.k, self.n, self.width)[..., :self.n]
+
+    def run(self, buf: np.ndarray, shift: int = 0) -> np.ndarray:
+        """The rows of all fields and the zero rows between, shifted by `shift`."""
+        return buf[self.width + shift:self.size - self.width + shift]
+
+    def neighbours(self, buf: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """The runs of buf one cell forward and one back along x (axis -1) or y (-2)."""
+        s = {-1: 1, -2: self.width}[axis]
+        return self.run(buf, s), self.run(buf, -s)
+
+
+def central_difference(plus: np.ndarray, minus: np.ndarray, out: np.ndarray, scale) -> np.ndarray:
+    """(plus - minus) * scale into out: the runs of GhostRows.neighbours and 1/(2h)."""
+    return np.multiply(np.subtract(plus, minus, out), scale, out)
+
+
+def _differences(a, h: float, axis: int) -> np.ndarray:
+    """Central differences of an (n, n) array or a (k, n, n) stack."""
+    a = np.asarray(a, dtype=float)
+    layout = GhostRows(a.shape[-1], a.size // a.shape[-1] ** 2)
+    buf, out = layout.load(a.reshape(-1, layout.n, layout.n)), np.zeros(layout.size)
+    central_difference(*layout.neighbours(buf, axis), layout.run(out), 1.0 / (2.0 * h))
+    return np.ascontiguousarray(layout.fields(out)).reshape(a.shape)
 
 
 def ddx_values(a: np.ndarray, h: float) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    return DiffPlan(a, h, np.empty_like(a), -1)()
+    return _differences(a, h, -1)
 
 
 def ddy_values(a: np.ndarray, h: float) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    return DiffPlan(a, h, np.empty_like(a), -2)()
+    return _differences(a, h, -2)
 
 
 # -- field-level operators ---------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from bean_limit.datagen import (
 )
 from bean_limit.errors import DomainError
 from bean_limit.fields import (
+    GhostRows,
     GridSpec,
     PowerLaw,
     ScalarField,
@@ -299,7 +301,8 @@ def test_curl_solve_matches_the_stepped_reference_bit_for_bit():
     assert d.times == series["times"]
     assert d.div_drift_max == max(series["div_drift"])
     # the kernel forms the dissipation's |w|^p as |w|^(p-1) * |w|, one
-    # rounding away from pow
+    # rounding away from pow, and sums |w|^p and |H|^2 over its padded
+    # runs, in another pairwise grouping than a sum over the grid
     e0 = series["l2_H"][0] ** 2
     ratio = max((l2h ** 2 + 2.0 * diss) / ((e0 + fl2) * math.exp(t))
                 for t, l2h, diss, fl2 in zip(series["times"], series["l2_H"],
@@ -440,8 +443,8 @@ def test_divergence_stays_at_roundoff_on_every_step(n, p, seed, force):
 
 
 def test_kernel_curl_and_divergence_match_curl_z_and_divergence_bit_for_bit():
-    # the kernel differentiates through plans bound once; after each step
-    # its curl and its div_drift are those of curl_z and divergence
+    # the kernel differentiates on its own layout; after each step its
+    # curl and its div_drift are those of curl_z and divergence
     g = GridSpec(4.0, 24)
     F = field_from_stream(g, StreamSpec(width=2.0, curl_max=20.0))
     H0 = default_h0(g, curl_max=0.9)
@@ -453,7 +456,7 @@ def test_kernel_curl_and_divergence_match_curl_z_and_divergence_bit_for_bit():
     kernel.record(0.0)
     drift = 0.0
     for k in range(6):
-        field = VectorField2(ScalarField(g, H[0]), ScalarField(g, H[1]))
+        field = VectorField2(ScalarField(g, kernel.H[0]), ScalarField(g, kernel.H[1]))
         want_w = curl_z(field).values
         assert np.array_equal(kernel.omega.view(np.uint64), want_w.view(np.uint64)), k
         assert wmax == np.max(np.abs(want_w))
@@ -461,6 +464,55 @@ def test_kernel_curl_and_divergence_match_curl_z_and_divergence_bit_for_bit():
         assert kernel.diag.div_drift_max == drift, k
         dt = _cfl_dt(wmax, 7.0, g.spacing ** 2, 0.9)
         wmax = kernel.step(dt, (k + 1) * dt)
+
+
+@pytest.mark.parametrize("n", [24, 25])
+def test_kernel_padding_stays_plus_zero_and_steps_allocate_nothing(n):
+    # the kernel's differences read ghosts and zero rows as +0 cells, so
+    # after every step each of them must be +0 by bit pattern: in the
+    # buffers of H, the increment, the forcing and the flux, and in the
+    # ghosts of the curl, |curl| and the divergence
+    g = GridSpec(4.0, n)
+    F = field_from_stream(g, StreamSpec(width=2.0, curl_max=20.0))
+    H0 = default_h0(g, curl_max=0.9)
+    prob = CurlProblem(grid=g, p=8.0, H0=H0, forcing=F, horizon=0.01)
+    assert np.any(np.signbit(H0.comp2.values) & (H0.comp2.values == 0.0))
+    first = curl_solve(prob, CurlConfig()).snapshots[0][1]
+    for got, want in ((first.comp1, H0.comp1), (first.comp2, H0.comp2)):
+        assert got.values.tobytes() == want.values.tobytes()
+
+    # random data, whose differences at the edges put junk in the ghosts
+    rng = np.random.default_rng(n)
+    H = 0.05 * rng.standard_normal((2, n, n))
+    H[rng.random(H.shape) < 0.2] = -0.0
+    F = VectorField2(*(ScalarField(g, f) for f in 0.1 * rng.standard_normal((2, n, n))))
+    kernel = _StepKernel(g, 8.0, H, F)
+    pair, one = GhostRows(n, 2), GhostRows(n, 1)
+
+    def pad_bits(view, layout):
+        pad = np.ones(layout.size, dtype=bool)
+        layout.fields(pad)[...] = False
+        return view.base.view(np.uint64)[pad]
+
+    kernel.differentiate()
+    kernel.record(0.0)
+    dt = 1e-3  # stable while max |curl| < 1
+    for k in range(20):
+        assert kernel.step(dt, (k + 1) * dt) < 1.0
+        for view, layout in ((kernel.H, pair), (kernel.incr, pair), (kernel.f1, pair),
+                             (kernel.flux, one)):
+            assert not np.any(pad_bits(view, layout)), k
+        for run in (kernel.curl, kernel.wabs, kernel.div):
+            assert not np.any(run[n::n + 1].view(np.uint64)), k
+
+    tracemalloc.start()
+    try:
+        for k in range(20, 70):
+            kernel.step(dt, (k + 1) * dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
 
 
 def test_cfl_dt_is_psi_primes_formula_bit_for_bit():
