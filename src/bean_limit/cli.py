@@ -10,7 +10,9 @@ other exception is a bug and ends with its traceback.  Among the
 configuration problems, caught before any solver runs: a data block the
 subcommand needs and the file does not set, a snapshot time outside
 [0, horizon], repeated metric labels, and a set key outside the
-subcommand's row of COMMANDS and the keys every run reads.
+subcommand's row of COMMANDS and the keys every run reads.  Once these
+checks pass, a run removes the report.json and summary.txt of an earlier
+run from its output directory, so a run that fails leaves neither.
 """
 
 from __future__ import annotations
@@ -206,9 +208,12 @@ def _dispatch(command: str, cfg: RunConfig, out_dir: Path) -> Report:
     unused = _unused_keys(command, cfg.entries)
     if unused:
         raise ConfigError(f"{command} does not use {', '.join(map(repr, unused))}")
+    spec = None if key is None else _experiment_spec(cfg, command)
+    for name in ("report.json", "summary.txt"):  # a run that fails leaves no earlier verdict
+        (out_dir / name).unlink(missing_ok=True)
     if key is None:
         return globals()[driver](cfg, out_dir)
-    return globals()[driver](_experiment_spec(cfg, command), sink=_field_writer(out_dir))
+    return globals()[driver](spec, sink=_field_writer(out_dir))
 
 
 def run(argv) -> int:

@@ -8,9 +8,11 @@ power flux Phi = psi_{p-1}(w) the update reads
 
 all derivatives central with zero ghosts, the layout of fields.GhostRows.
 The mixed differences cancel exactly in the discrete divergence, so div
-H is conserved to roundoff.  Explicit stepping is only appropriate while
-the effective diffusivity psi'_{p-1}(w) stays moderate; super-critical
-data belong to the scalar reduction's implicit solver instead.
+H is conserved to roundoff.  The march runs on a window around the
+supports of H and F (_StepKernel) and gives the whole grid's outputs.
+Explicit stepping is only appropriate while the effective diffusivity
+psi'_{p-1}(w) stays moderate; super-critical data belong to the scalar
+reduction's implicit solver instead.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .fields import (
 
 BLOWUP_LIMIT = 10.0
 DT_MIN = 1e-12  # a CFL step below this raises StepTooSmall
+WINDOW_PAD = 5  # the stencil's reach of 3 cells (see _StepKernel), plus 2 of slack
 
 
 class BlowUp(RuntimeError):
@@ -136,45 +139,90 @@ def _cfl_dt(wmax: float, m: float, h2: float, cfl_safety: float) -> float:
         return 0.0
 
 
-class _StepKernel:
-    """The forward-Euler march of one state H, every work array and every
-    view bound once, so that a step is ufunc calls only.
+def _window(live: np.ndarray) -> tuple[slice, slice]:
+    """Rows and columns of the box around the True cells of `live` padded by
+    WINDOW_PAD, its shorter side widened about its middle and shifted into
+    the grid; the whole grid where the box reaches past it or is empty."""
+    n = live.shape[0]
+    spans = [np.flatnonzero(live.any(axis=axis)) for axis in (1, 0)]
+    spans = [(int(c[0]) - WINDOW_PAD, int(c[-1]) + WINDOW_PAD + 1) for c in spans if c.size]
+    s = max((hi - lo for lo, hi in spans), default=n)
+    if s >= n or any(lo < 0 or hi > n for lo, hi in spans):
+        return slice(0, n), slice(0, n)
+    return tuple(slice(o, o + s) for o in (min(max(lo - (s - hi + lo) // 2, 0), n - s)
+                                           for lo, hi in spans))
 
-    H, the flux Phi, the increment and the forcing live on fields.GhostRows
-    for the whole solve, and `self.H` and `self.omega` view the state and
-    its curl.  H holds no -0, so plain differences give the bytes of curl_z
-    and divergence.  The curl, |curl| and the divergence overwrite the
-    differences d(h2)/dx, d(h1)/dy and d(h1)/dx they are made of, and one
-    strided fill each clears the ghosts an x-difference leaves in the curl,
-    the divergence and the x-increment.  The sums of |H|^2 and |w|^p run
-    over whole runs.  `step` is one whole step, and folds the new state
-    into `diag`; it evaluates one pow, |w|^(p-1) by pow_into, which serves
-    the flux and, times |w|, the dissipation sum |w|^p.
+
+class _StepKernel:
+    """The forward-Euler march of one state H on the n x n grid of spacing
+    h, run on a square window `win` of side s laid out as GhostRows(s, k),
+    every array and view bound once per window: a step is ufunc calls only.
+
+    Invariant: H and F are +0 on the window's edge ring and outside, and no
+    cell of its 2-wide frame is live by pow_into's test |w| > 2^(-1100/(p-1)).
+    Then the zero ghosts read the true neighbours and every cell outside
+    gets a +0 increment, so the march is the whole grid's, bit for bit.  The
+    curl is nonzero only within one cell of H's support, so the supports of
+    H and F padded by 3 cells put the invariant in place; WINDOW_PAD adds 2
+    of slack.  `step` tests the frame with three max reductions (the top two
+    rows, the bottom two, and the side columns with the ghost between them
+    as one (s - 3, 5) view); a live cell puts the window into the whole
+    grid and chooses it again.  A whole-grid window has no frame to test.
+
+    H holds no -0, so plain differences give the bytes of curl_z and
+    divergence.  The curl, |curl| and the divergence overwrite the
+    differences they are made of, and three strided fills clear the ghosts
+    an x-difference leaves.  The sums of |H|^2 and |w|^p run over the
+    window's runs, h^2 sum |F|^2 over the grid.  A step's one pow,
+    |w|^(p-1), gives the flux and, times |w|, the dissipation sum |w|^p.
     """
 
-    def __init__(self, grid: GridSpec, p: float, H, forcing: VectorField2 | None):
-        n, h = grid.n, grid.spacing
-        pair, one = GhostRows(n, 2), GhostRows(n, 1)
-        self.h2, self.e = h * h, p - 1.0
+    def __init__(self, n: int, h: float, p: float, H, forcing: VectorField2 | None):
+        self.n, self.h2, self.e = n, h * h, p - 1.0
+        self.floor = 2.0 ** (-1100.0 / self.e)  # pow_into's
         # 0-d arrays, which a ufunc takes faster than Python floats
-        self.dt, scale = np.array(0.0), np.array(1.0 / (2.0 * h))
-        H_buf, flux = pair.load(H), np.zeros(one.size)
+        self.dt, self.scale = np.array(0.0), np.array(1.0 / (2.0 * h))
+        self.forcing = forcing
+        f1, f2 = _forcing_arrays(forcing)
+        self.forcing_sq = float(self.h2 * np.sum(f1 * f1 + f2 * f2))
+        self.f_live = (f1 != 0) | (f2 != 0)
+        self.diag = CurlDiagnostics()
+        self.dissipation = self.forcing_l2 = self.e0 = 0.0
+        self.full = np.zeros((3, n, n))
+        self.place(H)
+
+    def place(self, H) -> None:
+        """Choose the window around H and F, load H into it and bind its views."""
+        self.win = win = _window(self.f_live | (H[0] != 0) | (H[1] != 0))
+        s = win[0].stop - win[0].start
+        pair, one = GhostRows(s, 2), GhostRows(s, 1)
+        H_buf, flux = pair.load([h[win] for h in H]), np.zeros(one.size)
         dx, dy, incr = (np.zeros(pair.size) for _ in range(3))
         self.H, self.H_run, self.incr = pair.fields(H_buf), pair.run(H_buf), pair.run(incr)
         (self.div, self.curl), (self.wabs, self.dy1) = pair.runs(dx), pair.runs(dy)
         self.incr0, self.incr1 = pair.runs(incr)
         self.omega, (self.flux,) = pair.fields(dx)[1], one.runs(flux)
-        self.ddx_H = (*pair.neighbours(H_buf, -1), pair.run(dx), scale)
-        self.ddy_H = (*pair.neighbours(H_buf, -2), pair.run(dy), scale)
-        self.ddy_flux = (*one.neighbours(flux, -2), self.incr0, scale)
-        self.ddx_flux = (*one.neighbours(flux, -1), self.incr1, scale)
+        self.ddx_H = (*pair.neighbours(H_buf, -1), pair.run(dx), self.scale)
+        self.ddy_H = (*pair.neighbours(H_buf, -2), pair.run(dy), self.scale)
+        self.ddy_flux = (*one.neighbours(flux, -2), self.incr0, self.scale)
+        self.ddx_flux = (*one.neighbours(flux, -1), self.incr1, self.scale)
         self.live = np.empty(self.curl.shape, dtype=bool)
-        self.ghosts = [run[n::n + 1] for run in (self.curl, self.div, self.incr1)]
-        f1, f2 = _forcing_arrays(forcing)
-        self.forcing_sq = float(self.h2 * np.sum(f1 * f1 + f2 * f2))
-        self.f1, self.f2 = (f1, f2) if forcing is None else pair.runs(pair.load((f1, f2)))
-        self.diag = CurlDiagnostics()
-        self.dissipation = self.forcing_l2 = self.e0 = 0.0
+        self.ghosts = [run[s::s + 1] for run in (self.curl, self.div, self.incr1)]
+        F = self.forcing
+        self.f1, self.f2 = (0.0, 0.0) if F is None else pair.runs(
+            pair.load([F.comp1.values[win], F.comp2.values[win]]))
+        w, wabs = s + 1, self.wabs
+        self.frame = [] if s == self.n else [
+            wabs[:2 * w], wabs[(s - 2) * w:], wabs[2 * s - 1:s * s - 4].reshape(s - 3, w)[:, :5],
+        ]
+
+    def snapshot(self) -> np.ndarray:
+        """(h1, h2, curl) on the grid in one (3, n, n) array that is +0
+        outside the window, as a regrow keeps the supports inside it."""
+        out = self.full
+        out[(slice(0, 2), *self.win)] = self.H
+        out[(2, *self.win)] = self.omega
+        return out
 
     def differentiate(self) -> float:
         """Differences and curl of H; returns max |curl|."""
@@ -213,7 +261,8 @@ class _StepKernel:
     def step(self, dt: float, t: float) -> float:
         """H += dt * (F - (d(Phi)/dy, -d(Phi)/dx)), Phi = psi_{p-1}(w) of the
         last differentiated state, to time t; then differentiate, check and
-        record the new state.  Returns its max |curl|."""
+        record the new state, and choose the window again if its frame is
+        live.  Returns its max |curl|."""
         pow_into(self.wabs, self.e, self.flux, self.live)
         np.multiply(self.flux, self.wabs, self.incr0)
         lp = self.h2 * float(np.add.reduce(self.incr0, None))  # h^2 sum |w|^p
@@ -231,13 +280,18 @@ class _StepKernel:
         self.differentiate()
         self.check_blowup(t)
         self.record(t)
+        if any(not (np.maximum.reduce(edge, None) <= self.floor) for edge in self.frame):
+            self.place(self.snapshot()[:2])
+            self.differentiate()
         return self.wmax
 
 
 def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
-    """Adaptive explicit integration with snapshots and energy diagnostics."""
+    """Adaptive explicit integration with snapshots and energy diagnostics,
+    on the window of the grid that _StepKernel keeps."""
     grid, H0 = problem.grid, problem.H0
-    kernel = _StepKernel(grid, problem.p, (H0.comp1.values, H0.comp2.values), problem.forcing)
+    kernel = _StepKernel(grid.n, grid.spacing, problem.p, (H0.comp1.values, H0.comp2.values),
+                         problem.forcing)
 
     if kernel.differentiate() > 1.0 + 1e-9 and problem.p > 8:
         raise DomainError(
@@ -247,7 +301,7 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
     targets, eps_t = snapshot_targets(config.snapshot_times, problem.horizon)
 
     kernel.record(0.0)
-    snapshots = [(0.0, H0, ScalarField(grid, kernel.omega))]  # H0 keeps its -0
+    snapshots = [(0.0, H0, ScalarField(grid, kernel.snapshot()[2]))]  # H0 keeps its -0
     t = 0.0
     for target in targets:
         while t < target - eps_t:
@@ -256,8 +310,8 @@ def curl_solve(problem: CurlProblem, config: CurlConfig) -> CurlSolution:
                 raise StepTooSmall(t, dt)
             t = target if target - (t + dt) <= eps_t else t + dt
             wmax = kernel.step(dt, t)
-        H = VectorField2(ScalarField(grid, kernel.H[0]), ScalarField(grid, kernel.H[1]))
-        snapshots.append((target, H, ScalarField(grid, kernel.omega)))  # copies of the views
+        h1, h2, omega = (ScalarField(grid, a) for a in kernel.snapshot())
+        snapshots.append((target, VectorField2(h1, h2), omega))
 
     return CurlSolution(problem, snapshots, kernel.diag)
 

@@ -316,6 +316,21 @@ def test_mesa_regression_baseline(mesa_report):
         assert mesa_report.metrics[f"e@{m:g}"] == pytest.approx(expected, rel=1e-6)
 
 
+SATURATION_BASELINE = {
+    # sup |curl H| at the horizon of the forced saturation sweep
+    # (configs/sweep_p.cfg), the values the saturation-sweep benchmark pins
+    4.0: 1.6385064778683898,
+    8.0: 1.246233639094743,
+    16.0: 1.1094463972197932,
+    32.0: 1.0518668916544085,
+}
+
+
+def test_saturation_regression_baseline(saturation_forced):
+    for p, expected in SATURATION_BASELINE.items():
+        assert saturation_forced.metrics[f"sup_omega@{p:g}"] == pytest.approx(expected, rel=1e-6)
+
+
 def test_mesa_sweep_boundary_ring_is_exactly_zero(mesa_report):
     # the data vanish far inside the box, so every exponent's final state
     # holds +0 on the outer ring, not a subnormal residue of Newton's rounding

@@ -1023,3 +1023,19 @@ def test_entries_that_label_metrics_alike_are_a_config_error(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert f"config error: {field}: " in err
     assert not out.exists()
+
+
+def test_a_failed_run_removes_the_report_of_an_earlier_run(tmp_path, capsys):
+    # a run that passes, then one into the same directory that fails after
+    # its config checks: neither the old report.json nor summary.txt stays
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    out = tmp_path / "out"
+    assert run(["sweep-p", "--config", str(configs / "sweep_p_relaxation.cfg"),
+                "--out", str(out)]) == 0
+    assert (out / "report.json").is_file() and (out / "summary.txt").is_file()
+    text = (configs / "sweep_p.cfg").read_text()
+    assert "schedule = 4, 8, 16, 32" in text
+    failing = write_cfg(tmp_path, text.replace("schedule = 4, 8, 16, 32", "schedule = 60, 64"))
+    assert run(["sweep-p", "--config", str(failing), "--out", str(out)]) == 3
+    assert "below minimum" in capsys.readouterr().err
+    assert not (out / "report.json").exists() and not (out / "summary.txt").exists()

@@ -18,6 +18,7 @@ from bean_limit.curl2d import (
     vi_residual,
     _cfl_dt,
     _StepKernel,
+    _window,
 )
 from bean_limit.datagen import (
     BumpSpec,
@@ -267,7 +268,7 @@ def stepped_reference(prob, config):
         series["forcing_l2_cum"].append(fl2)
 
     F = prob.forcing
-    f_sq = float(h2 * np.sum(F.comp1.values ** 2 + F.comp2.values ** 2))
+    f_sq = 0.0 if F is None else float(h2 * np.sum(F.comp1.values ** 2 + F.comp2.values ** 2))
     record(0.0)
     snaps = [H]
     for target in targets[1:]:
@@ -283,31 +284,127 @@ def stepped_reference(prob, config):
     return snaps, series
 
 
+def test_window_is_the_padded_square_around_the_live_cells():
+    live = np.zeros((40, 40), dtype=bool)
+    whole = (slice(0, 40), slice(0, 40))
+    assert _window(live) == whole  # nothing live
+    live[20, 12] = True  # one cell, 5 of pad on each side
+    assert _window(live) == (slice(15, 26), slice(7, 18))
+    live[20, 12:30] = True  # the rows widen about their middle to the 28 columns
+    assert _window(live) == (slice(7, 35), slice(7, 35))
+    live[:] = False
+    live[5, [10, 30]] = True  # widened rows reach past row 0, so they shift down
+    assert _window(live) == (slice(0, 31), slice(5, 36))
+    live[4, 30] = True  # the padded rows reach past the grid
+    assert _window(live) == whole
+    live[:] = False
+    live[5:35, 20] = True  # the padded box is as tall as the grid
+    assert _window(live) == whole
+
+
+def windowed_solve(prob, config):
+    """curl_solve's solution, the windows its kernel placed, in order, and
+    the window it held at each time it made a snapshot."""
+    places, at = [], {}
+    place, snapshot = _StepKernel.place, _StepKernel.snapshot
+
+    def recording_place(self, H):
+        place(self, H)
+        places.append(self.win)
+
+    def recording_snapshot(self):
+        at[self.diag.times[-1]] = self.win  # a regrow's snapshot comes first
+        return snapshot(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_StepKernel, "place", recording_place)
+        mp.setattr(_StepKernel, "snapshot", recording_snapshot)
+        sol = curl_solve(prob, config)
+    return sol, places, at
+
+
+def assert_matches_stepped_reference(prob, config):
+    """curl_solve gives the stepped reference's snapshots, times and
+    div_drift_max bit for bit, and its energy_ratio to rel 1e-13; every
+    snapshot holds +0 outside the window.  Returns the solution, the
+    windows placed and the reference's series."""
+    sol, places, at = windowed_solve(prob, config)
+    snaps, series = stepped_reference(prob, config)
+    n = prob.grid.n
+    for (t, H, omega), ref in zip(sol.snapshots, snaps, strict=True):
+        for got, want in ((H.comp1, ref.comp1), (H.comp2, ref.comp2), (omega, curl_z(ref))):
+            assert got.values.tobytes() == want.values.tobytes(), t
+        outside = np.ones((n, n), dtype=bool)
+        outside[at[t]] = False
+        for got in (omega,) if t == 0.0 else (H.comp1, H.comp2, omega):  # H0 keeps its -0
+            assert not np.any(got.values.view(np.uint64)[outside]), t
+    d = sol.diagnostics
+    assert d.times == series["times"]
+    assert d.div_drift_max == max(series["div_drift"])
+    # the kernel forms the dissipation's |w|^p as |w|^(p-1) * |w|, one
+    # rounding away from pow, and sums |w|^p and |H|^2 over the padded runs
+    # of its window, in another pairwise grouping than a sum over the grid
+    e0 = series["l2_H"][0] ** 2
+    ratio = max((l2h ** 2 + 2.0 * diss) / ((e0 + fl2) * math.exp(t))
+                for t, l2h, diss, fl2 in zip(series["times"], series["l2_H"],
+                                             series["dissipation_cum"], series["forcing_l2_cum"]))
+    assert d.energy_ratio == pytest.approx(ratio, rel=1e-13, abs=0.0)
+    return sol, places, series
+
+
 def test_curl_solve_matches_the_stepped_reference_bit_for_bit():
     g = GridSpec(4.0, 24)
     H0 = default_h0(g, curl_max=0.9)
     F = field_from_stream(g, StreamSpec(width=2.0, curl_max=20.0))
     prob = CurlProblem(grid=g, p=8.0, H0=H0, forcing=F, horizon=0.05)
     config = CurlConfig(snapshot_times=(0.02,))
-    sol = curl_solve(prob, config)
-    snaps, series = stepped_reference(prob, config)
-
+    sol, _, series = assert_matches_stepped_reference(prob, config)
     assert len(series["times"]) > 20
     assert [t for t, *_ in sol.snapshots] == [0.0, 0.02, 0.05]
-    for (_, H, omega), ref in zip(sol.snapshots, snaps, strict=True):
-        for got, want in ((H.comp1, ref.comp1), (H.comp2, ref.comp2), (omega, curl_z(ref))):
-            assert got.values.tobytes() == want.values.tobytes()
-    d = sol.diagnostics
-    assert d.times == series["times"]
-    assert d.div_drift_max == max(series["div_drift"])
-    # the kernel forms the dissipation's |w|^p as |w|^(p-1) * |w|, one
-    # rounding away from pow, and sums |w|^p and |H|^2 over its padded
-    # runs, in another pairwise grouping than a sum over the grid
-    e0 = series["l2_H"][0] ** 2
-    ratio = max((l2h ** 2 + 2.0 * diss) / ((e0 + fl2) * math.exp(t))
-                for t, l2h, diss, fl2 in zip(series["times"], series["l2_H"],
-                                             series["dissipation_cum"], series["forcing_l2_cum"]))
-    assert d.energy_ratio == pytest.approx(ratio, rel=1e-13, abs=0.0)
+
+
+def test_a_window_that_must_regrow_matches_the_stepped_reference():
+    # sweep_p.cfg's data at p = 4 on a coarser grid: the curl spreads to the
+    # window's frame, and the window grows to the whole grid
+    g = GridSpec(4.0, 32)
+    H0 = default_h0(g, curl_max=0.9)
+    F = field_from_stream(g, StreamSpec(width=2.0, curl_max=20.0))
+    prob = CurlProblem(grid=g, p=4.0, H0=H0, forcing=F, horizon=0.3)
+    _, places, _ = assert_matches_stepped_reference(prob, CurlConfig(snapshot_times=(0.1, 0.2)))
+    sides = [w[0].stop - w[0].start for w in places]
+    assert len(places) >= 2 and sides[0] < g.n and sides[-1] == g.n, places
+
+
+@pytest.mark.parametrize("turns", range(4))
+def test_a_window_regrows_from_each_side_of_its_frame(turns):
+    # a stream bump beside one 1e40 times weaker, whose curl underflows
+    # pow_into's floor before it reaches the frame: the strong one's curl
+    # reaches one side of the frame first, the top, bottom, left or right
+    # one as the data turn, and a frame test that missed it would lose the
+    # flux that leaves the window
+    g = GridSpec(4.0, 40)
+    x, y = g.meshgrid()
+    phi = sum(a * np.clip(1.0 - ((x - cx) ** 2 + y ** 2), 0.0, None) ** 4
+              for a, cx in ((1.0, 1.2), (1e-40, -1.2)))
+    phi = np.rot90(phi, turns)
+    peak = float(np.max(np.abs(curl_z(from_stream(ScalarField(g, phi))).values)))
+    H0 = from_stream(ScalarField(g, phi * (0.9 / peak)))
+    prob = CurlProblem(grid=g, p=4.0, H0=H0, forcing=None, horizon=0.05)
+    _, places, _ = assert_matches_stepped_reference(prob, CurlConfig(snapshot_times=(0.01,)))
+    assert places[0] == (slice(3, 37), slice(3, 37)) and len(places) == 2
+
+
+def test_data_on_the_edge_ring_make_the_window_the_whole_grid():
+    # a subnormal in each corner of H0, inside every tolerance of CurlProblem
+    g = GridSpec(4.0, 24)
+    H0 = default_h0(g, curl_max=0.9)
+    h1 = H0.comp1.values.copy()
+    h1[[0, 0, -1, -1], [0, -1, 0, -1]] = 5e-324
+    H0 = VectorField2(ScalarField(g, h1), H0.comp2)
+    F = field_from_stream(g, StreamSpec(width=2.0, curl_max=20.0))
+    prob = CurlProblem(grid=g, p=8.0, H0=H0, forcing=F, horizon=0.02)
+    _, places, _ = assert_matches_stepped_reference(prob, CurlConfig(snapshot_times=(0.01,)))
+    assert places == [(slice(0, g.n), slice(0, g.n))]
 
 
 def test_curl_solve_raises_blowup_mid_run():
@@ -341,14 +438,14 @@ def test_a_nan_curl_raises_blowup():
     g = GridSpec(4.0, 16)
     H = np.zeros((2, 16, 16))
     H[0, 8, 8] = np.nan
-    kernel = _StepKernel(g, 4.0, H, None)
+    kernel = _StepKernel(g.n, g.spacing, 4.0, H, None)
     assert math.isnan(kernel.differentiate())
     with pytest.raises(BlowUp):
         kernel.check_blowup(0.0)
 
     H0 = default_h0(g)
     H = np.stack((H0.comp1.values, H0.comp2.values))
-    kernel = _StepKernel(g, 4.0, H, None)
+    kernel = _StepKernel(g.n, g.spacing, 4.0, H, None)
     assert kernel.differentiate() <= BLOWUP_LIMIT
     with pytest.raises(BlowUp) as info:
         kernel.step(math.nan, 0.5)  # a NaN dt makes every cell NaN
@@ -442,6 +539,43 @@ def test_divergence_stays_at_roundoff_on_every_step(n, p, seed, force):
     assert sol.diagnostics.div_drift_max <= 1e-10
 
 
+def off_centre_data_field(g, rng, origin):
+    """random_data_field on an (n // 2)-cell grid of g's spacing, its cell
+    (0, 0) placed at the cell `origin` of g: data off the middle of g."""
+    m = g.n // 2
+    small = random_data_field(GridSpec(g.half_width * m / g.n, m), rng)
+    r, c = origin
+    comps = []
+    for part in (small.comp1, small.comp2):
+        values = np.zeros((g.n, g.n))
+        values[r:r + m, c:c + m] = part.values
+        comps.append(ScalarField(g, values))
+    return VectorField2(*comps)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.integers(24, 33),
+    p=st.sampled_from([3.0, 4.0, 8.0]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    force=st.floats(0.0, 5.0),
+    corner=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_curl_solve_on_off_centre_data_matches_the_stepped_reference(n, p, seed, force, corner):
+    g = GridSpec(4.0, n)
+    rng = np.random.default_rng(seed)
+    # the small grid's data lie within its middle half and 2 cells, so
+    # they keep g's L/4 margin for each origin from 4 to n - n // 2 - 4
+    origin = tuple(4 + round((n - n // 2 - 8) * x) for x in corner)
+    H0 = off_centre_data_field(g, rng, origin)
+    V = off_centre_data_field(g, rng, origin)
+    F = VectorField2(ScalarField(g, force * V.comp1.values), ScalarField(g, force * V.comp2.values))
+    prob = CurlProblem(grid=g, p=p, H0=H0, forcing=F, horizon=0.05)
+    _, places, series = assert_matches_stepped_reference(prob, CurlConfig(snapshot_times=(0.02,)))
+    assert len(series["times"]) >= 3
+    assert places[0][0].stop - places[0][0].start < n
+
+
 def test_kernel_curl_and_divergence_match_curl_z_and_divergence_bit_for_bit():
     # the kernel differentiates on its own layout; after each step its
     # curl and its div_drift are those of curl_z and divergence
@@ -451,7 +585,7 @@ def test_kernel_curl_and_divergence_match_curl_z_and_divergence_bit_for_bit():
     H = np.stack((H0.comp1.values, H0.comp2.values))
     H[:, :2, :] = -0.0
     H[:, -3:, :4] = [5e-324, -5e-324, 0.0, -0.0]
-    kernel = _StepKernel(g, 8.0, H, F)
+    kernel = _StepKernel(g.n, g.spacing, 8.0, H, F)
     wmax = kernel.differentiate()
     kernel.record(0.0)
     drift = 0.0
@@ -466,8 +600,11 @@ def test_kernel_curl_and_divergence_match_curl_z_and_divergence_bit_for_bit():
         wmax = kernel.step(dt, (k + 1) * dt)
 
 
-@pytest.mark.parametrize("n", [24, 25])
-def test_kernel_padding_stays_plus_zero_and_steps_allocate_nothing(n):
+@pytest.mark.parametrize("n, window", [
+    pytest.param(24, False, id="24"), pytest.param(25, False, id="25"),
+    pytest.param(24, True, id="window-24"), pytest.param(25, True, id="window-25"),
+])
+def test_kernel_padding_stays_plus_zero_and_steps_allocate_nothing(n, window):
     # the kernel's differences read ghosts and zero rows as +0 cells, so
     # after every step each of them must be +0 by bit pattern: in the
     # buffers of H, the increment, the forcing and the flux, and in the
@@ -481,13 +618,22 @@ def test_kernel_padding_stays_plus_zero_and_steps_allocate_nothing(n):
     for got, want in ((first.comp1, H0.comp1), (first.comp2, H0.comp2)):
         assert got.values.tobytes() == want.values.tobytes()
 
-    # random data, whose differences at the edges put junk in the ghosts
+    # random data, whose differences at the edges put junk in the ghosts;
+    # for a window kernel, random data in a block off the middle of the grid
     rng = np.random.default_rng(n)
     H = 0.05 * rng.standard_normal((2, n, n))
     H[rng.random(H.shape) < 0.2] = -0.0
-    F = VectorField2(*(ScalarField(g, f) for f in 0.1 * rng.standard_normal((2, n, n))))
-    kernel = _StepKernel(g, 8.0, H, F)
-    pair, one = GhostRows(n, 2), GhostRows(n, 1)
+    F = 0.1 * rng.standard_normal((2, n, n))
+    if window:
+        block = np.zeros((n, n), dtype=bool)
+        block[6:14, 9:15] = True
+        H[:, ~block] = F[:, ~block] = 0.0
+        H *= 0.2  # a curl small enough that the flux stays off the window's frame
+    kernel = _StepKernel(n, g.spacing, 8.0, H, VectorField2(*(ScalarField(g, f) for f in F)))
+    win = kernel.win
+    s = win[0].stop - win[0].start
+    assert (s < n and win[0].start > 0 and win[1].start > 0) == window, win
+    pair, one = GhostRows(s, 2), GhostRows(s, 1)
 
     def pad_bits(view, layout):
         pad = np.ones(layout.size, dtype=bool)
@@ -499,11 +645,15 @@ def test_kernel_padding_stays_plus_zero_and_steps_allocate_nothing(n):
     dt = 1e-3  # stable while max |curl| < 1
     for k in range(20):
         assert kernel.step(dt, (k + 1) * dt) < 1.0
+        assert kernel.win == win, k
         for view, layout in ((kernel.H, pair), (kernel.incr, pair), (kernel.f1, pair),
                              (kernel.flux, one)):
             assert not np.any(pad_bits(view, layout)), k
         for run in (kernel.curl, kernel.wabs, kernel.div):
-            assert not np.any(run[n::n + 1].view(np.uint64)), k
+            assert not np.any(run[s::s + 1].view(np.uint64)), k
+        outside = np.ones((n, n), dtype=bool)
+        outside[win] = False
+        assert not np.any(kernel.snapshot()[:, outside].view(np.uint64)), k
 
     tracemalloc.start()
     try:
@@ -512,6 +662,7 @@ def test_kernel_padding_stays_plus_zero_and_steps_allocate_nothing(n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert kernel.win == win
     assert peak < 8 * n * n
 
 
