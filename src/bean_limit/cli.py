@@ -11,8 +11,9 @@ configuration problems, caught before any solver runs: a data block the
 subcommand needs and the file does not set, a snapshot time outside
 [0, horizon], repeated metric labels, and a set key outside the
 subcommand's row of COMMANDS and the keys every run reads.  Once these
-checks pass, a run removes the report.json and summary.txt of an earlier
-run from its output directory, so a run that fails leaves neither.
+checks pass, a run removes the report.json, summary.txt and field dumps
+(the *.csv files that start with a dump's header) of an earlier run from
+its output directory, so a run that fails leaves none of them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .experiments import (
     at_most,
     barenblatt_convergence,
     collapse_experiment,
-    constant_source,
     equivalence_check,
     l1_contraction_check,
     small_data_check,
@@ -44,7 +44,7 @@ from .experiments import (
     sweep_p,
 )
 from .fields import GridSpec, ScalarField
-from .io_formats import write_field, write_report
+from .io_formats import is_field_dump, write_field, write_report
 
 SOLVER_ERRORS = (
     pme.NewtonDiverged,
@@ -55,7 +55,7 @@ SOLVER_ERRORS = (
     PreconditionFailed,
 )
 
-# the keys experiments.pme_config and curl_config read
+# the keys experiments._run_pme and _run_curl read
 _PME = ("pme", "snapshot_times")
 _CURL = ("curl", "snapshot_times")
 
@@ -171,7 +171,8 @@ def _cmd_mesa_profile(cfg: RunConfig, out_dir: Path) -> Report:
     grid = _grid(cfg)
     t = cfg.require("horizon")
     f = bump_field(grid, _bump(cfg, "f"))
-    G = accumulated_source(constant_source(grid, bump_field, _bump(cfg, "g")), t, grid)
+    g = _bump(cfg, "g")
+    G = accumulated_source(bump_field(grid, g) if g else None, t, grid)
     name = cfg.get("experiment", "mesa-profile")
     u_limit, mask, vi = obstacle.mesa_profile(f, G)
     report = Report(name=name)
@@ -209,8 +210,9 @@ def _dispatch(command: str, cfg: RunConfig, out_dir: Path) -> Report:
     if unused:
         raise ConfigError(f"{command} does not use {', '.join(map(repr, unused))}")
     spec = None if key is None else _experiment_spec(cfg, command)
-    for name in ("report.json", "summary.txt"):  # a run that fails leaves no earlier verdict
-        (out_dir / name).unlink(missing_ok=True)
+    dumps = [path for path in out_dir.glob("*.csv") if path.is_file() and is_field_dump(path)]
+    for path in [out_dir / "report.json", out_dir / "summary.txt", *dumps]:
+        path.unlink(missing_ok=True)  # a run that fails leaves no earlier output
     if key is None:
         return globals()[driver](cfg, out_dir)
     return globals()[driver](spec, sink=_field_writer(out_dir))

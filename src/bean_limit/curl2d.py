@@ -31,6 +31,7 @@ from .fields import (
     central_difference,
     curl_z,
     divergence,
+    pow_floor,
     pow_into,
     snapshot_targets,
     support_margin_ok,
@@ -159,7 +160,7 @@ class _StepKernel:
     every array and view bound once per window: a step is ufunc calls only.
 
     Invariant: H and F are +0 on the window's edge ring and outside, and no
-    cell of its 2-wide frame is live by pow_into's test |w| > 2^(-1100/(p-1)).
+    cell of its 2-wide frame is live by pow_into's test |w| > pow_floor(p - 1).
     Then the zero ghosts read the true neighbours and every cell outside
     gets a +0 increment, so the march is the whole grid's, bit for bit.  The
     curl is nonzero only within one cell of H's support, so the supports of
@@ -179,7 +180,7 @@ class _StepKernel:
 
     def __init__(self, n: int, h: float, p: float, H, forcing: VectorField2 | None):
         self.n, self.h2, self.e = n, h * h, p - 1.0
-        self.floor = 2.0 ** (-1100.0 / self.e)  # pow_into's
+        self.floor = pow_floor(self.e)
         # 0-d arrays, which a ufunc takes faster than Python floats
         self.dt, self.scale = np.array(0.0), np.array(1.0 / (2.0 * h))
         self.forcing = forcing

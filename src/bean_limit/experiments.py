@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curl2d import CurlConfig, CurlProblem, curl_solve, vi_residual
+from .curl2d import CurlConfig, CurlProblem, CurlSolution, curl_solve, vi_residual
 from .datagen import (
     BumpSpec,
     Pcg64,
@@ -133,9 +133,12 @@ class ExperimentSpec:
                 raise ValueError(f"{name}: more than one entry is labelled {', '.join(repeated)}")
 
 
+def _mass(u: ScalarField) -> float:
+    return float(u.grid.spacing ** 2 * np.sum(u.values))
+
+
 def _l1_distance(a: ScalarField, b: ScalarField) -> float:
-    h2 = a.grid.spacing ** 2
-    return float(h2 * np.sum(np.abs(a.values - b.values)))
+    return float(a.grid.spacing ** 2 * np.sum(np.abs(a.values - b.values)))
 
 
 def _decreasing(xs) -> bool:
@@ -238,33 +241,23 @@ def _no_dumps(name: str, field: ScalarField, t: float):
     """The sink of a driver run that writes no field dumps."""
 
 
-def constant_source(grid: GridSpec, make, data):
-    """make(grid, data) as a source, constant in time, or None without data."""
-    return make(grid, data) if data is not None else None
-
-
-def pme_config(spec: ExperimentSpec, steps: int = 50) -> PmeConfig:
-    """The spec's PME settings; without dt_init the first step is horizon / steps."""
-    return PmeConfig(
-        dt_init=spec.horizon / steps if spec.dt_init is None else spec.dt_init,
-        snapshot_times=spec.snapshot_times,
-    )
-
-
-def curl_config(spec: ExperimentSpec) -> CurlConfig:
-    return CurlConfig(snapshot_times=spec.snapshot_times, cfl_safety=spec.cfl_safety)
-
-
-def _run_pme(
-    spec: ExperimentSpec, m: float, f: ScalarField, forcing, sink, name: str
-) -> PmeSolution:
-    """pme_solve from f under the spec's settings; `sink` gets the final state as `name`."""
-    problem = PmeProblem(
-        grid=spec.grid, law=PowerLaw(m), u0=f, forcing=forcing, horizon=spec.horizon
-    )
-    sol = pme_solve(problem, pme_config(spec))
+def _run_pme(spec: ExperimentSpec, m: float, u0: ScalarField, forcing, sink=_no_dumps,
+             name: str = "", steps: int = 50) -> PmeSolution:
+    """pme_solve from u0 on its grid to the spec's horizon, at its snapshot
+    times; the first step is dt_init, or horizon / steps without it.  `sink`
+    gets the final state as `name`."""
+    problem = PmeProblem(u0.grid, PowerLaw(m), u0, forcing, spec.horizon)
+    dt_init = spec.horizon / steps if spec.dt_init is None else spec.dt_init
+    sol = pme_solve(problem, PmeConfig(dt_init=dt_init, snapshot_times=spec.snapshot_times))
     sink(name, sol.snapshots[-1][1], spec.horizon)
     return sol
+
+
+def _run_curl(spec: ExperimentSpec, p: float, H0, forcing) -> CurlSolution:
+    """curl_solve from H0 on its grid to the spec's horizon, at its snapshot
+    times and CFL safety factor."""
+    problem = CurlProblem(H0.grid, p, H0, forcing, spec.horizon)
+    return curl_solve(problem, CurlConfig(spec.snapshot_times, spec.cfl_safety))
 
 
 def solve_pme(spec: ExperimentSpec, sink=_no_dumps) -> Report:
@@ -272,16 +265,12 @@ def solve_pme(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     at every snapshot, the mass-balance residual and the boundary values."""
     grid = spec.grid
     u0 = bump_field(grid, spec.f) if spec.f else ScalarField.zeros(grid)
-    forcing = constant_source(grid, bump_field, spec.g)
-    problem = PmeProblem(
-        grid=grid, law=PowerLaw(spec.schedule[0]), u0=u0, forcing=forcing, horizon=spec.horizon
-    )
-    sol = pme_solve(problem, pme_config(spec))
+    sol = _run_pme(spec, spec.schedule[0], u0, bump_field(grid, spec.g) if spec.g else None)
     report = Report(name=spec.name)
     trunc = 0.0
     for t, u in sol.snapshots:
         sink("u", u, t)
-        report.add_metric("mass", float(grid.spacing ** 2 * np.sum(u.values)), t)
+        report.add_metric("mass", _mass(u), t)
         report.add_metric("sup", float(np.max(np.abs(u.values))), t)
         trunc = max(trunc, boundary_ring_max(u))
     report.add_metric("mass_residual_max", sol.diagnostics.mass_residual_max)
@@ -296,11 +285,8 @@ def solve_curl(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     norm at every snapshot, divergence drift, energy budget and boundary values."""
     grid = spec.grid
     H0 = field_from_stream(grid, spec.h0_stream)
-    forcing = constant_source(grid, field_from_stream, spec.forcing_stream)
-    problem = CurlProblem(
-        grid=grid, p=spec.schedule[0], H0=H0, forcing=forcing, horizon=spec.horizon
-    )
-    sol = curl_solve(problem, curl_config(spec))
+    forcing = field_from_stream(grid, spec.forcing_stream) if spec.forcing_stream else None
+    sol = _run_curl(spec, spec.schedule[0], H0, forcing)
     report = Report(name=spec.name)
     trunc = 0.0
     for t, H, omega in sol.snapshots:
@@ -326,7 +312,7 @@ def sweep_p(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     grid = spec.grid
     h = grid.spacing
     H0 = field_from_stream(grid, spec.h0_stream)
-    forcing = constant_source(grid, field_from_stream, spec.forcing_stream)
+    forcing = field_from_stream(grid, spec.forcing_stream) if spec.forcing_stream else None
 
     fl2 = 0.0 if forcing is None else math.sqrt(h * h * float(np.sum(
         forcing.comp1.values ** 2 + forcing.comp2.values ** 2)))  # ||F||_L2
@@ -342,8 +328,7 @@ def sweep_p(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     energy_keys: list[str] = []
     trunc_worst = 0.0
     for p in spec.schedule:
-        problem = CurlProblem(grid=grid, p=p, H0=H0, forcing=forcing, horizon=spec.horizon)
-        sol = curl_solve(problem, curl_config(spec))
+        sol = _run_curl(spec, p, H0, forcing)
         _, H_final, omega_final = sol.snapshots[-1]
         sink(f"omega_p{p:g}", omega_final, spec.horizon)
         wabs = np.abs(omega_final.values)
@@ -394,7 +379,7 @@ def sweep_m_vs_mesa(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     report = Report(name=spec.name)
     grid = spec.grid
     f = bump_field(grid, spec.f)
-    g = constant_source(grid, bump_field, spec.g)
+    g = bump_field(grid, spec.g) if spec.g else None
     if float(np.max(f.values)) > UNIT_CAP:
         raise PreconditionFailed("mesa sweep requires max f <= 1")
     # the growth defect is not monotone in m (m s^m peaks at m = -1/ln s), so
@@ -443,13 +428,11 @@ def collapse_experiment(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     f = bump_field(grid, spec.f)
     if float(np.max(f.values)) <= 1.0:
         raise PreconditionFailed("collapse experiment expects max f > 1")
-    forcing = constant_source(grid, bump_field, spec.g)
+    forcing = bump_field(grid, spec.g) if spec.g else None
 
     v_limit, mask, vi = collapse_profile(f)
     sink("v_limit", v_limit, 0.0)
-    h2 = grid.spacing ** 2
-    mass_f = float(h2 * np.sum(f.values))
-    mass_v = float(h2 * np.sum(v_limit.values))
+    mass_f, mass_v = _mass(f), _mass(v_limit)
     report.add_metric("mass_f", mass_f)
     report.add_metric("mass_v_limit", mass_v)
     report.add_metric("mass_rel_defect", abs(mass_v - mass_f) / abs(mass_f))
@@ -458,13 +441,8 @@ def collapse_experiment(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     # the conservation verdict is measured on the finest configured grid
     mass_n = max((grid.n, *spec.grids))
     if mass_n != grid.n:
-        fine_grid = GridSpec(grid.half_width, mass_n)
-        f_fine = bump_field(fine_grid, spec.f)
-        v_fine, _, _ = collapse_profile(f_fine)
-        hf2 = fine_grid.spacing ** 2
-        mass_defect_fine = abs(
-            float(hf2 * np.sum(v_fine.values)) - float(hf2 * np.sum(f_fine.values))
-        ) / float(hf2 * np.sum(f_fine.values))
+        f_fine = bump_field(GridSpec(grid.half_width, mass_n), spec.f)
+        mass_defect_fine = abs(_mass(collapse_profile(f_fine)[0]) - _mass(f_fine)) / _mass(f_fine)
     else:
         mass_defect_fine = report.metrics["mass_rel_defect"]
     report.add_metric("mass_check_n", float(mass_n))
@@ -502,7 +480,7 @@ def small_data_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     report = Report(name=spec.name)
     grid = spec.grid
     f = bump_field(grid, spec.f)
-    g = constant_source(grid, bump_field, spec.g)
+    g = bump_field(grid, spec.g) if spec.g else None
     g_sup = float(np.max(np.abs(g.values))) if g is not None else 0.0
     M = float(np.max(np.abs(f.values))) + spec.horizon * g_sup
     report.add_metric("M", M)
@@ -536,27 +514,17 @@ def equivalence_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     if p > 16:
         raise PreconditionFailed("equivalence check is limited to p <= 16")
     grids = spec.grids or (spec.grid.n,)
-    L = spec.grid.half_width
 
     rel_keys = []
     limit_keys = []
     for n in grids:
-        grid = GridSpec(L, n)
+        grid = GridSpec(spec.grid.half_width, n)
         H0 = field_from_stream(grid, spec.h0_stream)
-        forcing = constant_source(grid, field_from_stream, spec.forcing_stream)
-        pme_forcing = curl_z(forcing) if forcing is not None else None
-        problem = CurlProblem(grid=grid, p=p, H0=H0, forcing=forcing, horizon=spec.horizon)
-        curl_sol = curl_solve(problem, curl_config(spec))
-
-        u0 = curl_z(H0)
-        pme_problem = PmeProblem(
-            grid=grid, law=PowerLaw(p - 1.0), u0=u0, forcing=pme_forcing,
-            horizon=spec.horizon,
-        )
-        pme_sol = pme_solve(pme_problem, pme_config(spec, steps=100))
-
+        forcing = field_from_stream(grid, spec.forcing_stream) if spec.forcing_stream else None
+        curl_sol = _run_curl(spec, p, H0, forcing)
         sink(f"omega_n{n}", curl_sol.snapshots[-1][2], spec.horizon)
-        sink(f"u_n{n}", pme_sol.snapshots[-1][1], spec.horizon)
+        pme_forcing = curl_z(forcing) if forcing is not None else None
+        pme_sol = _run_pme(spec, p - 1.0, curl_z(H0), pme_forcing, sink, f"u_n{n}", steps=100)
         # both solvers snapshot at the same requested times; a mismatch is a
         # bug in a solver's snapshot logic, not a solver failure
         if len(curl_sol.snapshots) != len(pme_sol.snapshots):
@@ -591,7 +559,7 @@ def l1_contraction_check(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     m = spec.schedule[0]
     f1 = bump_field(grid, spec.f)
     f2 = bump_field(grid, spec.f2)
-    forcing = constant_source(grid, bump_field, spec.g)
+    forcing = bump_field(grid, spec.g) if spec.g else None
 
     sol1 = _run_pme(spec, m, f1, forcing, sink, "u1_final")
     sol2 = _run_pme(spec, m, f2, forcing, sink, "u2_final")
@@ -625,20 +593,18 @@ def barenblatt_convergence(spec: ExperimentSpec, sink=_no_dumps) -> Report:
     grids = spec.grids
     if len(grids) < 2:
         raise PreconditionFailed(f"the convergence study needs at least two grids, got {len(grids)}")
-    L = spec.grid.half_width
     t0 = spec.barenblatt_t0
     mass = spec.barenblatt_mass
-    base = pme_config(spec, steps=40)
+    dt0 = spec.horizon / 40 if spec.dt_init is None else spec.dt_init
 
     err_keys = []
     mass_keys = []
     for n in grids:
-        grid = GridSpec(L, n)
+        grid = GridSpec(spec.grid.half_width, n)
         u0 = barenblatt_field(grid, t0, law, mass)
-        problem = PmeProblem(grid=grid, law=law, u0=u0, forcing=None, horizon=spec.horizon)
-        sol = pme_solve(problem, dataclasses.replace(base, dt_init=base.dt_init * grids[0] / n))
+        run_n = dataclasses.replace(spec, dt_init=dt0 * grids[0] / n)
+        sol = _run_pme(run_n, m, u0, None, sink, f"u_n{n}")
         exact = barenblatt_field(grid, t0 + spec.horizon, law, mass)
-        sink(f"u_n{n}", sol.snapshots[-1][1], spec.horizon)
         sink(f"exact_n{n}", exact, spec.horizon)
         err_keys.append(report.add_metric("l1_error", _l1_distance(sol.snapshots[-1][1], exact), n))
         mass_keys.append(

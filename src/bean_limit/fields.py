@@ -241,10 +241,15 @@ def snapshot_targets(times, horizon: float) -> tuple[list[float], float]:
 # -- power nonlinearity ------------------------------------------------------
 
 
+def pow_floor(e: float) -> float:
+    """2^(-1100/e), at or below which pow_into writes +0 without calling pow."""
+    return 2.0 ** (-1100.0 / e)
+
+
 def pow_into(base: np.ndarray, e: float, out: np.ndarray, live: np.ndarray) -> np.ndarray:
     """base^e written into out, for e > 0 and base +0 or above; returns out.
 
-    pow runs only where ~(base <= floor), floor = 2^(-1100/e), and the
+    pow runs only where ~(base <= floor), floor = pow_floor(e), and the
     other cells get +0.  Below the floor base^e <= 2^-1100, far under half
     the smallest subnormal, so pow would round it to +0 as well, and zeros
     and underflows are pow's slowest inputs.  For e <= 1 the floor itself
@@ -254,7 +259,7 @@ def pow_into(base: np.ndarray, e: float, out: np.ndarray, live: np.ndarray) -> n
     """
     if not (e > 0):
         raise ValueError(f"pow_into needs a positive exponent, got {e}")
-    np.less_equal(base, 2.0 ** (-1100.0 / e), out=live)
+    np.less_equal(base, pow_floor(e), out=live)
     np.logical_not(live, out=live)
     out.fill(0.0)
     return np.power(base, e, out=out, where=live)

@@ -44,6 +44,12 @@ def write_field(path, field: ScalarField, t: float, name: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def is_field_dump(path) -> bool:
+    """Whether the file at `path` starts as a field dump's header does."""
+    with open(path, "rb") as fh:
+        return fh.readline().startswith(b"# bean-limit field v1 ")
+
+
 def read_field(path) -> tuple[ScalarField, float, str]:
     path = Path(path)
     try:

@@ -1027,15 +1027,19 @@ def test_entries_that_label_metrics_alike_are_a_config_error(tmp_path, capsys, c
 
 def test_a_failed_run_removes_the_report_of_an_earlier_run(tmp_path, capsys):
     # a run that passes, then one into the same directory that fails after
-    # its config checks: neither the old report.json nor summary.txt stays
+    # its config checks: neither the old report.json, summary.txt nor field
+    # dumps stay, while a CSV file without a dump's header does
     configs = Path(__file__).resolve().parents[1] / "configs"
     out = tmp_path / "out"
     assert run(["sweep-p", "--config", str(configs / "sweep_p_relaxation.cfg"),
                 "--out", str(out)]) == 0
     assert (out / "report.json").is_file() and (out / "summary.txt").is_file()
+    assert len(list(out.glob("omega_p*.csv"))) == 4
+    (out / "notes.csv").write_text("p,comment\n4,first run\n")
     text = (configs / "sweep_p.cfg").read_text()
     assert "schedule = 4, 8, 16, 32" in text
     failing = write_cfg(tmp_path, text.replace("schedule = 4, 8, 16, 32", "schedule = 60, 64"))
     assert run(["sweep-p", "--config", str(failing), "--out", str(out)]) == 3
     assert "below minimum" in capsys.readouterr().err
     assert not (out / "report.json").exists() and not (out / "summary.txt").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["notes.csv"]

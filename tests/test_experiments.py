@@ -22,6 +22,7 @@ from bean_limit.experiments import (
     l1_contraction_check,
     outward_monotone_defect,
     small_data_check,
+    solve_pme,
     sweep_m_vs_mesa,
     sweep_p,
 )
@@ -396,6 +397,69 @@ def test_barenblatt_convergence_needs_two_grids(monkeypatch, grids):
                           horizon=0.5, grids=grids)
     with pytest.raises(PreconditionFailed, match="at least two grids"):
         barenblatt_convergence(spec)
+
+
+def record_pme_configs(monkeypatch) -> list[tuple[int, PmeConfig]]:
+    """(grid size, config) of every pme_solve call a driver makes; the real solver runs."""
+    seen = []
+
+    def recording(problem, config):
+        seen.append((problem.grid.n, config))
+        return pme_solve(problem, config)
+
+    monkeypatch.setattr(experiments, "pme_solve", recording)
+    return seen
+
+
+SMALL_PME = dict(grid=GridSpec(4.0, 24), horizon=0.1, snapshot_times=(0.05,),
+                 f=BumpSpec(height=0.5, radius=1.5), g=BumpSpec(height=0.4, radius=1.7))
+
+
+@pytest.mark.parametrize("driver, schedule, extra", [
+    (solve_pme, (4.0,), {}),
+    (sweep_m_vs_mesa, (8.0, 16.0), {}),
+    (small_data_check, (8.0, 16.0), {}),
+    (l1_contraction_check, (8.0,), {"f2": BumpSpec(height=0.6, radius=1.5)}),
+])
+def test_a_driver_without_dt_init_starts_at_a_fiftieth_of_the_horizon(
+        monkeypatch, driver, schedule, extra):
+    # every reference config sets pme.dt_init, so only this pins the default
+    seen = record_pme_configs(monkeypatch)
+    spec = ExperimentSpec(name="default-step", schedule=schedule, **SMALL_PME, **extra)
+    driver(spec)
+    assert len(seen) >= len(schedule)
+    assert all(c == PmeConfig(dt_init=0.1 / 50, snapshot_times=(0.05,)) for _, c in seen), seen
+
+
+def test_equivalence_without_dt_init_starts_at_a_hundredth_of_the_horizon(monkeypatch):
+    seen = record_pme_configs(monkeypatch)
+    equivalence_check(ExperimentSpec(
+        name="default-step", grid=GridSpec(2.0, 24), schedule=(4.0,), horizon=0.05,
+        snapshot_times=(0.025,), h0_stream=StreamSpec(width=1.0, curl_max=0.8), grids=(24, 32),
+    ))
+    assert seen == [(n, PmeConfig(dt_init=0.05 / 100, snapshot_times=(0.025,))) for n in (24, 32)]
+
+
+@pytest.mark.parametrize("dt_init", [None, 0.02])
+def test_barenblatt_scales_its_first_step_by_the_coarsest_grid(monkeypatch, dt_init):
+    # horizon / 40 without dt_init, then times grids[0] / n on grid n
+    seen = record_pme_configs(monkeypatch)
+    barenblatt_convergence(ExperimentSpec(name="bb-step", grid=GridSpec(2.0, 16), schedule=(3.0,),
+                                          horizon=0.2, grids=(16, 24), dt_init=dt_init))
+    dt0 = 0.2 / 40 if dt_init is None else dt_init
+    assert seen == [(n, PmeConfig(dt_init=dt0 * 16 / n)) for n in (16, 24)]
+
+
+def test_collapse_runs_start_at_a_tenth_of_their_horizon(monkeypatch):
+    # the runs to 1/m ignore dt_init and the snapshot times of the spec
+    seen = record_pme_configs(monkeypatch)
+    collapse_experiment(ExperimentSpec(
+        name="collapse-step", grid=GridSpec(2.0, 32), schedule=(8.0, 16.0), horizon=1.0,
+        snapshot_times=(0.5,), f=BumpSpec(height=1.5, radius=1.4),
+        g=BumpSpec(height=0.3, radius=1.2),
+    ))
+    # a forced and a free run per exponent
+    assert seen == [(32, PmeConfig(dt_init=(1.0 / m) / 10.0)) for m in (8.0, 8.0, 16.0, 16.0)]
 
 
 def test_accumulated_source_is_t_times_g():
