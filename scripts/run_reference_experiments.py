@@ -6,8 +6,8 @@ Usage:
 
 Each run writes its artifacts under OUTDIR/<name>/ (field dumps,
 report.json, summary.txt).  On a 2-core Xeon VM, each run in a fresh
-interpreter with one BLAS thread (scripts/bench.py, BENCH_31.json), the
-Barenblatt study and the collapse study take about 6 s each;
+interpreter with one BLAS thread (scripts/bench.py, BENCH_32.json), the
+Barenblatt study and the collapse study take about 4.5 s each;
 everything else finishes in under 2 s each.
 """
 

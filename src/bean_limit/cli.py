@@ -11,9 +11,11 @@ configuration problems, caught before any solver runs: a data block the
 subcommand needs and the file does not set, a snapshot time outside
 [0, horizon], repeated metric labels, and a set key outside the
 subcommand's row of COMMANDS and the keys every run reads.  Once these
-checks pass, a run removes the report.json, summary.txt and field dumps
-(the *.csv files that start with a dump's header) of an earlier run from
-its output directory, so a run that fails leaves none of them.
+checks pass, a run creates its output directory and removes the
+report.json, summary.txt and field dumps (the *.csv files that start with
+a dump's header) of an earlier run from it, so a run that fails leaves
+none of them; an output directory that cannot be created or cleared is a
+configuration problem too.
 """
 
 from __future__ import annotations
@@ -125,7 +127,6 @@ def _experiment_spec(cfg: RunConfig, command: str) -> ExperimentSpec:
 
 
 def _field_writer(out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
     counter = {}
 
     def sink(name: str, field: ScalarField, t: float):
@@ -210,9 +211,13 @@ def _dispatch(command: str, cfg: RunConfig, out_dir: Path) -> Report:
     if unused:
         raise ConfigError(f"{command} does not use {', '.join(map(repr, unused))}")
     spec = None if key is None else _experiment_spec(cfg, command)
-    dumps = [path for path in out_dir.glob("*.csv") if path.is_file() and is_field_dump(path)]
-    for path in [out_dir / "report.json", out_dir / "summary.txt", *dumps]:
-        path.unlink(missing_ok=True)  # a run that fails leaves no earlier output
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        dumps = [path for path in out_dir.glob("*.csv") if path.is_file() and is_field_dump(path)]
+        for path in [out_dir / "report.json", out_dir / "summary.txt", *dumps]:
+            path.unlink(missing_ok=True)  # a run that fails leaves no earlier output
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out_dir}: {exc.strerror or exc}") from exc
     if key is None:
         return globals()[driver](cfg, out_dir)
     return globals()[driver](spec, sink=_field_writer(out_dir))

@@ -131,11 +131,12 @@ class GhostRows:
 
     A flat buffer of `size` slots holds a zero row, then per field its n
     rows and a zero row, all of n + 1 slots; the last slot of a row is a
-    ghost, as in redblack's parity planes.  An x-neighbour is the offset
-    +-1 and a y-neighbour +-(n + 1), and outside the grid one reads a +0
-    ghost or zero row, so a difference of all k fields along one axis is
-    one subtract of two shifted runs.  It leaves junk in its output's
-    ghosts (the slots [n::n + 1] of a run) and zero rows.
+    ghost.  An x-neighbour is the offset +-1 and a y-neighbour +-(n + 1),
+    and outside the grid one reads a +0 ghost or zero row, so a difference
+    of all k fields along one axis is one subtract of two shifted runs.
+    It leaves junk in its output's ghosts (the slots [n::n + 1] of a run)
+    and zero rows.  The curl march steps on it, and each parity plane of
+    redblack.RedBlackSystem is one GhostRows(ceil(n/2), 1) buffer.
     """
 
     def __init__(self, n: int, k: int):

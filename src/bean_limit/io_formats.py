@@ -102,7 +102,6 @@ def write_report(out_dir, report: Report, config: dict) -> None:
     summary.txt prints it as inf or nan.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "name": report.name,
         "config": config,

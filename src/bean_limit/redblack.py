@@ -17,18 +17,17 @@ iterations (Reid, SIAM J. Numer. Anal. 9 (1972) 325-332; Hageman and
 Young, Applied Iterative Methods, 1981, ch. 9), on half-size vectors.
 
 A colour is its two parity planes w[a::2, b::2] (red (0, 0) and (1, 1),
-black (0, 1) and (1, 0)), plane a of a (2, (R + 2)(C + 1)) buffer,
-R = C = ceil(n/2).  A plane stores its cells in rows of C + 1 slots
-between a zero top and a zero bottom row, so the last slot of each row,
-and the cells past the grid when n is odd, are ghosts.  The horizontal
-neighbours of plane (a, b) are then plane a of the other colour at flat
-offsets b - 1 and b, the vertical ones plane 1 - a at (a - 1)(C + 1) and
-a(C + 1); each reads a ghost where the grid ends.  Every vector CG sees
-is zero on the ghosts.  A neighbour sum writes junk into its output's
-ghosts, which a factor that is zero there clears: 1/D_r or c^2/D_r on
-red, the black-cell mask on black.  Strided copies move the cells of a
-grid array into the planes and back.  obstacle's projected SOR keeps w in
-the same two buffers.
+black (0, 1) and (1, 0)), back to back in a (2, layout.size) buffer.
+Each plane is one fields.GhostRows(R, 1) buffer, R = ceil(n/2), whose
+ghosts also hold the cells past the grid when n is odd.  The horizontal
+neighbours of plane (a, b) are then the runs of plane a of the other
+colour at shifts b - 1 and b, the vertical ones those of plane 1 - a at
+a - 1 and a layout widths; each reads a ghost or a zero row where the
+grid ends.  Every vector CG sees is zero on the ghosts.  A neighbour sum
+writes junk into its output's ghosts, which a factor that is zero there
+clears: 1/D_r or c^2/D_r on red, the black-cell mask on black.  Strided
+copies move the cells of a grid array into the planes and back.
+obstacle's projected SOR keeps w in the same two buffers.
 
 The layout lives apart from pme because compiling a module costs memory
 in proportion to its code, and without a bytecode cache the compile of
@@ -42,6 +41,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+
+from .fields import GhostRows
 
 
 def add_neighbors(plan) -> None:
@@ -65,48 +66,36 @@ class RedBlackSystem:
     """
 
     def __init__(self, n: int):
-        rows = (n + 1) // 2
-        width = rows + 1
-        size = (rows + 2) * width
-        self.n, self.shape, self.planes_shape = n, (2, size), (2, rows + 2, width)
+        self.n, self.layout = n, GhostRows((n + 1) // 2, 1)
+        self.shape, self.planes_shape = (2, self.layout.size), (2, -1, self.layout.width)
         # per plane q, red then black: the grid slice of its cells and their
         # (plane, rows, columns) block in a colour's buffer; which slots are
         # cells
-        on = np.zeros((4, rows + 2, width), dtype=bool)
+        on = np.zeros((2, *self.shape), dtype=bool)
         self.cells = []
         for q in range(4):
             a, b = q % 2, (q // 2) ^ (q % 2)
             block = (a, slice(1, 1 + (n - a + 1) // 2), slice(0, (n - b + 1) // 2))
-            on[q][block[1:]] = True
+            on[q // 2].reshape(self.planes_shape)[block] = True
             self.cells.append(((slice(a, None, 2), slice(b, None, 2)), block))
-        self.on_r, self.on_b = on[:2].reshape(self.shape), on[2:].reshape(self.shape)
+        self.on_r, self.on_b = on
         self.mask_b = self.on_b.astype(float)
         for mask in (self.on_r, self.on_b, self.mask_b):  # every solve on this size reads them
             mask.setflags(write=False)
-        # per colour of the output and plane a (b = colour ^ a): the index of
-        # the output's rows of cells, and of the four neighbour slices of the
-        # other colour
-        lo, hi = width, (rows + 1) * width
-        self.plan_index = [
-            [((a, slice(lo, hi)),
-              (a, slice(lo + b - 1, hi + b - 1)), (a, slice(lo + b, hi + b)),
-              (1 - a, slice(lo + (a - 1) * width, hi + (a - 1) * width)),
-              (1 - a, slice(lo + a * width, hi + a * width)))
-             for a, b in ((0, colour), (1, colour ^ 1))]
-            for colour in (0, 1)
-        ]
 
     def neighbor_plan(self, src: np.ndarray, out: np.ndarray, colour: int) -> list:
         """Views for out = N src on out's rows of cells; out is of colour
         `colour`, src of the other."""
-        return [(out[o], src[left], src[right], src[up], src[down])
-                for o, left, right, up, down in self.plan_index[colour]]
+        run, width = self.layout.run, self.layout.width
+        return [(run(out[a]), run(src[a], b - 1), run(src[a], b),
+                 run(src[1 - a], (a - 1) * width), run(src[1 - a], a * width))
+                for a, b in ((0, colour), (1, colour ^ 1))]
 
     def cell_run(self, buf: np.ndarray) -> np.ndarray:
         """The slots of a colour buffer from plane 0's first row of cells to
         plane 1's last, as one flat view: both planes' rows of cells and
         the two zero rows between them."""
-        width = self.planes_shape[-1]
+        width = self.layout.width
         return buf.reshape(-1)[width:-width]
 
     def gather(self, full: np.ndarray, out: np.ndarray, colour: int) -> None:

@@ -1043,3 +1043,19 @@ def test_a_failed_run_removes_the_report_of_an_earlier_run(tmp_path, capsys):
     assert "below minimum" in capsys.readouterr().err
     assert not (out / "report.json").exists() and not (out / "summary.txt").exists()
     assert sorted(p.name for p in out.iterdir()) == ["notes.csv"]
+
+
+@pytest.mark.parametrize("command, name", [
+    ("solve-obstacle", "obstacle.cfg"),
+    ("solve-pme", "pme.cfg"),
+])
+def test_an_unusable_output_directory_is_a_config_error(tmp_path, capsys, command, name):
+    # a regular file where the output directory should be, or above it:
+    # exit 2 with a config error, and the file is left as it was
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"not a directory\n")
+    for out in (afile, afile / "sub"):
+        assert run([command, "--config", str(configs / name), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot use output directory")
+        assert afile.read_bytes() == b"not a directory\n"
